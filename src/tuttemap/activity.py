@@ -5,8 +5,15 @@ turn at the others) visits every half-edge exactly once. Anchoring that
 single cycle at the root linearly orders the half-edges, and edges inherit
 the order of their earlier half-edge. An edge is active when it is
 order-minimal in its fundamental cycle (external edges) or cocycle
-(internal edges). The classical notion, minimality for a fixed linear
-order on the edge set, is provided alongside.
+(internal edges); the classical notion takes a fixed linear edge order.
+
+Both notions are decided for a whole tree in one pass. With the tree rooted
+once, each external edge walks its tree path up to the lowest common
+ancestor of its endpoints: it is active iff its rank is below every rank on
+the path (a loop's path is empty). The external edges covering a tree edge
+are the rest of its fundamental cocycle, so a tree edge is active iff no
+covering edge has a smaller rank. The cost per tree is the rooting plus the
+sum of the external path lengths.
 """
 
 from __future__ import annotations
@@ -72,74 +79,93 @@ class ActivitySummary:
         return len(self.external_active)
 
 
-def _as_spanning_tree(m: CombinatorialMap, tree) -> SpanningTree:
-    graph = m.underlying_graph()
+def _as_spanning_tree(graph: Multigraph, tree) -> SpanningTree:
     if isinstance(tree, SpanningTree) and tree.parent is graph:
         return tree
     ids = tree.internal_edges if isinstance(tree, SpanningTree) else tree
     return SpanningTree(graph, ids)
 
 
-def motion_function(m: CombinatorialMap, tree) -> TourOrder:
-    """Tour the given spanning tree of a rooted map.
-
-    The successor of a half-edge h is the next half-edge in h's rotation
-    when h's edge is external, and the next after h's partner when it is
-    internal. A single cycle through all half-edges is asserted.
-    """
+def _tour(m: CombinatorialMap, st: SpanningTree) -> list[int]:
+    """Half-edges in tour order from the root. The successor of h is the
+    rotation successor of h (external edge) or of its partner (internal).
+    The walk must first come back to the root after exactly n steps; being
+    deterministic, it then visited every half-edge exactly once."""
     if m.is_empty:
         raise MapError("the empty map has no tour")
     if m.root is None:
         raise MapError("the tour order needs a rooted map")
-    st = _as_spanning_tree(m, tree)
-    n = m.n_half_edges
-    internal = [m.edge_ids[k] in st.internal_edges for k in range(m.edge_count)]
-    motion = [
-        m.sigma(h ^ 1) if internal[h >> 1] else m.sigma(h) for h in range(n)
-    ]
+    n, ids, internal, sigma = m.n_half_edges, m.edge_ids, st.internal_edges, m.sigma
     seq = []
     h = m.root
     for _ in range(n):
         seq.append(h)
-        h = motion[h]
-    if h != m.root or len(set(seq)) != n:
-        raise MotionNotCyclicError(
-            f"tour closed after {len(set(seq))} of {n} half-edges"
-        )
-    names = m.names
-    cycle = tuple(names[h] for h in seq)
-    he_rank = {names[h]: r for r, h in enumerate(seq)}
-    rank_of = [0] * n
-    for r, h in enumerate(seq):
-        rank_of[h] = r
-    by_min = sorted(
-        range(m.edge_count), key=lambda k: min(rank_of[2 * k], rank_of[2 * k + 1])
-    )
-    edge_rank = {m.edge_ids[k]: r for r, k in enumerate(by_min)}
-    motion_names = {names[h]: names[motion[h]] for h in range(n)}
-    return TourOrder(motion_names, cycle, he_rank, edge_rank)
+        h = sigma(h ^ 1) if ids[h >> 1] in internal else sigma(h)
+        if h == m.root:
+            break
+    if h != m.root or len(seq) != n:
+        raise MotionNotCyclicError(f"tour closed after {len(seq)} of {n} half-edges")
+    return seq
+
+
+def _edge_rank(m: CombinatorialMap, seq: list[int]) -> dict:
+    """Edge id -> rank, edges ordered by their earlier half-edge in seq."""
+    ids = m.edge_ids
+    rank: dict = {}
+    for h in seq:
+        rank.setdefault(ids[h >> 1], len(rank))
+    return rank
+
+
+def motion_function(m: CombinatorialMap, tree) -> TourOrder:
+    """Tour the given spanning tree of a rooted map (see ``_tour``)."""
+    seq = _tour(m, _as_spanning_tree(m.underlying_graph(), tree))
+    cycle = tuple(m.names[h] for h in seq)
+    motion = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    he_rank = {nm: r for r, nm in enumerate(cycle)}
+    return TourOrder(motion, cycle, he_rank, _edge_rank(m, seq))
 
 
 def _active_sets(st: SpanningTree, rank: Mapping) -> ActivitySummary:
-    internal_active = set()
+    """Both activity sets in one pass over the external edges (see the
+    module docstring); ``rank`` covers every edge of the graph."""
+    graph, internal, adj = st.parent, st.internal_edges, st._adjacency()
+    order = [next(iter(graph.vertices))]
+    depth = {order[0]: 0}
+    up = {}  # vertex -> (parent vertex, parent edge)
+    for u in order:
+        for w, f in adj[u]:
+            if w not in depth:
+                depth[w] = depth[u] + 1
+                up[w] = (u, f)
+                order.append(w)
+    cover: dict = {}  # tree edge -> smallest rank of an external edge covering it
     external_active = set()
-    for e in st.parent.edge_ids:
-        if st.is_internal(e):
-            region = st.fundamental_cocycle(e)
-            bucket = internal_active
-        else:
-            region = st.fundamental_cycle(e)
-            bucket = external_active
-        if rank[e] == min(rank[f] for f in region):
-            bucket.add(e)
-    return ActivitySummary(frozenset(internal_active), frozenset(external_active))
+    for e, r in rank.items():
+        if e in internal:
+            continue
+        u, v = graph.endpoints(e)
+        active = True
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            u, f = up[u]
+            if rank[f] < r:
+                active = False
+            if cover.get(f, r + 1) > r:
+                cover[f] = r
+        if active:
+            external_active.add(e)
+    internal_active = frozenset(
+        f for f in internal if f not in cover or rank[f] < cover[f]
+    )
+    return ActivitySummary(internal_active, frozenset(external_active))
 
 
 def embedding_activities(m: CombinatorialMap, tree) -> ActivitySummary:
     """Activities of one spanning tree w.r.t. the rooted tour order."""
-    st = _as_spanning_tree(m, tree)
-    order = motion_function(m, st)
-    return _active_sets(st, order.edge_rank)
+    st = _as_spanning_tree(m.underlying_graph(), tree)
+    return _active_sets(st, _edge_rank(m, _tour(m, st)))
 
 
 def order_activities(graph: Multigraph, order: Sequence, tree) -> ActivitySummary:
@@ -148,13 +174,8 @@ def order_activities(graph: Multigraph, order: Sequence, tree) -> ActivitySummar
     order = list(order)
     if len(order) != graph.edge_count or set(order) != set(graph.edge_ids):
         raise GraphError("order must list every edge id exactly once")
-    if isinstance(tree, SpanningTree) and tree.parent is graph:
-        st = tree
-    else:
-        ids = tree.internal_edges if isinstance(tree, SpanningTree) else tree
-        st = SpanningTree(graph, ids)
-    rank = {e: i for i, e in enumerate(order)}
-    return _active_sets(st, rank)
+    st = _as_spanning_tree(graph, tree)
+    return _active_sets(st, {e: i for i, e in enumerate(order)})
 
 
 def erase_check(m: CombinatorialMap, tree, edge) -> bool:
@@ -165,7 +186,7 @@ def erase_check(m: CombinatorialMap, tree, edge) -> bool:
     loses the edge); the comparison is cyclic, so it does not depend on
     where the minor is rooted.
     """
-    st = _as_spanning_tree(m, tree)
+    st = _as_spanning_tree(m.underlying_graph(), tree)
     k = m.edge_index(edge) if isinstance(edge, str) else int(edge)
     eid = m.edge_ids[k]
     before = motion_function(m, st)

@@ -14,8 +14,11 @@ import sys
 from pathlib import Path
 
 from .activity import MotionNotCyclicError, motion_function
-from .cmap import CombinatorialMap, MapError, embed
+from .cmap import CombinatorialMap, MapError, _graph_incidences, embed
 from .engines import (
+    _activity_sum,
+    _embedding_tree_terms,
+    _require_connected,
     tutte_deletion_contraction,
     tutte_embedding_activities,
     tutte_order_activities,
@@ -58,6 +61,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _method_polynomials(graph: Multigraph, methods, root: str | None):
+    _require_connected(graph)
     out: dict[str, BivariatePolynomial] = {}
     needs_map = any(m in methods for m in ("embedding", "recursive"))
     emb = embed(graph, root=root) if needs_map else None
@@ -117,19 +121,13 @@ def _cmd_tour(args) -> int:
 
 
 def _cmd_activities(args) -> int:
-    from .activity import embedding_activities
-    from .poly import X, Y, ZERO
-
     m = _load_map(args.map, args.root)
-    graph = m.underlying_graph()
+    terms = list(_embedding_tree_terms(m))
     lines = []
     rows = []
-    total = ZERO
-    for st in enumerate_spanning_trees(graph):
-        act = embedding_activities(m, st)
+    for st, act in terms:
         tree_ids = sorted(st.internal_edges)
-        mono = X ** act.internal_count * Y ** act.external_count
-        total = total + mono
+        mono = BivariatePolynomial.monomial(act.internal_count, act.external_count)
         lines.append(
             "tree {%s}: internal-active {%s} external-active {%s} -> %s"
             % (
@@ -145,6 +143,7 @@ def _cmd_activities(args) -> int:
             "external_active": sorted(act.external_active),
             "monomial": mono.json_terms(),
         })
+    total = _activity_sum(terms)
     lines.append(f"total: {total}")
     _emit(args, {"trees": rows, "total": total.json_terms()}, "\n".join(lines))
     return 0
@@ -188,18 +187,16 @@ def _cmd_zpoly(args) -> int:
 
 
 def _random_embedding(graph: Multigraph, rng: random.Random) -> CombinatorialMap:
-    at_vertex = {}
-    for e in graph.edge_ids:
-        u, v = graph.endpoints(e)
-        at_vertex.setdefault(u, []).append(str(e))
-        at_vertex.setdefault(v, []).append(str(e) + "'")
-    for names in at_vertex.values():
-        rng.shuffle(names)
+    at_vertex, _ = _graph_incidences(graph)
+    for v in sorted(at_vertex, key=str):
+        rng.shuffle(at_vertex[v])
     m = embed(graph, rotations=at_vertex)
     return m.with_root(rng.choice(m.names))
 
 
 def _cmd_check(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be at least 0, got {args.trials}")
     graph = _load_graph(args.graph)
     rng = random.Random(args.seed)
     failures = 0
@@ -214,8 +211,8 @@ def _cmd_check(args) -> int:
         lines.append(f"{'ok' if ok else 'FAIL'}: {name}{tail}")
         rows.append({"name": name, "ok": ok})
 
-    emb = embed(graph)
     polys = _method_polynomials(graph, METHODS, None)
+    emb = embed(graph)
     values = list(polys.values())
     report("five evaluator methods agree",
            all(v == values[0] for v in values[1:]),

@@ -116,6 +116,18 @@ def tutte_deletion_contraction(graph: Multigraph,
     return rec(graph)
 
 
+def _activity_sum(terms: Iterable, table: dict | None = None) -> BivariatePolynomial:
+    """Sum of x^i y^e over (tree, activities) pairs, counted once per
+    monomial; each tree's (i, e) also goes into ``table`` when given."""
+    counts: Counter = Counter()
+    for st, act in terms:
+        ie = (act.internal_count, act.external_count)
+        counts[ie] += 1
+        if table is not None:
+            table[tuple(sorted(st.internal_edges, key=str))] = ie
+    return BivariatePolynomial(counts)
+
+
 def _order_tree_terms(graph: Multigraph, order: Sequence):
     for st in enumerate_spanning_trees(graph):
         yield st, order_activities(graph, order, st)
@@ -128,10 +140,7 @@ def tutte_order_activities(graph: Multigraph,
     _require_connected(graph)
     if order is None:
         order = graph.edge_ids
-    total = ZERO
-    for _, act in _order_tree_terms(graph, order):
-        total = total + X ** act.internal_count * Y ** act.external_count
-    return total
+    return _activity_sum(_order_tree_terms(graph, order))
 
 
 def _embedding_tree_terms(m: CombinatorialMap):
@@ -144,10 +153,7 @@ def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:
     if m.is_empty or m.root is None:
         raise MapError("a rooted map with at least one edge is required")
     m.validate()
-    total = ZERO
-    for _, act in _embedding_tree_terms(m):
-        total = total + X ** act.internal_count * Y ** act.external_count
-    return total
+    return _activity_sum(_embedding_tree_terms(m))
 
 
 def tutte_recursive_map(m: CombinatorialMap, on_pivot=None) -> BivariatePolynomial:
@@ -338,25 +344,11 @@ def cross_check(graph: Multigraph,
     tables: dict[str, dict[tuple, tuple[int, int]]] = {}
     for i, order in enumerate(orders):
         label = f"order[{i}]"
-        total = ZERO
-        table = {}
-        for st, act in _order_tree_terms(graph, order):
-            table[tuple(sorted(st.internal_edges, key=str))] = (
-                act.internal_count, act.external_count,
-            )
-            total = total + X ** act.internal_count * Y ** act.external_count
-        polys[label] = total
-        tables[label] = table
+        tables[label] = {}
+        polys[label] = _activity_sum(_order_tree_terms(graph, order), tables[label])
     for i, m in enumerate(embeddings):
         label = f"embedding[{i}]"
-        total = ZERO
-        table = {}
-        for st, act in _embedding_tree_terms(m):
-            table[tuple(sorted(st.internal_edges, key=str))] = (
-                act.internal_count, act.external_count,
-            )
-            total = total + X ** act.internal_count * Y ** act.external_count
-        polys[label] = total
-        tables[label] = table
+        tables[label] = {}
+        polys[label] = _activity_sum(_embedding_tree_terms(m), tables[label])
         polys[f"recursive[{i}]"] = tutte_recursive_map(m)
     return EvaluationReport(polys, tables)

@@ -14,11 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .activity import embedding_activities
 from .cmap import CombinatorialMap
-from .engines import tutte_embedding_activities
-from .poly import X, Y, ZERO, BivariatePolynomial
-from .spanning import enumerate_spanning_trees
+from .engines import _activity_sum, _embedding_tree_terms
+from .poly import BivariatePolynomial
 
 __all__ = ["MapCensus", "enumerate_rooted_maps", "partition_function",
            "MAX_CENSUS_EDGES"]
@@ -93,22 +91,7 @@ def enumerate_rooted_maps(n: int, genus: int | None = None) -> MapCensus:
 
 
 def partition_function(n: int, genus: int | None = None) -> BivariatePolynomial:
-    """Sum of the embedding-activity generating function over the census.
-
-    Computed twice, once per map and once per (map, spanning tree) pair,
-    and the two sums are asserted equal before returning.
-    """
+    """Sum of the embedding-activity generating function over the census,
+    one monomial per (map, spanning tree) pair."""
     census = enumerate_rooted_maps(n, genus)
-    per_map = ZERO
-    per_pair = ZERO
-    for m in census:
-        per_map = per_map + tutte_embedding_activities(m)
-        for st in enumerate_spanning_trees(m.underlying_graph()):
-            act = embedding_activities(m, st)
-            per_pair = per_pair + X ** act.internal_count * Y ** act.external_count
-    if per_map != per_pair:
-        raise RuntimeError(
-            "partition function sums disagree between the per-map and "
-            "per-(map, tree) forms"
-        )
-    return per_map
+    return _activity_sum(pair for m in census for pair in _embedding_tree_terms(m))

@@ -147,6 +147,8 @@ class BivariatePolynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {(0, 0)}:  # a constant hashes like its int
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     # -- evaluation ---------------------------------------------------

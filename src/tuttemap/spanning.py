@@ -35,15 +35,18 @@ class SpanningTree:
         self.internal_edges = chosen
         self._adj = None
 
+    @classmethod
+    def _trusted(cls, parent: Multigraph, edges: Iterable) -> "SpanningTree":
+        """A tree whose edges are already known to span: no re-validation."""
+        st = cls.__new__(cls)
+        st.parent = parent
+        st.internal_edges = frozenset(edges)
+        st._adj = None
+        return st
+
     def is_internal(self, e) -> bool:
         self.parent.endpoints(e)
         return e in self.internal_edges
-
-    @property
-    def external_edges(self) -> tuple:
-        return tuple(
-            e for e in self.parent.edge_ids if e not in self.internal_edges
-        )
 
     def _adjacency(self) -> dict:
         if self._adj is None:
@@ -133,14 +136,11 @@ def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
     if not graph.is_connected():
         raise GraphError("spanning trees need a connected graph")
     need = graph.vertex_count - 1
-    if need == 0:
-        yield SpanningTree(graph, ())
-        return
     pool = [e for e in graph.edge_ids if not graph.is_loop(e)]
 
     def walk(i: int, chosen: list, parent: dict) -> Iterator[SpanningTree]:
         if len(chosen) == need:
-            yield SpanningTree(graph, chosen)
+            yield SpanningTree._trusted(graph, chosen)
             return
         for j in range(i, len(pool)):
             if len(pool) - j < need - len(chosen):

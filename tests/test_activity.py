@@ -20,6 +20,7 @@ from tuttemap import (
 
 from helpers import (
     TORUS_TREE,
+    connected_multigraphs,
     cyclic_equal,
     torus_map,
     k3,
@@ -27,6 +28,8 @@ from helpers import (
     random_rooted_map,
     single_isthmus_map,
     single_loop_map,
+    swap_cocycle_oracle,
+    swap_cycle_oracle,
 )
 
 
@@ -220,3 +223,45 @@ def test_erase_check_when_root_on_removed_edge():
 def test_cyclic_equal_helper():
     assert cyclic_equal("abc", "cab")
     assert not cyclic_equal("abc", "acb")
+
+
+def _minimal_by_swap_oracles(g, tree, rank):
+    """Active sets straight from the definition: the edges that are
+    rank-minimal in their swap-test fundamental cycle or cocycle."""
+    def minimal(e, region):
+        return rank[e] == min(rank[f] for f in region)
+
+    internal = {e for e in tree if minimal(e, swap_cocycle_oracle(g, tree, e))}
+    external = {
+        e for e in g.edge_ids
+        if e not in tree and minimal(e, swap_cycle_oracle(g, tree, e))
+    }
+    return internal, external
+
+
+def test_embedding_activities_match_definition_on_map_corpus():
+    pairs = 0
+    for m in map_corpus():
+        g = m.underlying_graph()
+        for st in enumerate_spanning_trees(g):
+            rank = motion_function(m, st).edge_rank
+            act = embedding_activities(m, st)
+            expected = _minimal_by_swap_oracles(g, st.internal_edges, rank)
+            assert (act.internal_active, act.external_active) == expected
+            pairs += 1
+    assert pairs > 500
+
+
+def test_order_activities_match_definition_on_random_orders():
+    rng = random.Random(65)
+    pairs = 0
+    for g in connected_multigraphs(4, 5):
+        order = list(g.edge_ids)
+        rng.shuffle(order)
+        rank = {e: i for i, e in enumerate(order)}
+        for st in enumerate_spanning_trees(g):
+            act = order_activities(g, order, st)
+            expected = _minimal_by_swap_oracles(g, st.internal_edges, rank)
+            assert (act.internal_active, act.external_active) == expected
+            pairs += 1
+    assert pairs > 500

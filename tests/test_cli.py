@@ -199,3 +199,23 @@ def test_unrooted_map_needs_root_flag(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_check_rejects_negative_trials(capsys, k3_file):
+    code, out, err = run(capsys, "check", "--graph", k3_file, "--trials", "-3")
+    assert code == 1 and out == ""
+    assert "--trials" in err and "-3" in err
+    code, out, _ = run(capsys, "check", "--graph", k3_file, "--trials", "0")
+    assert code == 0 and "over 0 random" in out
+
+
+@pytest.mark.parametrize("method", ["all", "expansion", "delcon", "order",
+                                    "embedding", "recursive"])
+def test_disconnected_graph_names_connectivity(capsys, tmp_path, method):
+    path = tmp_path / "two.g"
+    path.write_text("v 1\nv 2\nv 3\ne a 1 2\n")
+    code, _, err = run(capsys, "tutte", "--graph", str(path), "--method", method)
+    assert code == 1 and "connected graphs only" in err
+    if method == "all":
+        code, _, err = run(capsys, "check", "--graph", str(path))
+        assert code == 1 and "connected graphs only" in err

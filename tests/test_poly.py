@@ -145,3 +145,13 @@ def test_pow_matches_repeated_mul():
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError, match="negative exponent"):
         BivariatePolynomial({(-1, 0): 1})
+
+
+def test_constants_hash_like_their_ints():
+    for value in (0, 1, 3, -7, 10**30):
+        p = BivariatePolynomial.constant(value)
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+    assert hash(ZERO) == hash(0) and len({ZERO, 0}) == 1
+    assert {ONE: "one"}[1] == "one"
+    assert hash(X + 1) == hash(P("x + 1"))
