@@ -168,14 +168,19 @@ def embedding_activities(m: CombinatorialMap, tree) -> ActivitySummary:
     return _active_sets(st, _edge_rank(m, _tour(m, st)))
 
 
-def order_activities(graph: Multigraph, order: Sequence, tree) -> ActivitySummary:
-    """Classical activities w.r.t. a total order on the edge ids (given as
-    the full edge list, smallest first)."""
+def _order_rank(graph: Multigraph, order: Sequence) -> dict:
+    """Edge id -> position in ``order``, which must list every edge id of
+    the graph exactly once."""
     order = list(order)
     if len(order) != graph.edge_count or set(order) != set(graph.edge_ids):
         raise GraphError("order must list every edge id exactly once")
-    st = _as_spanning_tree(graph, tree)
-    return _active_sets(st, {e: i for i, e in enumerate(order)})
+    return {e: i for i, e in enumerate(order)}
+
+
+def order_activities(graph: Multigraph, order: Sequence, tree) -> ActivitySummary:
+    """Classical activities w.r.t. a total order on the edge ids (given as
+    the full edge list, smallest first)."""
+    return _active_sets(_as_spanning_tree(graph, tree), _order_rank(graph, order))
 
 
 def erase_check(m: CombinatorialMap, tree, edge) -> bool:

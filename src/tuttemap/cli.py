@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit status: 0 on success, 1 on any input problem (unreadable file, parse
-failure, violated precondition), 2 when an internal invariant breaks (a
-non-cyclic tour, or evaluators that should agree but do not).
+failure, violated precondition) or when a resource limit is reached (the
+recursion depth or memory runs out on an input too large for the method),
+2 when an internal invariant breaks (a non-cyclic tour, or evaluators that
+should agree but do not).
 """
 
 from __future__ import annotations
@@ -355,6 +357,12 @@ def main(argv=None) -> int:
         return 0 if not ex.code else 1
     try:
         return args.func(args)
+    except (RecursionError, MemoryError) as exc:
+        # RecursionError is a RuntimeError, so this comes first
+        detail = str(exc) or "out of memory"
+        print(f"error: resource limit reached ({detail}); the input is too "
+              "large for this method", file=sys.stderr)
+        return 1
     except MotionNotCyclicError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2

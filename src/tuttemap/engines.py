@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .activity import embedding_activities, order_activities
+from .activity import _active_sets, _order_rank, embedding_activities
 from .cmap import CombinatorialMap, MapError
 from .graph import GraphError, Multigraph
 from .poly import ONE, X, Y, ZERO, BivariatePolynomial
@@ -129,8 +129,9 @@ def _activity_sum(terms: Iterable, table: dict | None = None) -> BivariatePolyno
 
 
 def _order_tree_terms(graph: Multigraph, order: Sequence):
+    rank = _order_rank(graph, order)
     for st in enumerate_spanning_trees(graph):
-        yield st, order_activities(graph, order, st)
+        yield st, _active_sets(st, rank)
 
 
 def tutte_order_activities(graph: Multigraph,
@@ -166,47 +167,63 @@ def tutte_recursive_map(m: CombinatorialMap, on_pivot=None) -> BivariatePolynomi
     determined surviving half-edge. Activities are never consulted, so
     agreement with the activity sum is a genuine check.
 
-    ``on_pivot(map, edge_id, case, depth)`` is called per recursion step
-    when supplied; tests use it to watch the pivot discipline.
+    Each call keeps one memo keyed by ``canonical_form()``. A rooted map has
+    no nontrivial automorphism fixing its root, so equal forms mean
+    rooted-isomorphic maps and equal polynomials: a hit needs no further
+    check, and each distinct rooted minor is expanded once.
+
+    ``on_pivot(map, edge_id, case, depth)`` is called once per distinct
+    rooted minor, when it is expanded (memo hits do not call it); tests use
+    it to watch the pivot discipline.
     """
     if m.is_empty or m.root is None:
         raise MapError("a rooted map with at least one edge is required")
     m.validate()
-    return _recurse_map(m, 1, on_pivot)
+    return _recurse_map(m, 1, on_pivot, {})
 
 
-def _recurse_map(m: CombinatorialMap, depth: int, on_pivot) -> BivariatePolynomial:
+def _recurse_map(m: CombinatorialMap, depth: int, on_pivot,
+                 memo: dict) -> BivariatePolynomial:
+    # the lookup stays in this function: one Python frame per level
+    key = m.canonical_form()
+    val = memo.get(key)
+    if val is not None:
+        return val
     graph = m.underlying_graph()
-    if m.edge_count == 1:
-        eid = m.edge_ids[0]
-        case = "loop-base" if graph.is_loop(eid) else "isthmus-base"
-        if on_pivot is not None:
-            on_pivot(m, eid, case, depth)
-        return Y if graph.is_loop(eid) else X
     h0 = m.root
     hstar = m.sigma_inverse(h0)
     k = hstar >> 1
     eid = m.edge_ids[k]
-    if graph.is_loop(eid):
+    if m.edge_count == 1:
+        case = "loop-base" if graph.is_loop(eid) else "isthmus-base"
+        if on_pivot is not None:
+            on_pivot(m, eid, case, depth)
+        val = Y if graph.is_loop(eid) else X
+    elif graph.is_loop(eid):
         if on_pivot is not None:
             on_pivot(m, eid, "loop", depth)
         reroot = m.sigma(h0) if h0 == (hstar ^ 1) else None
-        return Y * _recurse_map(m.delete_edge(k, reroot=reroot), depth + 1, on_pivot)
-    if graph.is_isthmus(eid):
+        val = Y * _recurse_map(m.delete_edge(k, reroot=reroot), depth + 1,
+                               on_pivot, memo)
+    elif graph.is_isthmus(eid):
         if on_pivot is not None:
             on_pivot(m, eid, "isthmus", depth)
         reroot = m.sigma(hstar ^ 1) if h0 == hstar else None
-        return X * _recurse_map(m.contract_edge(k, reroot=reroot), depth + 1, on_pivot)
-    if h0 >> 1 == k:
-        raise RuntimeError(
-            "ordinary pivot unexpectedly contains the root; map recursion is broken"
+        val = X * _recurse_map(m.contract_edge(k, reroot=reroot), depth + 1,
+                               on_pivot, memo)
+    else:
+        if h0 >> 1 == k:
+            raise RuntimeError(
+                "ordinary pivot unexpectedly contains the root; map recursion is broken"
+            )
+        if on_pivot is not None:
+            on_pivot(m, eid, "ordinary", depth)
+        val = (
+            _recurse_map(m.contract_edge(k), depth + 1, on_pivot, memo)
+            + _recurse_map(m.delete_edge(k), depth + 1, on_pivot, memo)
         )
-    if on_pivot is not None:
-        on_pivot(m, eid, "ordinary", depth)
-    return (
-        _recurse_map(m.contract_edge(k), depth + 1, on_pivot)
-        + _recurse_map(m.delete_edge(k), depth + 1, on_pivot)
-    )
+    memo[key] = val
+    return val
 
 
 # -- multigraph certificates and isomorphism --------------------------------

@@ -115,12 +115,17 @@ class Multigraph:
         return u == v
 
     def is_isthmus(self, e) -> bool:
-        """True iff removing e increases the number of components."""
+        """True iff removing e increases the number of components, that is,
+        iff no path of other edges joins its endpoints. One union-find pass
+        over the other edges, stopped as soon as the endpoints meet."""
         u, v = self.endpoints(e)
         if u == v:
             return False
-        rest = [f for f in self._edges if f != e]
-        return self.component_count(rest) > self.component_count()
+        dsu = _DisjointSets(self._vertices)
+        for f, (a, b) in self._edges.items():
+            if f != e and dsu.union(a, b) and dsu.find(u) == dsu.find(v):
+                return False
+        return True
 
     def component_count(self, edge_subset: Iterable | None = None) -> int:
         """Components of the spanning subgraph on the given edges (all

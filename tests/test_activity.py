@@ -15,6 +15,7 @@ from tuttemap import (
     erase_check,
     motion_function,
     order_activities,
+    tutte_order_activities,
     tutte_subgraph_expansion,
 )
 
@@ -164,6 +165,10 @@ def test_partial_order_rejected():
         order_activities(g, ["a", "b"], st)
     with pytest.raises(GraphError, match="every edge"):
         order_activities(g, ["a", "b", "c", "c"], st)
+    with pytest.raises(GraphError, match="every edge"):
+        tutte_order_activities(g, ["a", "b"])
+    with pytest.raises(GraphError, match="every edge"):
+        tutte_order_activities(g, ["a", "b", "c", "c"])
 
 
 def test_k3_embedding_monomial_multiset():

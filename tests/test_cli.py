@@ -187,6 +187,20 @@ def test_input_errors_exit_1(capsys, tmp_path, k3_file, torus_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("method", ["recursive", "order"])
+def test_resource_limit_exits_1(capsys, tmp_path, method):
+    # a 1,200-edge path exceeds the recursion limit; that is a resource
+    # limit, not a broken invariant
+    path = tmp_path / "path.g"
+    path.write_text(
+        "".join(f"v {i}\n" for i in range(1201))
+        + "".join(f"e p{i} {i} {i + 1}\n" for i in range(1200))
+    )
+    code, out, err = run(capsys, "tutte", "--graph", str(path), "--method", method)
+    assert code == 1 and out == ""
+    assert "resource limit" in err and "invariant" not in err
+
+
 def test_unrooted_map_needs_root_flag(capsys, tmp_path):
     path = tmp_path / "unrooted.map"
     path.write_text("sigma: (h)(h')\nalpha: (h h')\n")

@@ -135,6 +135,26 @@ def test_recursive_map_pivot_discipline():
         assert max(d for _, _, _, d in events) == m.edge_count
 
 
+def test_recursive_map_expands_each_rooted_minor_once():
+    # the memo is keyed on the exact rooted canonical form, so no two
+    # expanded minors of one call are rooted-isomorphic
+    rng = random.Random(83)
+    for _ in range(30):
+        m = random_rooted_map(rng, rng.randint(1, 6))
+        forms = []
+        tutte_recursive_map(
+            m, on_pivot=lambda mm, *_: forms.append(mm.canonical_form())
+        )
+        assert len(forms) == len(set(forms))
+
+
+def test_recursive_map_long_path():
+    # one Python frame per recursion level: an 800-edge path stays within
+    # the default recursion limit
+    path = Multigraph(range(801), {i: (i, i + 1) for i in range(800)})
+    assert tutte_recursive_map(embed(path)) == P("x^800")
+
+
 def test_order_independence_100_random_orders():
     rng = random.Random(84)
     for g in (k4(), torus_map().underlying_graph()):
