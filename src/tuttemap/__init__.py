@@ -28,7 +28,7 @@ from .engines import (
     tutte_recursive_map,
     tutte_subgraph_expansion,
 )
-from .graph import GraphError, Multigraph, SpanningSubgraph
+from .graph import GraphError, Multigraph
 from .mapenum import MapCensus, enumerate_rooted_maps, partition_function
 from .poly import ONE, X, Y, ZERO, BivariatePolynomial, PolynomialParseError
 from .spanning import SpanningTree, enumerate_spanning_trees
@@ -47,7 +47,6 @@ __all__ = [
     "Multigraph",
     "ONE",
     "PolynomialParseError",
-    "SpanningSubgraph",
     "SpanningTree",
     "TourOrder",
     "X",

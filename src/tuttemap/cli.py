@@ -18,6 +18,7 @@ from pathlib import Path
 from .activity import MotionNotCyclicError, motion_function
 from .cmap import CombinatorialMap, MapError, _graph_incidences, embed
 from .engines import (
+    EvaluationReport,
     _activity_sum,
     _embedding_tree_terms,
     _require_connected,
@@ -62,11 +63,11 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _method_polynomials(graph: Multigraph, methods, root: str | None):
-    _require_connected(graph)
+def _method_polynomials(graph: Multigraph, methods,
+                        emb: CombinatorialMap | None) -> EvaluationReport:
+    """Runs each method on the connected ``graph``; ``emb``, a rooted
+    embedding of it, serves the embedding and recursive methods."""
     out: dict[str, BivariatePolynomial] = {}
-    needs_map = any(m in methods for m in ("embedding", "recursive"))
-    emb = embed(graph, root=root) if needs_map else None
     for method in methods:
         if method == "expansion":
             out[method] = tutte_subgraph_expansion(graph)
@@ -78,19 +79,22 @@ def _method_polynomials(graph: Multigraph, methods, root: str | None):
             out[method] = tutte_embedding_activities(emb)
         else:
             out[method] = tutte_recursive_map(emb)
-    return out
+    return EvaluationReport(out, {})
 
 
 def _cmd_tutte(args) -> int:
     graph = _load_graph(args.graph)
+    _require_connected(graph)
     methods = METHODS if args.method == "all" else (args.method,)
-    polys = _method_polynomials(graph, methods, args.root)
+    needs_map = any(m in methods for m in ("embedding", "recursive"))
+    emb = embed(graph, root=args.root) if needs_map else None
+    report = _method_polynomials(graph, methods, emb)
+    polys = report.polynomials
     lines = [f"{m}: {polys[m]}" for m in methods]
     payload: dict = {"polynomials": {m: polys[m].json_terms() for m in methods}}
     status = 0
     if args.method == "all":
-        values = list(polys.values())
-        agree = all(v == values[0] for v in values[1:])
+        agree = report.agreement
         lines.append(f"agreement: {'yes' if agree else 'NO'}")
         payload["agreement"] = agree
         if not agree:
@@ -213,11 +217,11 @@ def _cmd_check(args) -> int:
         lines.append(f"{'ok' if ok else 'FAIL'}: {name}{tail}")
         rows.append({"name": name, "ok": ok})
 
-    polys = _method_polynomials(graph, METHODS, None)
+    _require_connected(graph)
     emb = embed(graph)
-    values = list(polys.values())
-    report("five evaluator methods agree",
-           all(v == values[0] for v in values[1:]),
+    evaluation = _method_polynomials(graph, METHODS, emb)
+    polys = evaluation.polynomials
+    report("five evaluator methods agree", evaluation.agreement,
            " / ".join(f"{k}={v}" for k, v in polys.items()))
     reference = polys["expansion"]
 

@@ -8,10 +8,9 @@ minor operations return fresh graphs that keep every other edge id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-__all__ = ["GraphError", "Multigraph", "SpanningSubgraph"]
+__all__ = ["GraphError", "Multigraph"]
 
 
 class GraphError(ValueError):
@@ -237,20 +236,3 @@ class Multigraph:
             f"Multigraph({sorted(self._vertices, key=str)!r}, "
             f"{dict(sorted(self._edges.items(), key=lambda kv: str(kv[0])))!r})"
         )
-
-
-@dataclass(frozen=True)
-class SpanningSubgraph:
-    """All of the parent's vertices plus a chosen subset of its edges."""
-
-    parent: Multigraph
-    edge_subset: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        subset = frozenset(self.edge_subset)
-        object.__setattr__(self, "edge_subset", subset)
-        for e in subset:
-            self.parent.endpoints(e)
-
-    def component_count(self) -> int:
-        return self.parent.component_count(self.edge_subset)

@@ -1,16 +1,17 @@
 """Exhaustive census of rooted maps with n edges, and the activity
 generating function summed over the census.
 
-Enumeration fixes the half-edge pairing to partner(2i) = 2i+1 and the root
-to half-edge 0, scans every rotation permutation of the 2n symbols, keeps
-the transitive ones, and deduplicates by the rooted canonical form (rooted
-maps have no nontrivial automorphisms fixing the root, so canonical-form
-equality is exact deduplication).
+Every census map uses half-edges 0..2n-1 with partner h ^ 1 and root 0,
+labelled in the order a walk from the root first reaches them: reading
+h = 0, 1, 2, ..., sigma(h) is either a half-edge already reached or the
+first half-edge 2k of the next edge, whose partner 2k+1 is reached with it.
+A rooted map has exactly one such labelling, so generating the labellings
+yields each rooted map once, connected and with no duplicate, and needs no
+isomorphism test.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -21,8 +22,10 @@ from .poly import BivariatePolynomial
 __all__ = ["MapCensus", "enumerate_rooted_maps", "partition_function",
            "MAX_CENSUS_EDGES"]
 
-# (2n)! rotation scan; 5 edges is ~3.6M permutations and already reaches
-# genus 2, which is all the desk-scale demonstration needs.
+# The census grows more than 10x per edge (8,162 maps at 5 edges, 110,410
+# at 6), and partition_function sums every spanning tree of every map; 5
+# edges already reach genus 2, which is all the desk-scale demonstration
+# needs.
 MAX_CENSUS_EDGES = 5
 
 
@@ -42,20 +45,24 @@ class MapCensus:
         return iter(self.maps)
 
 
-def _is_transitive(sigma: tuple[int, ...]) -> bool:
-    n = len(sigma)
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        h = stack.pop()
-        for nxt in (sigma[h], h ^ 1):
-            if not seen[nxt]:
-                seen[nxt] = 1
-                count += 1
-                stack.append(nxt)
-    return count == n
+def _rooted_sigmas(n: int) -> Iterator[tuple[int, ...]]:
+    """The rotation of every rooted map with n edges, once each, in its
+    first-visit labelling (see the module docstring)."""
+    size = 2 * n
+    sigma = [0] * size
+    taken = [False] * size  # already the image of some half-edge
+
+    def walk(h: int, reached: int) -> Iterator[tuple[int, ...]]:
+        if h == size:
+            yield tuple(sigma)
+        elif h < reached:  # else the walk closed before it met every edge
+            for t in range(reached + (reached < size)):
+                if not taken[t]:
+                    sigma[h], taken[t] = t, True
+                    yield from walk(h + 1, reached + 2 * (t == reached))
+                    taken[t] = False
+
+    return walk(0, 2)
 
 
 def enumerate_rooted_maps(n: int, genus: int | None = None) -> MapCensus:
@@ -69,25 +76,15 @@ def enumerate_rooted_maps(n: int, genus: int | None = None) -> MapCensus:
     if n > MAX_CENSUS_EDGES:
         raise ValueError(
             f"census bound is {MAX_CENSUS_EDGES} edges"
-            " (the rotation scan is factorial in 2n)"
+            " (the census grows more than 10x per edge)"
         )
     if genus is not None and genus < 0:
         raise ValueError("genus cannot be negative")
     names = tuple(f"h{i}" for i in range(2 * n))
-    seen: set = set()
-    kept: list[CombinatorialMap] = []
-    for perm in itertools.permutations(range(2 * n)):
-        if not _is_transitive(perm):
-            continue
-        m = CombinatorialMap(perm, names, root=0)
-        if genus is not None and m.genus() != genus:
-            continue
-        key = m.canonical_form()
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(m)
-    return MapCensus(n, genus, tuple(kept))
+    maps = (CombinatorialMap(s, names, root=0) for s in _rooted_sigmas(n))
+    return MapCensus(n, genus, tuple(
+        m for m in maps if genus is None or m.genus() == genus
+    ))
 
 
 def partition_function(n: int, genus: int | None = None) -> BivariatePolynomial:

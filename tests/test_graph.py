@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tuttemap import GraphError, Multigraph, SpanningSubgraph
+from tuttemap import GraphError, Multigraph
 
 from helpers import (
     double_edge_graph,
@@ -22,14 +22,6 @@ def test_component_count_examples():
     # one edge leaves two components; frozen from the BFS oracle
     assert subgraph_components(g, ["a"]) == 2
     assert g.component_count(["a"]) == 2
-
-
-def test_spanning_subgraph_type():
-    g = k3()
-    s = SpanningSubgraph(g, frozenset({"a"}))
-    assert s.component_count() == 2
-    with pytest.raises(GraphError):
-        SpanningSubgraph(g, frozenset({"nope"}))
 
 
 def test_component_count_random_vs_bfs_oracle():

@@ -1,5 +1,8 @@
 """Census of rooted maps and the summed generating function."""
 
+import math
+from collections import Counter
+
 import pytest
 
 from tuttemap import (
@@ -27,16 +30,17 @@ def test_one_edge_census():
 def test_two_edge_census_matches_brute_force_oracle():
     # oracle: scan all transitive rotations and group by exhaustive rooted
     # isomorphism search, with no canonical forms involved
-    reps = []
-    for sigma in all_rooted_sigmas(2):
-        m = make_map(sigma)
-        if not any(rooted_iso_oracle(m, r) for r in reps):
-            reps.append(m)
-    census = enumerate_rooted_maps(2)
-    assert len(census) == len(reps) == 10
-    planar = enumerate_rooted_maps(2, genus=0)
-    planar_reps = [m for m in reps if m.euler_characteristic() == 2]
-    assert len(planar) == len(planar_reps) == 9
+    for n, total, planar_total in ((2, 10, 9), (3, 74, 54)):
+        reps = []
+        for sigma in all_rooted_sigmas(n):
+            m = make_map(sigma)
+            if not any(rooted_iso_oracle(m, r) for r in reps):
+                reps.append(m)
+        census = enumerate_rooted_maps(n)
+        assert len(census) == len(reps) == total
+        planar = enumerate_rooted_maps(n, genus=0)
+        planar_reps = [m for m in reps if m.euler_characteristic() == 2]
+        assert len(planar) == len(planar_reps) == planar_total
 
 
 def test_census_members_are_valid_and_distinct():
@@ -110,3 +114,53 @@ def test_partition_function_matches_per_map_sum():
             start=P("0"),
         )
         assert partition_function(n) == total
+
+
+def _catalan(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
+
+
+def _double_factorial(k: int) -> int:
+    return math.prod(range(k, 0, -2))
+
+
+# rooted maps with n edges by genus: Walsh and Lehman, Counting rooted maps
+# by genus I, J. Combin. Theory Ser. B 13 (1972)
+GENUS_COUNTS = {
+    1: {0: 2},
+    2: {0: 9, 1: 1},
+    3: {0: 54, 1: 20},
+    4: {0: 378, 1: 307, 2: 21},
+    5: {0: 2916, 1: 4280, 2: 966},
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_census_counts_match_closed_forms(n):
+    census = enumerate_rooted_maps(n)
+    assert len(census) == {1: 2, 2: 10, 3: 74, 4: 706, 5: 8162}[n]
+    # Tutte's count of rooted planar maps
+    planar = 2 * 3**n * math.factorial(2 * n) // (
+        math.factorial(n) * math.factorial(n + 2))
+    assert GENUS_COUNTS[n][0] == planar
+    assert Counter(m.genus() for m in census) == GENUS_COUNTS[n]
+    for g, count in GENUS_COUNTS[n].items():
+        assert len(enumerate_rooted_maps(n, genus=g)) == count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_z11_matches_closed_forms(n):
+    # planar: C_n * C_{n+1} tree-rooted maps (Mullin 1967), and duality
+    # swaps the two activities, so the planar sum is symmetric in x and y
+    planar = partition_function(n, genus=0)
+    assert planar.evaluate(1, 1) == _catalan(n) * _catalan(n + 1)
+    terms = planar.terms()
+    assert terms == {(j, i): c for (i, j), c in terms.items()}
+    # all genera: the tour word of a tree-rooted map has its 2k tree
+    # half-edges as a parenthesis system (Cat_k ways) and its other 2n - 2k
+    # half-edges matched freely (Bernardi, EJC 14 (2007) R9)
+    everything = sum(
+        math.comb(2 * n, 2 * k) * _catalan(k) * _double_factorial(2 * n - 2 * k - 1)
+        for k in range(n + 1)
+    )
+    assert partition_function(n).evaluate(1, 1) == everything
