@@ -1,18 +1,22 @@
 """Tutte polynomial evaluators and the cross-checking harness.
 
 Five routes to the same polynomial: the explicit sum over all spanning
-subgraphs, the loop/isthmus recursion on abstract graphs, the activity sum
-for a linear edge order, the activity sum for a rooted embedding, and a
-deletion/contraction recursion carried out on the map itself (pivoting on
-the edge just before the root, the one place where rerooting rules are
-needed). Agreement across routes on the same graph is the package's
-correctness argument, so the routes deliberately share as little code as
-possible.
+subgraphs, loop/isthmus deletion-contraction on abstract graphs, the
+activity sum for a linear edge order, the activity sum for a rooted
+embedding, and a deletion/contraction recursion carried out on the map
+itself (pivoting on the edge just before the root, the one place where
+rerooting rules are needed). Agreement across routes on the same graph is
+the package's correctness argument, so the routes deliberately share as
+little code as possible.
+
+Graph deletion-contraction is an iterative sweep, one level per edge, over
+minor *shapes*: the endpoints of the remaining edges in sorted edge-id
+order, vertices renamed by first appearance. A shape fixes its (connected)
+minor, so equal shapes have equal T and merge with no isomorphism search.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -33,12 +37,7 @@ __all__ = [
     "EvaluationReport",
     "graph_certificate",
     "graphs_isomorphic",
-    "MEMO_CAP_ENV",
-    "DEFAULT_MEMO_CAP",
 ]
-
-MEMO_CAP_ENV = "TUTTEMAP_MEMO_CAP"
-DEFAULT_MEMO_CAP = 200_000
 
 
 def _require_connected(graph: Multigraph) -> None:
@@ -69,51 +68,80 @@ def tutte_subgraph_expansion(graph: Multigraph) -> BivariatePolynomial:
     return total
 
 
-def _memo_cap() -> int:
-    raw = os.environ.get(MEMO_CAP_ENV)
-    if raw is None:
-        return DEFAULT_MEMO_CAP
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return DEFAULT_MEMO_CAP
+def _shape(ends) -> tuple:
+    """The endpoint sequence with vertices renamed 0, 1, 2, ... in order of
+    first appearance."""
+    names: dict = {}
+    return tuple([names.setdefault(w, len(names)) for w in ends])
 
 
-def tutte_deletion_contraction(graph: Multigraph,
-                               cache: dict | None = None) -> BivariatePolynomial:
-    """Loop/isthmus recursion, memoized on an isomorphism-aware certificate.
+def _is_isthmus(shape: tuple) -> bool:
+    """True iff no path of the other edges joins the ends 0 and 1 of the
+    first edge of ``shape``: union-find with path halving, stopped as soon
+    as the two ends meet."""
+    parent = list(range(len(shape)))
+    r0, r1 = 0, 1  # the current roots of the two ends
+    for a, b in zip(shape[2::2], shape[3::2]):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            if a == r0:
+                r0 = b
+            elif a == r1:
+                r1 = b
+            if r0 == r1:
+                return False
+    return True
 
-    The memo key is the refined-color certificate; certificate collisions
-    between non-isomorphic graphs are resolved by a full isomorphism check.
-    A fresh cache is used per call unless the caller passes one in; its
-    size is capped by the TUTTEMAP_MEMO_CAP environment variable.
+
+def _shifted(weight: Counter, dx: int, dy: int) -> Counter:
+    return Counter({(i + dx, j + dy): c for (i, j), c in weight.items()})
+
+
+def _pivot(shape: tuple, weight: Counter) -> list:
+    """The minors one pivot step leads to, each with the weight it inherits."""
+    rest = shape[2:]
+    if shape[1] == 0:  # a loop (every shape starts at vertex 0)
+        return [(_shape(rest), _shifted(weight, 0, 1))]
+    contracted = _shape([0 if w == 1 else w for w in rest])  # 1 merges into 0
+    if _is_isthmus(shape):
+        return [(contracted, _shifted(weight, 1, 0))]
+    return [(_shape(rest), weight), (contracted, weight)]
+
+
+def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
+    """Loop/isthmus deletion-contraction, as one iterative sweep over
+    edge-labelled minors.
+
+    The pivot is always the first remaining edge in sorted edge-id order. A
+    minor is encoded by its *shape*: the endpoints of its remaining edges,
+    in that order, as one flat tuple with vertices renamed by first
+    appearance. Deletion of a non-isthmus and contraction keep the graph
+    connected, so no minor but the last has an isolated vertex, and a shape
+    determines its minor as an edge-labelled multigraph. Equal shapes thus
+    have equal T, and merging them is exact.
+
+    Level k maps each shape with |E| - k edges to its weight, a polynomial
+    with T(G) = sum of weight * T(shape) over the level. Each level pivots
+    every shape once: a loop is deleted with a factor y, an isthmus
+    contracted with a factor x, and any other edge passes the weight to both
+    its deletion and its contraction. After |E| levels one empty shape is
+    left, and its weight is T. No recursion, so no depth limit.
     """
     _require_connected(graph)
-    memo = {} if cache is None else cache
-    cap = _memo_cap()
-    entries = sum(len(bucket) for bucket in memo.values())
-
-    def rec(g: Multigraph) -> BivariatePolynomial:
-        nonlocal entries
-        if g.edge_count == 0:
-            return ONE
-        key = graph_certificate(g)
-        for g2, val in memo.get(key, ()):
-            if graphs_isomorphic(g, g2):
-                return val
-        e = g.edge_ids[0]
-        if g.is_loop(e):
-            val = Y * rec(g.delete(e))
-        elif g.is_isthmus(e):
-            val = X * rec(g.contract(e))
-        else:
-            val = rec(g.delete(e)) + rec(g.contract(e))
-        if entries < cap:
-            memo.setdefault(key, []).append((g, val))
-            entries += 1
-        return val
-
-    return rec(graph)
+    ends = [w for e in graph.edge_ids for w in graph.endpoints(e)]
+    level = {_shape(ends): Counter({(0, 0): 1})}
+    for _ in range(graph.edge_count):
+        nxt: dict = {}
+        for shape, weight in level.items():
+            for minor, w in _pivot(shape, weight):
+                nxt.setdefault(minor, Counter()).update(w)
+        level = nxt
+    (weight,) = level.values()
+    return BivariatePolynomial(weight)
 
 
 def _activity_sum(terms: Iterable, table: dict | None = None) -> BivariatePolynomial:

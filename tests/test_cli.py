@@ -201,6 +201,25 @@ def test_resource_limit_exits_1(capsys, tmp_path, method):
     assert "resource limit" in err and "invariant" not in err
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_delcon_long_inputs(capsys, tmp_path, closed):
+    # 1,200 edges: the delcon sweep is iterative, so length is no limit
+    n = 1200
+    nv = n if closed else n + 1
+    path = tmp_path / "long.g"
+    path.write_text(
+        "".join(f"v {i}\n" for i in range(nv))
+        + "".join(f"e p{i} {i} {(i + 1) % nv}\n" for i in range(n))
+    )
+    code, out, err = run(capsys, "tutte", "--graph", str(path), "--method", "delcon")
+    assert code == 0 and err == ""
+    if closed:  # the cycle C_n: x^(n-1) + ... + x + y
+        expected = BivariatePolynomial({(k, 0): 1 for k in range(1, n)} | {(0, 1): 1})
+        assert out == f"delcon: {expected}\n"
+    else:
+        assert out == "delcon: x^1200\n"
+
+
 def test_unrooted_map_needs_root_flag(capsys, tmp_path):
     path = tmp_path / "unrooted.map"
     path.write_text("sigma: (h)(h')\nalpha: (h h')\n")

@@ -1,8 +1,10 @@
 """The five evaluators, their agreement, and the cross-check harness."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tuttemap import (
     BivariatePolynomial,
@@ -19,7 +21,7 @@ from tuttemap import (
     tutte_recursive_map,
     tutte_subgraph_expansion,
 )
-from tuttemap.engines import MEMO_CAP_ENV
+from tuttemap import engines
 
 from helpers import (
     all_rooted_sigmas,
@@ -253,21 +255,73 @@ def test_graphs_isomorphic_detects_differences():
     assert not graphs_isomorphic(d1, d2)
 
 
-def test_delcon_memo_cap_env(monkeypatch):
-    monkeypatch.setenv(MEMO_CAP_ENV, "0")
+def test_delcon_builds_no_minor_graphs_and_no_certificates(monkeypatch):
+    # the sweep merges minors on their exact shape: it never builds a
+    # Multigraph minor, a certificate or an isomorphism search
+    def refuse(*args, **kwargs):
+        raise AssertionError("delcon must not call this")
+
+    for name in ("graph_certificate", "graphs_isomorphic"):
+        monkeypatch.setattr(engines, name, refuse)
+    for name in ("delete", "contract", "is_isthmus"):
+        monkeypatch.setattr(Multigraph, name, refuse)
     assert tutte_deletion_contraction(k4()) == P(
         "x^3 + 3 x^2 + 2 x + 4 x y + 2 y + 3 y^2 + y^3"
     )
-    monkeypatch.setenv(MEMO_CAP_ENV, "not-a-number")
     assert tutte_deletion_contraction(k3()) == P("x^2 + x + y")
 
 
-def test_delcon_shared_cache_reuse():
-    cache = {}
-    first = tutte_deletion_contraction(k4(), cache=cache)
-    assert cache
-    again = tutte_deletion_contraction(k4(), cache=cache)
-    assert first == again
+@st.composite
+def random_connected_multigraphs(draw, max_edges=8):
+    """Connected multigraphs with loops and parallel edges, int or str
+    vertex ids, and edge ids whose sorted order is a random edge order."""
+    nv = draw(st.integers(1, 6))
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, nv)]
+    vertex = st.integers(0, nv - 1)
+    ends += draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges - len(ends)))
+    ranks = draw(st.permutations(range(len(ends))))
+    vname = draw(st.sampled_from([int, "v{}".format]))
+    ename = draw(st.sampled_from([int, "e{:02d}".format]))
+    return Multigraph(
+        [vname(v) for v in range(nv)],
+        {ename(k): (vname(u), vname(v)) for k, (u, v) in zip(ranks, ends)},
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_connected_multigraphs())
+def test_delcon_matches_expansion_and_oracle(g):
+    t = tutte_deletion_contraction(g)
+    assert t == tutte_subgraph_expansion(g)
+    assert t.terms() == expansion_coeffs_oracle(g)
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return range(10), outer + inner + [(i, i + 5) for i in range(5)]
+
+
+def _grid(rows, cols):
+    verts = list(itertools.product(range(rows), range(cols)))
+    edges = [((r, c), (r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [((r, c), (r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return verts, edges
+
+
+def _wheel(rim):
+    cycle = [(i, i % rim + 1) for i in range(1, rim + 1)]
+    return range(rim + 1), cycle + [(0, i) for i in range(1, rim + 1)]
+
+
+@pytest.mark.parametrize("make", [_petersen, lambda: _grid(3, 4), lambda: _wheel(9)],
+                         ids=["Petersen", "grid3x4", "W9"])
+def test_delcon_matches_order_activities_on_shuffled_labels(make):
+    verts, edges = make()
+    ranks = list(range(len(edges)))
+    random.Random(86).shuffle(ranks)
+    g = Multigraph(verts, {k: uv for k, uv in zip(ranks, edges)})
+    assert tutte_deletion_contraction(g) == tutte_order_activities(g)
 
 
 def test_cross_check_k3_exhaustive_roots_and_rotations():
