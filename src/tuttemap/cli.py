@@ -1,10 +1,11 @@
 """Command line front end.
 
 Exit status: 0 on success, 1 on any input problem (unreadable file, parse
-failure, violated precondition) or when a resource limit is reached (the
-recursion depth or memory runs out on an input too large for the method),
-2 when an internal invariant breaks (a non-cyclic tour, or evaluators that
-should agree but do not).
+failure, violated precondition) or when a resource limit is reached (memory
+runs out, or the recursion depth of the tree-enumerating ``order`` and
+``embedding`` methods does, on an input too large for the method), 2 when
+an internal invariant breaks (a non-cyclic tour, or evaluators that should
+agree but do not).
 """
 
 from __future__ import annotations
@@ -225,16 +226,15 @@ def _cmd_check(args) -> int:
            " / ".join(f"{k}={v}" for k, v in polys.items()))
     reference = polys["expansion"]
 
-    trees = list(enumerate_spanning_trees(graph))
+    trees = list(enumerate_spanning_trees(emb.underlying_graph()))
     report("T(1,1) equals the spanning tree count",
            reference.evaluate(1, 1) == len(trees),
            f"T(1,1)={reference.evaluate(1, 1)}, trees={len(trees)}")
     report("T(2,2) equals 2^|E|",
            reference.evaluate(2, 2) == 2 ** graph.edge_count)
 
-    map_trees = list(enumerate_spanning_trees(emb.underlying_graph()))
     try:
-        for st in map_trees:
+        for st in trees:
             motion_function(emb, st)
         report("every tree tour is a single cycle", True)
     except MotionNotCyclicError as exc:
@@ -243,7 +243,7 @@ def _cmd_check(args) -> int:
     from .activity import erase_check
     ok = all(
         erase_check(emb, st, eid)
-        for st in map_trees
+        for st in trees
         for eid in emb.edge_ids
     )
     report("minor tours equal the original tour with two half-edges erased", ok)

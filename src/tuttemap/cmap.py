@@ -45,6 +45,39 @@ def _perm_cycles(perm: Sequence[int]) -> list[list[int]]:
     return out
 
 
+def _splice(sigma: Sequence[int], k: int, contract: bool) -> tuple[int, ...]:
+    """The rotation with edge k (half-edges 2k, 2k+1) removed and later
+    half-edges renumbered down by two. Where a rotation reaches a removed
+    half-edge t, a deletion skips it through sigma[t]; a contraction goes on
+    through sigma[t ^ 1], around the other endpoint."""
+    out = []
+    for s in sigma[:2 * k] + sigma[2 * k + 2:]:
+        while s >> 1 == k:
+            s = sigma[s ^ 1] if contract else sigma[s]
+        out.append(s - 2 if s > 2 * k else s)
+    return tuple(out)
+
+
+def _rooted(sigma: Sequence[int], root: int) -> tuple[int, ...]:
+    """The rotation relabelled in first-visit order from ``root``: root and
+    partner become 0 and 1, and reading labels 0, 1, 2, ... in turn, an
+    unlabelled image sigma(h) takes the next even label and its partner the
+    odd one after it. Only half-edges the walk reaches are kept, so a
+    result shorter than ``sigma`` means a disconnected map. A rooted map
+    has exactly one such labelling."""
+    if not sigma:  # the terminal single-vertex map
+        return ()
+    label = [-1] * len(sigma)
+    label[root], label[root ^ 1] = 0, 1
+    order = [root, root ^ 1]
+    for h in order:  # order grows as the walk reaches new edges
+        s = sigma[h]
+        if label[s] < 0:
+            label[s], label[s ^ 1] = len(order), len(order) + 1
+            order += (s, s ^ 1)
+    return tuple([label[sigma[h]] for h in order])
+
+
 class CombinatorialMap:
     """An embedded connected multigraph, optionally rooted at a half-edge.
 
@@ -315,18 +348,7 @@ class CombinatorialMap:
                 f"edge {self._edge_ids[k]!r} is an isthmus; deleting it would "
                 "disconnect the map"
             )
-        h1, h2 = 2 * k, 2 * k + 1
-        sig = self._sigma
-
-        def image(h: int) -> int:
-            s = sig[h]
-            if s == h1:
-                return sig[sig[s]] if sig[h1] == h2 else sig[s]
-            if s == h2:
-                return sig[sig[s]] if sig[h2] == h1 else sig[s]
-            return s
-
-        return self._minor(k, image, reroot)
+        return self._minor(k, False, reroot)
 
     def contract_edge(self, e, reroot=None) -> "CombinatorialMap":
         """Merge the two endpoint rotations of a non-loop edge: where a
@@ -337,20 +359,9 @@ class CombinatorialMap:
             raise MapError(
                 f"edge {self._edge_ids[k]!r} is a loop and cannot be contracted"
             )
-        h1, h2 = 2 * k, 2 * k + 1
-        sig = self._sigma
+        return self._minor(k, True, reroot)
 
-        def image(h: int) -> int:
-            s = sig[h]
-            if s == h1:
-                return sig[h1] if sig[h2] == h2 else sig[h2]
-            if s == h2:
-                return sig[h2] if sig[h1] == h1 else sig[h1]
-            return s
-
-        return self._minor(k, image, reroot)
-
-    def _minor(self, k: int, image, reroot) -> "CombinatorialMap":
+    def _minor(self, k: int, contract: bool, reroot) -> "CombinatorialMap":
         h1, h2 = 2 * k, 2 * k + 1
         if self.n_half_edges == 2:
             # removing the only edge leaves the terminal single-vertex map,
@@ -374,47 +385,27 @@ class CombinatorialMap:
                     "contains the root"
                 )
             new_root = self._root
-
-        def shift(h: int) -> int:
-            return h - 2 if h > h2 else h
-
-        survivors = [h for h in range(len(self._sigma)) if h not in (h1, h2)]
-        sigma = tuple(shift(image(h)) for h in survivors)
-        names = tuple(self._names[h] for h in survivors)
-        root = None if new_root is None else shift(new_root)
-        result = CombinatorialMap(sigma, names, root)
+        if new_root is not None and new_root > h2:
+            new_root -= 2
+        names = self._names[:h1] + self._names[h2 + 1:]
+        result = CombinatorialMap(_splice(self._sigma, k, contract), names, new_root)
         result.validate()
         return result
 
     # -- isomorphism ----------------------------------------------------------
 
-    def _canonical_from(self, h0: int) -> tuple:
-        label = {h0: 0}
-        order = [h0]
-        i = 0
-        while i < len(order):
-            h = order[i]
-            i += 1
-            for nxt in (self._sigma[h], h ^ 1):
-                if nxt not in label:
-                    label[nxt] = len(order)
-                    order.append(nxt)
-        sig = tuple(label[self._sigma[h]] for h in order)
-        alp = tuple(label[h ^ 1] for h in order)
-        return (len(order), sig, alp)
-
     def canonical_form(self) -> tuple:
-        """Root-anchored relabeling in first-visit order of the walk that
-        repeatedly applies the rotation and the pairing. Two rooted maps are
-        isomorphic exactly when these forms coincide."""
+        """The rotation relabelled in first-visit order from the root (see
+        ``_rooted``); the census generates maps in this labelling. Two
+        rooted maps are isomorphic exactly when these forms coincide."""
         if self.is_empty:
-            return (0, (), ())
+            return ()
         if self._root is None:
             raise MapError("canonical form needs a root")
-        return self._canonical_from(self._root)
+        return _rooted(self._sigma, self._root)
 
     def _min_canonical(self) -> tuple:
-        return min(self._canonical_from(h) for h in range(len(self._sigma)))
+        return min(_rooted(self._sigma, h) for h in range(len(self._sigma)))
 
     def is_isomorphic(self, other: "CombinatorialMap") -> bool:
         """Structural equivalence up to half-edge relabeling; roots must

@@ -6,13 +6,15 @@ activity sum for a linear edge order, the activity sum for a rooted
 embedding, and a deletion/contraction recursion carried out on the map
 itself (pivoting on the edge just before the root, the one place where
 rerooting rules are needed). Agreement across routes on the same graph is
-the package's correctness argument, so the routes deliberately share as
-little code as possible.
+the package's correctness argument, so the routes share no code beyond
+plumbing: the level sweep and the activity sum.
 
-Graph deletion-contraction is an iterative sweep, one level per edge, over
-minor *shapes*: the endpoints of the remaining edges in sorted edge-id
-order, vertices renamed by first appearance. A shape fixes its (connected)
-minor, so equal shapes have equal T and merge with no isomorphism search.
+Both deletion-contraction routes run as one iterative sweep (``_sweep``),
+one level per edge, over exact minor keys, so equal minors merge with no
+isomorphism search and no recursion. A graph minor is keyed by its
+*shape*: the endpoints of the remaining edges in sorted edge-id order,
+vertices renamed by first appearance. A rooted map minor is keyed by its
+rotation in first-visit labelling from the root (``canonical_form``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .activity import _active_sets, _order_rank, embedding_activities
-from .cmap import CombinatorialMap, MapError
+from .cmap import CombinatorialMap, MapError, _rooted, _splice
 from .graph import GraphError, Multigraph
 from .poly import ONE, X, Y, ZERO, BivariatePolynomial
 from .spanning import enumerate_spanning_trees
@@ -97,19 +99,37 @@ def _is_isthmus(shape: tuple) -> bool:
     return True
 
 
-def _shifted(weight: Counter, dx: int, dy: int) -> Counter:
-    return Counter({(i + dx, j + dy): c for (i, j), c in weight.items()})
-
-
-def _pivot(shape: tuple, weight: Counter) -> list:
-    """The minors one pivot step leads to, each with the weight it inherits."""
+def _graph_pivot(shape: tuple) -> list:
+    """One deletion-contraction step on a shape, as (minor, dx, dy) triples."""
     rest = shape[2:]
     if shape[1] == 0:  # a loop (every shape starts at vertex 0)
-        return [(_shape(rest), _shifted(weight, 0, 1))]
+        return [(_shape(rest), 0, 1)]
     contracted = _shape([0 if w == 1 else w for w in rest])  # 1 merges into 0
     if _is_isthmus(shape):
-        return [(contracted, _shifted(weight, 1, 0))]
-    return [(_shape(rest), weight), (contracted, weight)]
+        return [(contracted, 1, 0)]
+    return [(_shape(rest), 0, 0), (contracted, 0, 0)]
+
+
+def _sweep(start, pivot, levels: int) -> BivariatePolynomial:
+    """Deletion-contraction over exact minor keys, one level per edge.
+
+    Each level maps a state to its weight, a ``Counter`` {(i, j): coeff},
+    with T = sum of weight * T(state) over the level. ``pivot(state)``
+    removes one edge and returns (minor, dx, dy) triples: the minor gains
+    the weight times x^dx y^dy. Equal keys merge with no further check.
+    After ``levels`` levels one empty state is left, holding T.
+    """
+    level = {start: Counter({(0, 0): 1})}
+    for _ in range(levels):
+        nxt: dict = {}
+        for state, weight in level.items():
+            for minor, dx, dy in pivot(state):
+                nxt.setdefault(minor, Counter()).update(
+                    {(i + dx, j + dy): c for (i, j), c in weight.items()}
+                    if dx or dy else weight)
+        level = nxt
+    (weight,) = level.values()
+    return BivariatePolynomial(weight)
 
 
 def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
@@ -124,24 +144,13 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
     determines its minor as an edge-labelled multigraph. Equal shapes thus
     have equal T, and merging them is exact.
 
-    Level k maps each shape with |E| - k edges to its weight, a polynomial
-    with T(G) = sum of weight * T(shape) over the level. Each level pivots
-    every shape once: a loop is deleted with a factor y, an isthmus
-    contracted with a factor x, and any other edge passes the weight to both
-    its deletion and its contraction. After |E| levels one empty shape is
-    left, and its weight is T. No recursion, so no depth limit.
+    Each level of the sweep pivots every shape once: a loop is deleted with
+    a factor y, an isthmus contracted with a factor x, and any other edge
+    passes the weight to both its deletion and its contraction.
     """
     _require_connected(graph)
     ends = [w for e in graph.edge_ids for w in graph.endpoints(e)]
-    level = {_shape(ends): Counter({(0, 0): 1})}
-    for _ in range(graph.edge_count):
-        nxt: dict = {}
-        for shape, weight in level.items():
-            for minor, w in _pivot(shape, weight):
-                nxt.setdefault(minor, Counter()).update(w)
-        level = nxt
-    (weight,) = level.values()
-    return BivariatePolynomial(weight)
+    return _sweep(_shape(ends), _graph_pivot, graph.edge_count)
 
 
 def _activity_sum(terms: Iterable, table: dict | None = None) -> BivariatePolynomial:
@@ -185,6 +194,36 @@ def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:
     return _activity_sum(_embedding_tree_terms(m))
 
 
+def _map_pivot(sigma: tuple) -> tuple:
+    """One pivot step on a rotation in first-visit labelling (root 0,
+    partner h ^ 1): the case, the pivot edge k, and (minor, dx, dy) triples
+    with each minor relabelled from its half-edge 0. Both reroot rules land
+    there: a root on a loop moves to sigma(0), a root alone at a leaf to
+    sigma(1), and in this labelling either is half-edge 2, which the splice
+    renumbers 0. The pivot carries the root (k == 0) in those cases only."""
+    hstar = sigma.index(0)  # the half-edge just before the root
+    k, partner = hstar >> 1, hstar ^ 1
+    h = 0
+    while h != hstar and h != partner:  # around the root's vertex
+        h = sigma[h]
+    if h == partner:  # a loop
+        return "loop", k, [(_rooted(_splice(sigma, k, False), 0), 0, 1)]
+    if hstar == 0 or sigma[partner] == partner:
+        # an isthmus with a leaf end: deleting it would leave the other
+        # half-edges connected, so the test below would miss it
+        return "isthmus", k, [(_rooted(_splice(sigma, k, True), 0), 1, 0)]
+    if k == 0:
+        raise RuntimeError(
+            "ordinary pivot unexpectedly contains the root; map recursion is broken"
+        )
+    deleted = _splice(sigma, k, False)
+    rooted = _rooted(deleted, 0)
+    contracted = _rooted(_splice(sigma, k, True), 0)
+    if len(rooted) < len(deleted):  # the deletion is disconnected
+        return "isthmus", k, [(contracted, 1, 0)]
+    return "ordinary", k, [(contracted, 0, 0), (rooted, 0, 0)]
+
+
 def tutte_recursive_map(m: CombinatorialMap, on_pivot=None) -> BivariatePolynomial:
     """Deletion/contraction performed on the rooted map itself.
 
@@ -195,63 +234,31 @@ def tutte_recursive_map(m: CombinatorialMap, on_pivot=None) -> BivariatePolynomi
     determined surviving half-edge. Activities are never consulted, so
     agreement with the activity sum is a genuine check.
 
-    Each call keeps one memo keyed by ``canonical_form()``. A rooted map has
-    no nontrivial automorphism fixing its root, so equal forms mean
-    rooted-isomorphic maps and equal polynomials: a hit needs no further
-    check, and each distinct rooted minor is expanded once.
+    Each minor is one flat rotation tuple in first-visit labelling from its
+    root (``canonical_form``). A rooted map has no nontrivial automorphism
+    fixing its root, so equal tuples mean rooted-isomorphic maps and equal
+    polynomials: the level sweep merges them exactly and pivots each
+    distinct rooted minor once, with no recursion and no map objects.
 
     ``on_pivot(map, edge_id, case, depth)`` is called once per distinct
-    rooted minor, when it is expanded (memo hits do not call it); tests use
-    it to watch the pivot discipline.
+    rooted minor, with the minor built as a map on half-edges h0, h1, ...;
+    tests use it to watch the pivot discipline.
     """
     if m.is_empty or m.root is None:
         raise MapError("a rooted map with at least one edge is required")
     m.validate()
-    return _recurse_map(m, 1, on_pivot, {})
+    names = tuple(f"h{i}" for i in range(m.n_half_edges))
 
+    def pivot(sigma: tuple) -> list:
+        case, k, minors = _map_pivot(sigma)
+        if on_pivot is not None:
+            mm = CombinatorialMap(sigma, names[:len(sigma)], 0)
+            base = "-base" if mm.edge_count == 1 else ""
+            on_pivot(mm, mm.edge_ids[k], case + base,
+                     m.edge_count - mm.edge_count + 1)
+        return minors
 
-def _recurse_map(m: CombinatorialMap, depth: int, on_pivot,
-                 memo: dict) -> BivariatePolynomial:
-    # the lookup stays in this function: one Python frame per level
-    key = m.canonical_form()
-    val = memo.get(key)
-    if val is not None:
-        return val
-    graph = m.underlying_graph()
-    h0 = m.root
-    hstar = m.sigma_inverse(h0)
-    k = hstar >> 1
-    eid = m.edge_ids[k]
-    if m.edge_count == 1:
-        case = "loop-base" if graph.is_loop(eid) else "isthmus-base"
-        if on_pivot is not None:
-            on_pivot(m, eid, case, depth)
-        val = Y if graph.is_loop(eid) else X
-    elif graph.is_loop(eid):
-        if on_pivot is not None:
-            on_pivot(m, eid, "loop", depth)
-        reroot = m.sigma(h0) if h0 == (hstar ^ 1) else None
-        val = Y * _recurse_map(m.delete_edge(k, reroot=reroot), depth + 1,
-                               on_pivot, memo)
-    elif graph.is_isthmus(eid):
-        if on_pivot is not None:
-            on_pivot(m, eid, "isthmus", depth)
-        reroot = m.sigma(hstar ^ 1) if h0 == hstar else None
-        val = X * _recurse_map(m.contract_edge(k, reroot=reroot), depth + 1,
-                               on_pivot, memo)
-    else:
-        if h0 >> 1 == k:
-            raise RuntimeError(
-                "ordinary pivot unexpectedly contains the root; map recursion is broken"
-            )
-        if on_pivot is not None:
-            on_pivot(m, eid, "ordinary", depth)
-        val = (
-            _recurse_map(m.contract_edge(k), depth + 1, on_pivot, memo)
-            + _recurse_map(m.delete_edge(k), depth + 1, on_pivot, memo)
-        )
-    memo[key] = val
-    return val
+    return _sweep(m.canonical_form(), pivot, m.edge_count)
 
 
 # -- multigraph certificates and isomorphism --------------------------------

@@ -98,15 +98,6 @@ class Multigraph:
     def has_edge(self, e) -> bool:
         return e in self._edges
 
-    def degree(self, v) -> int:
-        """Incidence count at v; a loop contributes 2."""
-        if v not in self._vertices:
-            raise GraphError(f"unknown vertex id {v!r}")
-        deg = 0
-        for u, w in self._edges.values():
-            deg += (u == v) + (w == v)
-        return deg
-
     # -- predicates -------------------------------------------------------
 
     def is_loop(self, e) -> bool:

@@ -5,7 +5,8 @@ Every census map uses half-edges 0..2n-1 with partner h ^ 1 and root 0,
 labelled in the order a walk from the root first reaches them: reading
 h = 0, 1, 2, ..., sigma(h) is either a half-edge already reached or the
 first half-edge 2k of the next edge, whose partner 2k+1 is reached with it.
-A rooted map has exactly one such labelling, so generating the labellings
+This is the labelling ``CombinatorialMap.canonical_form`` returns, and a
+rooted map has exactly one such labelling, so generating the labellings
 yields each rooted map once, connected and with no duplicate, and needs no
 isomorphism test.
 """

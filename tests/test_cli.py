@@ -187,10 +187,10 @@ def test_input_errors_exit_1(capsys, tmp_path, k3_file, torus_file):
     assert code == 1
 
 
-@pytest.mark.parametrize("method", ["recursive", "order"])
+@pytest.mark.parametrize("method", ["order"])
 def test_resource_limit_exits_1(capsys, tmp_path, method):
-    # a 1,200-edge path exceeds the recursion limit; that is a resource
-    # limit, not a broken invariant
+    # a 1,200-edge path exceeds the recursion limit of the tree enumeration;
+    # that is a resource limit, not a broken invariant
     path = tmp_path / "path.g"
     path.write_text(
         "".join(f"v {i}\n" for i in range(1201))
@@ -203,7 +203,8 @@ def test_resource_limit_exits_1(capsys, tmp_path, method):
 
 @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
 def test_delcon_long_inputs(capsys, tmp_path, closed):
-    # 1,200 edges: the delcon sweep is iterative, so length is no limit
+    # 1,200 edges: both deletion-contraction sweeps are iterative, so length
+    # is no limit
     n = 1200
     nv = n if closed else n + 1
     path = tmp_path / "long.g"
@@ -211,13 +212,14 @@ def test_delcon_long_inputs(capsys, tmp_path, closed):
         "".join(f"v {i}\n" for i in range(nv))
         + "".join(f"e p{i} {i} {(i + 1) % nv}\n" for i in range(n))
     )
-    code, out, err = run(capsys, "tutte", "--graph", str(path), "--method", "delcon")
-    assert code == 0 and err == ""
     if closed:  # the cycle C_n: x^(n-1) + ... + x + y
         expected = BivariatePolynomial({(k, 0): 1 for k in range(1, n)} | {(0, 1): 1})
-        assert out == f"delcon: {expected}\n"
     else:
-        assert out == "delcon: x^1200\n"
+        expected = "x^1200"
+    for method in ("delcon", "recursive"):
+        code, out, err = run(capsys, "tutte", "--graph", str(path), "--method", method)
+        assert code == 0 and err == ""
+        assert out == f"{method}: {expected}\n"
 
 
 def test_unrooted_map_needs_root_flag(capsys, tmp_path):

@@ -35,6 +35,7 @@ from helpers import (
     k4,
     loop_graph,
     make_map,
+    map_corpus,
     random_rooted_map,
     subgraph_components,
 )
@@ -115,6 +116,47 @@ def test_recursive_map_agrees_with_expansion_on_random_maps():
         assert tutte_embedding_activities(m) == expected
 
 
+def _pivot_minors(mm, case):
+    """The minors one pivot step must lead to, by the public minor
+    operations and the reroot rules: a root on the loop moves to its
+    rotation successor, a root alone at the leaf moves across the edge."""
+    h0 = mm.root
+    hstar = mm.sigma_inverse(h0)
+    k = hstar >> 1
+    g, eid = mm.underlying_graph(), mm.edge_ids[k]
+    assert case.startswith("loop") == g.is_loop(eid)
+    if mm.edge_count == 1:
+        assert case.endswith("-base")
+        return []
+    if g.is_loop(eid):
+        return [mm.delete_edge(k, reroot=mm.sigma(h0) if h0 == hstar ^ 1 else None)]
+    if g.is_isthmus(eid):
+        assert case == "isthmus"
+        return [mm.contract_edge(k, reroot=mm.sigma(hstar ^ 1) if h0 == hstar else None)]
+    assert case == "ordinary"
+    return [mm.delete_edge(k), mm.contract_edge(k)]
+
+
+def test_recursive_map_matches_expansion_on_map_corpus():
+    # the corpus has every 1- and 2-edge rooted map, so the root sits on a
+    # leaf and on a loop; each level's minors must be exactly those that
+    # the public minor operations give the level before
+    for m in map_corpus():
+        levels: dict = {}
+
+        def watch(mm, eid, case, depth):
+            levels.setdefault(depth, []).append((mm, case))
+
+        t = tutte_recursive_map(m, on_pivot=watch)
+        assert t == tutte_subgraph_expansion(m.underlying_graph())
+        assert [mm.canonical_form() for mm, _ in levels[1]] == [m.canonical_form()]
+        for depth in range(1, m.edge_count + 1):
+            want = {minor.canonical_form()
+                    for mm, case in levels[depth] for minor in _pivot_minors(mm, case)}
+            got = {mm.canonical_form() for mm, _ in levels.get(depth + 1, [])}
+            assert got == want
+
+
 def test_recursive_map_pivot_discipline():
     # the pivot never carries the root except via the two rerooting cases,
     # and the recursion gets exactly one edge shallower per step
@@ -138,8 +180,8 @@ def test_recursive_map_pivot_discipline():
 
 
 def test_recursive_map_expands_each_rooted_minor_once():
-    # the memo is keyed on the exact rooted canonical form, so no two
-    # expanded minors of one call are rooted-isomorphic
+    # each level of the sweep is keyed on the exact rooted canonical form,
+    # so no two pivoted minors of one call are rooted-isomorphic
     rng = random.Random(83)
     for _ in range(30):
         m = random_rooted_map(rng, rng.randint(1, 6))
@@ -148,13 +190,6 @@ def test_recursive_map_expands_each_rooted_minor_once():
             m, on_pivot=lambda mm, *_: forms.append(mm.canonical_form())
         )
         assert len(forms) == len(set(forms))
-
-
-def test_recursive_map_long_path():
-    # one Python frame per recursion level: an 800-edge path stays within
-    # the default recursion limit
-    path = Multigraph(range(801), {i: (i, i + 1) for i in range(800)})
-    assert tutte_recursive_map(embed(path)) == P("x^800")
 
 
 def test_order_independence_100_random_orders():

@@ -54,6 +54,10 @@ def test_census_members_are_valid_and_distinct():
         key = m.canonical_form()
         assert key not in seen
         seen.add(key)
+    # the census generates each map in its canonical (first-visit) labelling
+    for n in (1, 2, 3, 4):
+        for m in enumerate_rooted_maps(n):
+            assert m.canonical_form() == m._sigma
 
 
 def test_census_deterministic():
