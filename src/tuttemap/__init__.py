@@ -31,7 +31,7 @@ from .engines import (
 from .graph import GraphError, Multigraph
 from .mapenum import MapCensus, enumerate_rooted_maps, partition_function
 from .poly import ONE, X, Y, ZERO, BivariatePolynomial, PolynomialParseError
-from .spanning import SpanningTree, enumerate_spanning_trees
+from .spanning import SpanningTree, enumerate_spanning_trees, kirchhoff_tree_count
 
 __version__ = "0.1.0"
 
@@ -61,6 +61,7 @@ __all__ = [
     "erase_check",
     "graph_certificate",
     "graphs_isomorphic",
+    "kirchhoff_tree_count",
     "motion_function",
     "order_activities",
     "partition_function",

@@ -7,23 +7,27 @@ the order of their earlier half-edge. An edge is active when it is
 order-minimal in its fundamental cycle (external edges) or cocycle
 (internal edges); the classical notion takes a fixed linear edge order.
 
-Both notions are decided for a whole tree in one pass. With the tree rooted
-once, each external edge walks its tree path up to the lowest common
-ancestor of its endpoints: it is active iff its rank is below every rank on
-the path (a loop's path is empty). The external edges covering a tree edge
-are the rest of its fundamental cocycle, so a tree edge is active iff no
-covering edge has a smaller rank. The cost per tree is the rooting plus the
-sum of the external path lengths.
+Both notions are decided by one kernel (``_activities``) that runs on flat
+int arrays: the graph is numbered once (``Multigraph._numbered_ends``), a
+tree is a bytearray of flags over edge positions, and a rank order is the
+list of edge positions, smallest first. The tree is hung once from vertex
+0, giving each vertex the bitmask of the tree edges on its path to the
+root, so the tree path of an external edge is the xor of its endpoints'
+masks (empty for a loop). Walking the edges in rank order, an external
+edge is active iff its path holds no tree edge ranked below it, and a tree
+edge iff no lower external edge's path covers it: those covering edges are
+the rest of its fundamental cocycle. The cost per tree is the rooting plus
+one pass over the edges; the tour is one loop over the rotation tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cmap import CombinatorialMap, MapError
 from .graph import GraphError, Multigraph
-from .spanning import SpanningTree
+from .spanning import SpanningTree, _incidence, _inside, _root_paths
 
 __all__ = [
     "MotionNotCyclicError",
@@ -86,8 +90,38 @@ def _as_spanning_tree(graph: Multigraph, tree) -> SpanningTree:
     return SpanningTree(graph, ids)
 
 
-def _tour(m: CombinatorialMap, st: SpanningTree) -> list[int]:
-    """Half-edges in tour order from the root. The successor of h is the
+def _activities(ends: list, inc: list, inside, ranked: list[int]) -> tuple[list, list]:
+    """The internal- and external-active edge positions of the tree whose
+    positions ``inside`` flags, deciding each edge in ``ranked`` (every
+    edge position, smallest rank first) from its definition; see the module
+    docstring. ``inc`` is ``_incidence(ends, nv)``."""
+    paths = _root_paths(inc, inside)
+    covered = 0  # the tree edges on the cycles of the lower external edges
+    lower = 0  # the lower tree edges
+    internal, external = [], []
+    for p in ranked:
+        if inside[p]:
+            if not covered >> p & 1:
+                internal.append(p)
+            lower |= 1 << p
+        else:
+            u, v = ends[p]
+            cycle = paths[u] ^ paths[v]
+            if not cycle & lower:
+                external.append(p)
+            covered |= cycle
+    return internal, external
+
+
+def _half_edge_positions(m: CombinatorialMap) -> list[int]:
+    """The edge position, in the underlying graph, of each half-edge."""
+    index = {e: p for p, e in enumerate(m.underlying_graph().edge_ids)}
+    return [index[e] for e in m.edge_ids for _ in (0, 1)]
+
+
+def _tour(m: CombinatorialMap, he_pos: list[int], inside) -> tuple[list, list]:
+    """Half-edges in tour order from the root, and the edge positions in
+    the order of their earlier half-edge. The successor of h is the
     rotation successor of h (external edge) or of its partner (internal).
     The walk must first come back to the root after exactly n steps; being
     deterministic, it then visited every half-edge exactly once."""
@@ -95,92 +129,88 @@ def _tour(m: CombinatorialMap, st: SpanningTree) -> list[int]:
         raise MapError("the empty map has no tour")
     if m.root is None:
         raise MapError("the tour order needs a rooted map")
-    n, ids, internal, sigma = m.n_half_edges, m.edge_ids, st.internal_edges, m.sigma
+    sigma, root, n = m._sigma, m.root, m.n_half_edges
+    seen = bytearray(n >> 1)
+    ranked = []
     seq = []
-    h = m.root
+    h = root
     for _ in range(n):
         seq.append(h)
-        h = sigma(h ^ 1) if ids[h >> 1] in internal else sigma(h)
-        if h == m.root:
+        p = he_pos[h]
+        if not seen[p]:
+            seen[p] = 1
+            ranked.append(p)
+        h = sigma[h ^ 1] if inside[p] else sigma[h]
+        if h == root:
             break
-    if h != m.root or len(seq) != n:
+    if h != root or len(seq) != n:
         raise MotionNotCyclicError(f"tour closed after {len(seq)} of {n} half-edges")
-    return seq
-
-
-def _edge_rank(m: CombinatorialMap, seq: list[int]) -> dict:
-    """Edge id -> rank, edges ordered by their earlier half-edge in seq."""
-    ids = m.edge_ids
-    rank: dict = {}
-    for h in seq:
-        rank.setdefault(ids[h >> 1], len(rank))
-    return rank
+    return seq, ranked
 
 
 def motion_function(m: CombinatorialMap, tree) -> TourOrder:
     """Tour the given spanning tree of a rooted map (see ``_tour``)."""
-    seq = _tour(m, _as_spanning_tree(m.underlying_graph(), tree))
+    graph = m.underlying_graph()
+    st = _as_spanning_tree(graph, tree)
+    inside = _inside(graph.edge_count, st.positions)
+    seq, ranked = _tour(m, _half_edge_positions(m), inside)
     cycle = tuple(m.names[h] for h in seq)
     motion = dict(zip(cycle, cycle[1:] + cycle[:1]))
     he_rank = {nm: r for r, nm in enumerate(cycle)}
-    return TourOrder(motion, cycle, he_rank, _edge_rank(m, seq))
+    ids = graph.edge_ids
+    return TourOrder(motion, cycle, he_rank, {ids[p]: r for r, p in enumerate(ranked)})
 
 
-def _active_sets(st: SpanningTree, rank: Mapping) -> ActivitySummary:
-    """Both activity sets in one pass over the external edges (see the
-    module docstring); ``rank`` covers every edge of the graph."""
-    graph, internal, adj = st.parent, st.internal_edges, st._adjacency()
-    order = [next(iter(graph.vertices))]
-    depth = {order[0]: 0}
-    up = {}  # vertex -> (parent vertex, parent edge)
-    for u in order:
-        for w, f in adj[u]:
-            if w not in depth:
-                depth[w] = depth[u] + 1
-                up[w] = (u, f)
-                order.append(w)
-    cover: dict = {}  # tree edge -> smallest rank of an external edge covering it
-    external_active = set()
-    for e, r in rank.items():
-        if e in internal:
-            continue
-        u, v = graph.endpoints(e)
-        active = True
-        while u != v:
-            if depth[u] < depth[v]:
-                u, v = v, u
-            u, f = up[u]
-            if rank[f] < r:
-                active = False
-            if cover.get(f, r + 1) > r:
-                cover[f] = r
-        if active:
-            external_active.add(e)
-    internal_active = frozenset(
-        f for f in internal if f not in cover or rank[f] < cover[f]
-    )
-    return ActivitySummary(internal_active, frozenset(external_active))
+def _embedding_terms(m: CombinatorialMap, trees: Iterable) -> Iterator[tuple]:
+    """(tree, internal-active positions, external-active positions) for
+    each spanning tree of the map's underlying graph, ranked by its tour."""
+    graph = m.underlying_graph()
+    ends, he_pos = graph._numbered_ends(), _half_edge_positions(m)
+    inc = _incidence(ends, graph.vertex_count)
+    for st in trees:
+        inside = _inside(len(ends), st.positions)
+        _, ranked = _tour(m, he_pos, inside)
+        yield (st, *_activities(ends, inc, inside, ranked))
+
+
+def _order_ranked(graph: Multigraph, order: Sequence) -> list[int]:
+    """The edge positions listed in ``order``, which must list every edge id
+    of the graph exactly once."""
+    order = list(order)
+    if len(order) != graph.edge_count or set(order) != set(graph.edge_ids):
+        raise GraphError("order must list every edge id exactly once")
+    index = {e: p for p, e in enumerate(graph.edge_ids)}
+    return [index[e] for e in order]
+
+
+def _order_terms(graph: Multigraph, order: Sequence, trees: Iterable) -> Iterator[tuple]:
+    """(tree, internal-active positions, external-active positions) for
+    each spanning tree, ranked by the edge order."""
+    ranked = _order_ranked(graph, order)
+    ends = graph._numbered_ends()
+    inc = _incidence(ends, graph.vertex_count)
+    for st in trees:
+        yield (st, *_activities(ends, inc, _inside(len(ends), st.positions), ranked))
+
+
+def _summary(graph: Multigraph, terms: Iterator[tuple]) -> ActivitySummary:
+    """The activity sets of the one tree in ``terms``, as edge ids."""
+    ids = graph.edge_ids
+    ((_, internal, external),) = terms
+    return ActivitySummary(frozenset(ids[p] for p in internal),
+                           frozenset(ids[p] for p in external))
 
 
 def embedding_activities(m: CombinatorialMap, tree) -> ActivitySummary:
     """Activities of one spanning tree w.r.t. the rooted tour order."""
-    st = _as_spanning_tree(m.underlying_graph(), tree)
-    return _active_sets(st, _edge_rank(m, _tour(m, st)))
-
-
-def _order_rank(graph: Multigraph, order: Sequence) -> dict:
-    """Edge id -> position in ``order``, which must list every edge id of
-    the graph exactly once."""
-    order = list(order)
-    if len(order) != graph.edge_count or set(order) != set(graph.edge_ids):
-        raise GraphError("order must list every edge id exactly once")
-    return {e: i for i, e in enumerate(order)}
+    graph = m.underlying_graph()
+    return _summary(graph, _embedding_terms(m, [_as_spanning_tree(graph, tree)]))
 
 
 def order_activities(graph: Multigraph, order: Sequence, tree) -> ActivitySummary:
     """Classical activities w.r.t. a total order on the edge ids (given as
     the full edge list, smallest first)."""
-    return _active_sets(_as_spanning_tree(graph, tree), _order_rank(graph, order))
+    return _summary(graph, _order_terms(graph, order, [_as_spanning_tree(graph, tree)]))
 
 
 def erase_check(m: CombinatorialMap, tree, edge) -> bool:

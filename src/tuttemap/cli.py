@@ -2,10 +2,9 @@
 
 Exit status: 0 on success, 1 on any input problem (unreadable file, parse
 failure, violated precondition) or when a resource limit is reached (memory
-runs out, or the recursion depth of the tree-enumerating ``order`` and
-``embedding`` methods does, on an input too large for the method), 2 when
-an internal invariant breaks (a non-cyclic tour, or evaluators that should
-agree but do not).
+or Python's recursion depth runs out; no method recurses, so the depth is
+only guarded), 2 when an internal invariant breaks (a non-cyclic tour, or
+evaluators that should agree but do not).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .engines import (
 from .graph import Multigraph
 from .mapenum import enumerate_rooted_maps, partition_function
 from .poly import BivariatePolynomial
-from .spanning import enumerate_spanning_trees
+from .spanning import enumerate_spanning_trees, kirchhoff_tree_count
 
 DEFAULT_SEED = 1729
 
@@ -130,24 +129,27 @@ def _cmd_tour(args) -> int:
 def _cmd_activities(args) -> int:
     m = _load_map(args.map, args.root)
     terms = list(_embedding_tree_terms(m))
+    ids = m.underlying_graph().edge_ids
     lines = []
     rows = []
-    for st, act in terms:
+    for st, internal, external in terms:
         tree_ids = sorted(st.internal_edges)
-        mono = BivariatePolynomial.monomial(act.internal_count, act.external_count)
+        internal_active = sorted(ids[p] for p in internal)
+        external_active = sorted(ids[p] for p in external)
+        mono = BivariatePolynomial.monomial(len(internal), len(external))
         lines.append(
             "tree {%s}: internal-active {%s} external-active {%s} -> %s"
             % (
                 ",".join(tree_ids),
-                ",".join(sorted(act.internal_active)),
-                ",".join(sorted(act.external_active)),
+                ",".join(internal_active),
+                ",".join(external_active),
                 mono,
             )
         )
         rows.append({
             "tree": tree_ids,
-            "internal_active": sorted(act.internal_active),
-            "external_active": sorted(act.external_active),
+            "internal_active": internal_active,
+            "external_active": external_active,
             "monomial": mono.json_terms(),
         })
     total = _activity_sum(terms)
@@ -227,9 +229,11 @@ def _cmd_check(args) -> int:
     reference = polys["expansion"]
 
     trees = list(enumerate_spanning_trees(emb.underlying_graph()))
+    # the Kirchhoff count shares no code with the enumeration it checks
+    t11, kirchhoff = reference.evaluate(1, 1), kirchhoff_tree_count(graph)
     report("T(1,1) equals the spanning tree count",
-           reference.evaluate(1, 1) == len(trees),
-           f"T(1,1)={reference.evaluate(1, 1)}, trees={len(trees)}")
+           t11 == kirchhoff == len(trees),
+           f"T(1,1)={t11}, Kirchhoff={kirchhoff}, trees={len(trees)}")
     report("T(2,2) equals 2^|E|",
            reference.evaluate(2, 2) == 2 ** graph.edge_count)
 

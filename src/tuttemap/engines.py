@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .activity import _active_sets, _order_rank, embedding_activities
+from .activity import _embedding_terms, _order_terms
 from .cmap import CombinatorialMap, MapError, _rooted, _splice
 from .graph import GraphError, Multigraph
 from .poly import ONE, X, Y, ZERO, BivariatePolynomial
@@ -154,11 +154,12 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
 
 
 def _activity_sum(terms: Iterable, table: dict | None = None) -> BivariatePolynomial:
-    """Sum of x^i y^e over (tree, activities) pairs, counted once per
-    monomial; each tree's (i, e) also goes into ``table`` when given."""
+    """Sum of x^i y^e over (tree, internal-active, external-active) terms,
+    counted once per monomial; each tree's (i, e) also goes into ``table``
+    when given."""
     counts: Counter = Counter()
-    for st, act in terms:
-        ie = (act.internal_count, act.external_count)
+    for st, internal, external in terms:
+        ie = (len(internal), len(external))
         counts[ie] += 1
         if table is not None:
             table[tuple(sorted(st.internal_edges, key=str))] = ie
@@ -166,9 +167,7 @@ def _activity_sum(terms: Iterable, table: dict | None = None) -> BivariatePolyno
 
 
 def _order_tree_terms(graph: Multigraph, order: Sequence):
-    rank = _order_rank(graph, order)
-    for st in enumerate_spanning_trees(graph):
-        yield st, _active_sets(st, rank)
+    return _order_terms(graph, order, enumerate_spanning_trees(graph))
 
 
 def tutte_order_activities(graph: Multigraph,
@@ -182,8 +181,7 @@ def tutte_order_activities(graph: Multigraph,
 
 
 def _embedding_tree_terms(m: CombinatorialMap):
-    for st in enumerate_spanning_trees(m.underlying_graph()):
-        yield st, embedding_activities(m, st)
+    return _embedding_terms(m, enumerate_spanning_trees(m.underlying_graph()))
 
 
 def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:

@@ -52,7 +52,7 @@ class Multigraph:
     or all ints) so that deterministic sorted orders exist.
     """
 
-    __slots__ = ("_vertices", "_edges")
+    __slots__ = ("_vertices", "_edges", "_ids", "_ends")
 
     def __init__(self, vertices: Iterable, edges: Mapping | Iterable = ()) -> None:
         verts = frozenset(vertices)
@@ -70,6 +70,8 @@ class Multigraph:
             table[e] = (u, v)
         self._vertices = verts
         self._edges = table
+        self._ids = None
+        self._ends = None
 
     # -- views ----------------------------------------------------------
 
@@ -79,7 +81,23 @@ class Multigraph:
 
     @property
     def edge_ids(self) -> tuple:
-        return tuple(sorted(self._edges))
+        """The edge ids in sorted order, sorted once: the graph is immutable."""
+        if self._ids is None:
+            self._ids = tuple(sorted(self._edges))
+        return self._ids
+
+    def _numbered_ends(self) -> tuple:
+        """The endpoints of each edge in ``edge_ids`` order, with vertices
+        numbered 0, 1, ... by first appearance; a connected graph with an
+        edge thus numbers every vertex. Computed once, for the int-array
+        tree kernels."""
+        if self._ends is None:
+            number: dict = {}
+            self._ends = tuple([
+                (number.setdefault(u, len(number)), number.setdefault(v, len(number)))
+                for u, v in map(self._edges.__getitem__, self.edge_ids)
+            ])
+        return self._ends
 
     @property
     def vertex_count(self) -> int:

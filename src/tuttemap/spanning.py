@@ -1,4 +1,21 @@
-"""Spanning trees, their enumeration, and fundamental cycles/cocycles."""
+"""Spanning trees, their enumeration and counting, and fundamental
+cycles/cocycles.
+
+Trees are handled on flat int arrays. A graph is numbered once
+(``Multigraph._numbered_ends``): edge position p is the p-th id of
+``edge_ids`` and vertices are numbered by first appearance along those
+edges. A tree is the sorted list of its edge positions, or a bytearray
+flagging them, and ``_root_paths`` hangs it from vertex 0, giving each
+vertex the bitmask of the tree edges on its path to the root.
+
+``enumerate_spanning_trees`` is one iterative backtracking walk over the
+subsets of non-loop edges, the plain form of the backtracking of Gabow and
+Myers, SIAM J. Comput. 7 (1978), without their bridge test: an edge is
+taken only when it joins two components of a union-find kept in int lists,
+and backtracking undoes the last union, so no state is copied and the walk
+adds no Python frame per edge. ``kirchhoff_tree_count`` counts the
+same trees by the matrix-tree theorem, sharing no code with the walk.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +23,41 @@ from typing import Iterable, Iterator
 
 from .graph import GraphError, Multigraph
 
-__all__ = ["SpanningTree", "enumerate_spanning_trees"]
+__all__ = ["SpanningTree", "enumerate_spanning_trees", "kirchhoff_tree_count"]
+
+
+def _incidence(ends: list, nv: int) -> list[list[tuple[int, int]]]:
+    """The (neighbour, edge position) pairs at each vertex, loops left out."""
+    inc: list[list] = [[] for _ in range(nv)]
+    for p, (u, v) in enumerate(ends):
+        if u != v:
+            inc[u].append((v, p))
+            inc[v].append((u, p))
+    return inc
+
+
+def _inside(ne: int, positions: list[int]) -> bytearray:
+    """The flags of a tree's edge positions."""
+    inside = bytearray(ne)
+    for p in positions:
+        inside[p] = 1
+    return inside
+
+
+def _root_paths(inc: list, inside) -> list[int]:
+    """The tree whose edge positions ``inside`` flags, hung from vertex 0:
+    for each vertex, the bitmask of the tree edges on its path to vertex 0.
+    The tree path between u and v is then the xor of their masks."""
+    path = [-1] * len(inc)
+    path[0] = 0
+    order = [0]
+    for u in order:  # order grows as the walk reaches new vertices
+        mask = path[u]
+        for w, p in inc[u]:
+            if path[w] < 0 and inside[p]:
+                path[w] = mask | 1 << p
+                order.append(w)
+    return path
 
 
 class SpanningTree:
@@ -15,10 +66,11 @@ class SpanningTree:
     Edges inside the tree are internal, the rest external. The fundamental
     cycle of an external edge e is e plus the tree path joining its
     endpoints; the fundamental cocycle of an internal edge e is e plus every
-    edge crossing the cut opened by removing e from the tree.
+    edge crossing the cut opened by removing e from the tree. ``positions``
+    lists the tree's edges by position in the parent's ``edge_ids``.
     """
 
-    __slots__ = ("parent", "internal_edges", "_adj")
+    __slots__ = ("parent", "internal_edges", "positions")
 
     def __init__(self, parent: Multigraph, edges: Iterable) -> None:
         chosen = frozenset(edges)
@@ -33,84 +85,56 @@ class SpanningTree:
             )
         self.parent = parent
         self.internal_edges = chosen
-        self._adj = None
+        self.positions = [p for p, e in enumerate(parent.edge_ids) if e in chosen]
 
     @classmethod
-    def _trusted(cls, parent: Multigraph, edges: Iterable) -> "SpanningTree":
-        """A tree whose edges are already known to span: no re-validation."""
+    def _trusted(cls, parent: Multigraph, positions: list[int]) -> "SpanningTree":
+        """The tree on edge positions already known to span: no
+        re-validation."""
         st = cls.__new__(cls)
+        ids = parent.edge_ids
         st.parent = parent
-        st.internal_edges = frozenset(edges)
-        st._adj = None
+        st.internal_edges = frozenset([ids[p] for p in positions])
+        st.positions = positions
         return st
 
     def is_internal(self, e) -> bool:
         self.parent.endpoints(e)
         return e in self.internal_edges
 
-    def _adjacency(self) -> dict:
-        if self._adj is None:
-            adj = {v: [] for v in self.parent.vertices}
-            for e in self.internal_edges:
-                u, v = self.parent.endpoints(e)
-                adj[u].append((v, e))
-                adj[v].append((u, e))
-            self._adj = adj
-        return self._adj
+    def _paths(self) -> list[int]:
+        """The tree path of each edge position, as a bitmask of positions."""
+        graph = self.parent
+        ends = graph._numbered_ends()
+        root = _root_paths(_incidence(ends, graph.vertex_count),
+                           _inside(len(ends), self.positions))
+        return [root[u] ^ root[v] for u, v in ends]
 
     def fundamental_cycle(self, e) -> frozenset:
         """The external edge e plus the tree path between its endpoints
         (just {e} when e is a loop)."""
-        u, v = self.parent.endpoints(e)
+        self.parent.endpoints(e)
         if e in self.internal_edges:
             raise GraphError(
                 f"edge {e!r} is internal; fundamental cycles belong to external edges"
             )
-        if u == v:
-            return frozenset({e})
-        adj = self._adjacency()
-        back: dict = {u: None}
-        frontier = [u]
-        while frontier and v not in back:
-            nxt = []
-            for w in frontier:
-                for w2, f in adj[w]:
-                    if w2 not in back:
-                        back[w2] = (w, f)
-                        nxt.append(w2)
-            frontier = nxt
-        path = set()
-        w = v
-        while back[w] is not None:
-            w, f = back[w]
-            path.add(f)
-        return frozenset(path | {e})
+        ids = self.parent.edge_ids
+        p = ids.index(e)
+        cycle = self._paths()[p] | 1 << p
+        return frozenset(f for q, f in enumerate(ids) if cycle >> q & 1)
 
     def fundamental_cocycle(self, e) -> frozenset:
         """The internal edge e plus every edge with exactly one endpoint in
-        the component cut off by removing e from the tree."""
-        u, v = self.parent.endpoints(e)
+        the component cut off by removing e from the tree, that is, every
+        edge whose tree path runs through e."""
+        self.parent.endpoints(e)
         if e not in self.internal_edges:
             raise GraphError(
                 f"edge {e!r} is external; fundamental cocycles belong to internal edges"
             )
-        adj = self._adjacency()
-        side = {u}
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for w2, f in adj[w]:
-                    if f != e and w2 not in side:
-                        side.add(w2)
-                        nxt.append(w2)
-            frontier = nxt
-        out = set()
-        for f in self.parent.edge_ids:
-            a, b = self.parent.endpoints(f)
-            if (a in side) != (b in side):
-                out.add(f)
-        return frozenset(out)
+        ids = self.parent.edge_ids
+        p = ids.index(e)
+        return frozenset(f for f, path in zip(ids, self._paths()) if path >> p & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpanningTree):
@@ -123,35 +147,87 @@ class SpanningTree:
         return f"SpanningTree(..., {sorted(self.internal_edges, key=str)!r})"
 
 
-def _find(parent: dict, v):
-    while parent[v] != v:
-        v = parent[v]
-    return v
-
-
 def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
     """Yield every spanning tree exactly once, in lexicographic order of the
-    sorted edge-id sets. Loops are skipped outright; acyclicity pruning cuts
-    the subset scan early."""
-    if not graph.is_connected():
-        raise GraphError("spanning trees need a connected graph")
+    sorted edge-id sets.
+
+    One iterative walk takes the non-loop edges in sorted id order; it keeps
+    an edge only when it joins two components, and stops a branch when too
+    few edges remain to finish the tree. The union-find (by size, no path
+    compression) lives in int lists and each backtrack undoes the last
+    union, so no state is copied per step and a long input meets no
+    recursion limit.
+    """
+    ends = graph._numbered_ends()
     need = graph.vertex_count - 1
-    pool = [e for e in graph.edge_ids if not graph.is_loop(e)]
-
-    def walk(i: int, chosen: list, parent: dict) -> Iterator[SpanningTree]:
-        if len(chosen) == need:
-            yield SpanningTree._trusted(graph, chosen)
+    pool = [p for p, (u, v) in enumerate(ends) if u != v]
+    pool_ends = [ends[p] for p in pool]
+    slack = len(pool) - need  # with k edges taken, a tree needs j <= slack + k
+    parent = list(range(graph.vertex_count))
+    size = [1] * graph.vertex_count
+    chosen: list[int] = []  # pool indexes of the edges taken, increasing
+    joined: list[int] = []  # the root each union hung below another
+    j = 0
+    found = False
+    while True:
+        k = len(chosen)
+        while k < need and j <= slack + k:
+            a, b = pool_ends[j]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                chosen.append(j)
+                joined.append(b)
+                k += 1
+            j += 1
+        if k == need:
+            found = True
+            yield SpanningTree._trusted(graph, [pool[i] for i in chosen])
+        elif not found:
+            # the first descent takes every edge that joins two components,
+            # so it ends short of a tree only on a disconnected graph
+            raise GraphError("spanning trees need a connected graph")
+        if not k:
             return
-        for j in range(i, len(pool)):
-            if len(pool) - j < need - len(chosen):
-                break
-            e = pool[j]
-            u, v = graph.endpoints(e)
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru == rv:
-                continue
-            child = dict(parent)
-            child[rv] = ru
-            yield from walk(j + 1, chosen + [e], child)
+        b = joined.pop()
+        size[parent[b]] -= size[b]
+        parent[b] = b
+        j = chosen.pop() + 1
 
-    yield from walk(0, [], {v: v for v in graph.vertices})
+
+def kirchhoff_tree_count(graph: Multigraph) -> int:
+    """The number of spanning trees by Kirchhoff's matrix-tree theorem: the
+    determinant of the Laplacian with the first row and column struck out,
+    computed exactly by fraction-free (Bareiss) elimination. Loops add
+    nothing to the Laplacian; each parallel edge counts."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(index) - 1
+    lap = [[0] * (n + 1) for _ in range(n + 1)]
+    for e in graph.edge_ids:
+        u, v = (index[w] for w in graph.endpoints(e))
+        if u != v:
+            lap[u][u] += 1
+            lap[v][v] += 1
+            lap[u][v] -= 1
+            lap[v][u] -= 1
+    a = [row[1:] for row in lap[1:]]
+    sign, prev = 1, 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return sign * prev if n else 1

@@ -13,6 +13,8 @@ import math
 import random
 from collections import Counter
 
+from hypothesis import strategies as st
+
 from tuttemap import CombinatorialMap, Multigraph
 
 # -- worked-example fixtures -------------------------------------------------
@@ -375,3 +377,20 @@ def connected_multigraphs(max_vertices: int, max_edges: int):
                 g = Multigraph(verts, {f"e{i}": uv for i, uv in enumerate(combo)})
                 if g.is_connected():
                     yield g
+
+
+@st.composite
+def random_connected_multigraphs(draw, max_edges=8):
+    """Connected multigraphs with loops and parallel edges, int or str
+    vertex ids, and edge ids whose sorted order is a random edge order."""
+    nv = draw(st.integers(1, 6))
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, nv)]
+    vertex = st.integers(0, nv - 1)
+    ends += draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges - len(ends)))
+    ranks = draw(st.permutations(range(len(ends))))
+    vname = draw(st.sampled_from([int, "v{}".format]))
+    ename = draw(st.sampled_from([int, "e{:02d}".format]))
+    return Multigraph(
+        [vname(v) for v in range(nv)],
+        {ename(k): (vname(u), vname(v)) for k, (u, v) in zip(ranks, ends)},
+    )

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tuttemap import (
     GraphError,
@@ -15,17 +16,21 @@ from tuttemap import (
     erase_check,
     motion_function,
     order_activities,
+    tutte_embedding_activities,
     tutte_order_activities,
     tutte_subgraph_expansion,
 )
+from tuttemap.cmap import _graph_incidences
 
 from helpers import (
     TORUS_TREE,
     connected_multigraphs,
     cyclic_equal,
+    expansion_coeffs_oracle,
     torus_map,
     k3,
     map_corpus,
+    random_connected_multigraphs,
     random_rooted_map,
     single_isthmus_map,
     single_loop_map,
@@ -270,3 +275,27 @@ def test_order_activities_match_definition_on_random_orders():
             assert (act.internal_active, act.external_active) == expected
             pairs += 1
     assert pairs > 500
+
+
+@st.composite
+def ordered_and_embedded(draw):
+    """A connected multigraph, a random order of its edges, and a random
+    rooted rotation system of it (None when it has no edge)."""
+    g = draw(random_connected_multigraphs())
+    order = draw(st.permutations(g.edge_ids))
+    if not g.edge_count:
+        return g, order, None
+    at_vertex, _ = _graph_incidences(g)
+    rotations = {v: draw(st.permutations(at_vertex[v])) for v in sorted(at_vertex, key=str)}
+    m = embed(g, rotations=rotations)
+    return g, order, m.with_root(draw(st.sampled_from(m.names)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ordered_and_embedded())
+def test_both_activity_sums_match_the_expansion_oracle(case):
+    g, order, m = case
+    expected = expansion_coeffs_oracle(g)
+    assert tutte_order_activities(g, order).terms() == expected
+    if m is not None:
+        assert tutte_embedding_activities(m).terms() == expected

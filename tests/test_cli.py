@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tuttemap import BivariatePolynomial, CombinatorialMap
+from tuttemap import cli
 from tuttemap.cli import main
 
 from helpers import TORUS_MAP_TEXT
@@ -188,36 +189,45 @@ def test_input_errors_exit_1(capsys, tmp_path, k3_file, torus_file):
 
 
 @pytest.mark.parametrize("method", ["order"])
-def test_resource_limit_exits_1(capsys, tmp_path, method):
-    # a 1,200-edge path exceeds the recursion limit of the tree enumeration;
-    # that is a resource limit, not a broken invariant
-    path = tmp_path / "path.g"
-    path.write_text(
-        "".join(f"v {i}\n" for i in range(1201))
-        + "".join(f"e p{i} {i} {i + 1}\n" for i in range(1200))
-    )
-    code, out, err = run(capsys, "tutte", "--graph", str(path), "--method", method)
-    assert code == 1 and out == ""
-    assert "resource limit" in err and "invariant" not in err
+def test_resource_limit_exits_1(capsys, monkeypatch, k3_file, method):
+    # no route recurses any more, so the limits are raised by hand: running
+    # out of stack or memory is a resource limit, not a broken invariant
+    for error in (RecursionError("maximum recursion depth exceeded"), MemoryError()):
+        def evaluator(*args, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, f"tutte_{method}_activities", evaluator)
+        code, out, err = run(capsys, "tutte", "--graph", k3_file, "--method", method)
+        assert code == 1 and out == ""
+        assert "resource limit" in err and "invariant" not in err
 
 
-@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
-def test_delcon_long_inputs(capsys, tmp_path, closed):
-    # 1,200 edges: both deletion-contraction sweeps are iterative, so length
-    # is no limit
-    n = 1200
+def _long_graph(tmp_path, n: int, closed: bool) -> str:
+    """The path P_n or the cycle C_n with n edges, as a graph file."""
     nv = n if closed else n + 1
-    path = tmp_path / "long.g"
+    path = tmp_path / f"long{n}{'c' if closed else 'p'}.g"
     path.write_text(
         "".join(f"v {i}\n" for i in range(nv))
         + "".join(f"e p{i} {i} {(i + 1) % nv}\n" for i in range(n))
     )
-    if closed:  # the cycle C_n: x^(n-1) + ... + x + y
-        expected = BivariatePolynomial({(k, 0): 1 for k in range(1, n)} | {(0, 1): 1})
-    else:
-        expected = "x^1200"
-    for method in ("delcon", "recursive"):
-        code, out, err = run(capsys, "tutte", "--graph", str(path), "--method", method)
+    return str(path)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_delcon_long_inputs(capsys, tmp_path, closed):
+    # no route recurses, so length is no limit: both deletion-contraction
+    # sweeps on 1,200 edges, and the tree routes on the 1,200-edge path (one
+    # tree) and on a 300-edge cycle (300 trees)
+    tree_route_edges = 300 if closed else 1200
+    runs = [("delcon", 1200), ("recursive", 1200),
+            ("order", tree_route_edges), ("embedding", tree_route_edges)]
+    for method, n in runs:
+        if closed:  # the cycle C_n: x^(n-1) + ... + x + y
+            expected = BivariatePolynomial({(k, 0): 1 for k in range(1, n)} | {(0, 1): 1})
+        else:
+            expected = f"x^{n}"
+        graph = _long_graph(tmp_path, n, closed)
+        code, out, err = run(capsys, "tutte", "--graph", graph, "--method", method)
         assert code == 0 and err == ""
         assert out == f"{method}: {expected}\n"
 

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from tuttemap import (
     BivariatePolynomial,
@@ -36,6 +36,7 @@ from helpers import (
     loop_graph,
     make_map,
     map_corpus,
+    random_connected_multigraphs,
     random_rooted_map,
     subgraph_components,
 )
@@ -304,23 +305,6 @@ def test_delcon_builds_no_minor_graphs_and_no_certificates(monkeypatch):
         "x^3 + 3 x^2 + 2 x + 4 x y + 2 y + 3 y^2 + y^3"
     )
     assert tutte_deletion_contraction(k3()) == P("x^2 + x + y")
-
-
-@st.composite
-def random_connected_multigraphs(draw, max_edges=8):
-    """Connected multigraphs with loops and parallel edges, int or str
-    vertex ids, and edge ids whose sorted order is a random edge order."""
-    nv = draw(st.integers(1, 6))
-    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, nv)]
-    vertex = st.integers(0, nv - 1)
-    ends += draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges - len(ends)))
-    ranks = draw(st.permutations(range(len(ends))))
-    vname = draw(st.sampled_from([int, "v{}".format]))
-    ename = draw(st.sampled_from([int, "e{:02d}".format]))
-    return Multigraph(
-        [vname(v) for v in range(nv)],
-        {ename(k): (vname(u), vname(v)) for k, (u, v) in zip(ranks, ends)},
-    )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

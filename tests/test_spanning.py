@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from tuttemap import GraphError, Multigraph, SpanningTree, enumerate_spanning_trees
+from tuttemap import (
+    GraphError,
+    Multigraph,
+    SpanningTree,
+    enumerate_spanning_trees,
+    kirchhoff_tree_count,
+)
 
 from helpers import (
     brute_force_trees,
@@ -182,7 +188,13 @@ def test_tree_count_matches_kirchhoff():
         if g.is_connected():
             cases.append(g)
     for g in cases:
-        assert len(list(enumerate_spanning_trees(g))) == matrix_tree_count(g)
+        count = len(list(enumerate_spanning_trees(g)))
+        assert count == matrix_tree_count(g) == kirchhoff_tree_count(g)
+    # the library count on its own: no tree, one tree, a long cycle
+    assert kirchhoff_tree_count(Multigraph([1, 2, 3], {"a": (1, 2)})) == 0
+    assert kirchhoff_tree_count(Multigraph([1], {"l": (1, 1)})) == 1
+    cycle = Multigraph(range(300), {i: (i, (i + 1) % 300) for i in range(300)})
+    assert kirchhoff_tree_count(cycle) == 300
 
 
 def test_streams_restart_independently():
