@@ -12,9 +12,12 @@ plumbing: the level sweep and the activity sum.
 Both deletion-contraction routes run as one iterative sweep (``_sweep``),
 one level per edge, over exact minor keys, so equal minors merge with no
 isomorphism search and no recursion. A graph minor is keyed by its
-*shape*: the endpoints of the remaining edges in sorted edge-id order,
-vertices renamed by first appearance. A rooted map minor is keyed by its
-rotation in first-visit labelling from the root (``canonical_form``).
+*shape*: the endpoints of the remaining edges in pivot order, vertices
+renamed by first appearance. The pivot order is chosen from the graph, a
+greedy min-frontier vertex elimination, so that the number of distinct
+shapes per level stays small; T does not depend on it. A rooted map minor
+is keyed by its rotation in first-visit labelling from the root
+(``canonical_form``).
 """
 
 from __future__ import annotations
@@ -39,7 +42,13 @@ __all__ = [
     "EvaluationReport",
     "graph_certificate",
     "graphs_isomorphic",
+    "MAX_EXPANSION_EDGES",
 ]
+
+# The subgraph expansion sums 2^|E| subsets and doubles its time per edge:
+# in-process on a 2-CPU VM with CPython 3.11, 19 edges took 20 s (19
+# parallel edges) to 26 s (a 19-edge path), 20 parallel edges 42 s.
+MAX_EXPANSION_EDGES = 19
 
 
 def _require_connected(graph: Multigraph) -> None:
@@ -51,8 +60,13 @@ def _require_connected(graph: Multigraph) -> None:
 
 def tutte_subgraph_expansion(graph: Multigraph) -> BivariatePolynomial:
     """Direct sum of (x-1)^(c(S)-1) (y-1)^(c(S)+|S|-|V|) over all 2^|E|
-    spanning subgraphs S."""
+    spanning subgraphs S. Bounded at MAX_EXPANSION_EDGES edges."""
     _require_connected(graph)
+    if graph.edge_count > MAX_EXPANSION_EDGES:
+        raise GraphError(
+            f"subgraph expansion bound is {MAX_EXPANSION_EDGES} edges"
+            f" (it sums 2^|E| subgraphs; this graph has {graph.edge_count})"
+        )
     ids = graph.edge_ids
     nv = graph.vertex_count
     xm, ym = X - 1, Y - 1
@@ -132,25 +146,65 @@ def _sweep(start, pivot, levels: int) -> BivariatePolynomial:
     return BivariatePolynomial(weight)
 
 
+def _pivot_order(graph: Multigraph) -> list:
+    """delcon's pivot order, as positions into ``graph.edge_ids``: a greedy
+    min-frontier vertex elimination.
+
+    The frontier holds the vertices that the eliminated ones have reached
+    but that are not yet eliminated themselves. The first vertex is one
+    with the fewest neighbours; after it, the next is always the frontier
+    vertex whose elimination adds the fewest new vertices to the frontier,
+    ties going to the most neighbours already in the frontier and then to
+    the lowest number (``_numbered_ends``, so ties never compare labels).
+    Edges follow sorted by (earlier elimination position, later position),
+    a loop at its own vertex and parallel edges in id order, so each
+    vertex's remaining edges are pivoted together and the sweep's states
+    vary only in how the frontier has merged.
+    """
+    ends = graph._numbered_ends()
+    nbrs = [set() for _ in range(max(map(max, ends), default=0) + 1)]
+    for u, v in ends:
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    start = min(range(len(nbrs)), key=lambda v: (len(nbrs[v]), v))
+    frontier, reached = {start}, {start}
+    rank = [0] * len(nbrs)
+    for step in range(len(nbrs)):
+        v = min(frontier, key=lambda v: (len(nbrs[v] - reached),
+                                         -len(nbrs[v] & frontier), v))
+        rank[v] = step
+        fresh = nbrs[v] - reached
+        frontier.remove(v)
+        frontier |= fresh
+        reached |= fresh
+    keys = [(rank[u], rank[v]) if rank[u] <= rank[v] else (rank[v], rank[u])
+            for u, v in ends]
+    return sorted(range(len(ends)), key=keys.__getitem__)
+
+
 def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
     """Loop/isthmus deletion-contraction, as one iterative sweep over
     edge-labelled minors.
 
-    The pivot is always the first remaining edge in sorted edge-id order. A
-    minor is encoded by its *shape*: the endpoints of its remaining edges,
-    in that order, as one flat tuple with vertices renamed by first
-    appearance. Deletion of a non-isthmus and contraction keep the graph
-    connected, so no minor but the last has an isolated vertex, and a shape
-    determines its minor as an edge-labelled multigraph. Equal shapes thus
-    have equal T, and merging them is exact.
+    The pivots follow one order chosen from the graph, a greedy
+    min-frontier vertex elimination (``_pivot_order``); T does not depend
+    on the order, only the sweep's cost does. A minor is encoded by its
+    *shape*: the endpoints of its remaining edges, in pivot order, as one
+    flat tuple with vertices renamed by first appearance. Deletion of a
+    non-isthmus and contraction keep the graph connected, so no minor but
+    the last has an isolated vertex, and a shape determines its minor as an
+    edge-labelled multigraph. Equal shapes thus have equal T, and merging
+    them is exact.
 
     Each level of the sweep pivots every shape once: a loop is deleted with
     a factor y, an isthmus contracted with a factor x, and any other edge
     passes the weight to both its deletion and its contraction.
     """
     _require_connected(graph)
-    ends = [w for e in graph.edge_ids for w in graph.endpoints(e)]
-    return _sweep(_shape(ends), _graph_pivot, graph.edge_count)
+    ends = graph._numbered_ends()
+    return _sweep(_shape([w for i in _pivot_order(graph) for w in ends[i]]),
+                  _graph_pivot, graph.edge_count)
 
 
 def _activity_sum(terms: Iterable, table: dict | None = None) -> BivariatePolynomial:

@@ -7,6 +7,7 @@ import pytest
 from tuttemap import BivariatePolynomial, CombinatorialMap
 from tuttemap import cli
 from tuttemap.cli import main
+from tuttemap.engines import MAX_EXPANSION_EDGES
 
 from helpers import TORUS_MAP_TEXT
 
@@ -230,6 +231,21 @@ def test_delcon_long_inputs(capsys, tmp_path, closed):
         code, out, err = run(capsys, "tutte", "--graph", graph, "--method", method)
         assert code == 0 and err == ""
         assert out == f"{method}: {expected}\n"
+
+
+def test_expansion_refused_above_its_bound(capsys, tmp_path):
+    # 30 parallel edges would mean 2^30 subsets: refused at once, exit 1
+    path = tmp_path / "parallel30.g"
+    path.write_text("v 1\nv 2\n" + "".join(f"e p{i} 1 2\n" for i in range(30)))
+    bound = f"bound is {MAX_EXPANSION_EDGES} edges"
+    for argv in (("tutte", "--method", "all"), ("tutte", "--method", "expansion"),
+                 ("check",)):
+        code, out, err = run(capsys, *argv, "--graph", str(path))
+        assert code == 1 and out == ""
+        assert bound in err and "has 30" in err
+    code, out, _ = run(capsys, "tutte", "--graph", str(path), "--method", "delcon")
+    assert code == 0 and out == "delcon: x + " + " + ".join(
+        f"y^{k}" if k > 1 else "y" for k in range(1, 30)) + "\n"
 
 
 def test_unrooted_map_needs_root_flag(capsys, tmp_path):

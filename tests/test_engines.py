@@ -15,6 +15,7 @@ from tuttemap import (
     embed,
     graph_certificate,
     graphs_isomorphic,
+    kirchhoff_tree_count,
     tutte_deletion_contraction,
     tutte_embedding_activities,
     tutte_order_activities,
@@ -333,14 +334,95 @@ def _wheel(rim):
     return range(rim + 1), cycle + [(0, i) for i in range(1, rim + 1)]
 
 
-@pytest.mark.parametrize("make", [_petersen, lambda: _grid(3, 4), lambda: _wheel(9)],
-                         ids=["Petersen", "grid3x4", "W9"])
+@pytest.mark.parametrize("make", [_petersen, lambda: _grid(3, 4), lambda: _wheel(9),
+                                  lambda: _grid(4, 4), lambda: _wheel(10)],
+                         ids=["Petersen", "grid3x4", "W9", "grid4x4", "W10"])
 def test_delcon_matches_order_activities_on_shuffled_labels(make):
     verts, edges = make()
     ranks = list(range(len(edges)))
     random.Random(86).shuffle(ranks)
     g = Multigraph(verts, {k: uv for k, uv in zip(ranks, edges)})
     assert tutte_deletion_contraction(g) == tutte_order_activities(g)
+
+
+def _shuffled(verts, edges, rng):
+    """The graph with its vertex and edge labels drawn in random order."""
+    verts = list(verts)
+    names = dict(zip(verts, rng.sample(range(len(verts)), len(verts))))
+    ranks = rng.sample(range(len(edges)), len(edges))
+    return Multigraph(names.values(),
+                      {k: (names[u], names[v]) for k, (u, v) in zip(ranks, edges)})
+
+
+def _max_frontier(g, order):
+    """The most vertices at once that a pivoted edge has touched and that
+    still have an unpivoted edge, pivoting the edges in ``order``."""
+    left = {v: 0 for v in g.vertices}
+    for e in order:
+        for w in set(g.endpoints(e)):
+            left[w] += 1
+    touched: set = set()
+    most = 0
+    for e in order:
+        ends = set(g.endpoints(e))
+        touched |= ends
+        for w in ends:
+            left[w] -= 1
+        most = max(most, sum(1 for w in touched if left[w]))
+    return most
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_connected_multigraphs())
+def test_pivot_order_is_a_permutation_of_the_edges(g):
+    assert sorted(engines._pivot_order(g)) == list(range(g.edge_count))
+
+
+def test_pivot_order_places_loops_and_parallel_edges():
+    # numbered a=0, b=1, c=2; a is eliminated first, then b, then c. The
+    # loop f sits at a, the loop h at c, b's loop and its parallel pair
+    # d, e sit in b's block, in id order.
+    g = Multigraph("abc", {"a1": ("a", "b"), "b2": ("b", "b"), "d": ("b", "c"),
+                           "e": ("c", "b"), "f": ("a", "a"), "h": ("c", "c")})
+    order = [g.edge_ids[i] for i in engines._pivot_order(g)]
+    assert order == ["f", "a1", "b2", "d", "e", "h"]
+    assert tutte_deletion_contraction(g).terms() == expansion_coeffs_oracle(g)
+    loops = Multigraph(["v"], {k: ("v", "v") for k in (3, 1, 2)})
+    assert engines._pivot_order(loops) == [0, 1, 2]
+    assert tutte_deletion_contraction(loops) == P("y^3")
+
+
+@pytest.mark.parametrize("make,bound", [
+    (lambda: _grid(3, 4), 4), (lambda: _grid(4, 4), 5), (lambda: _grid(4, 8), 5),
+    (lambda: _wheel(10), 4), (lambda: _wheel(20), 4),
+], ids=["grid3x4", "grid4x4", "grid4x8", "W10", "W20"])
+def test_pivot_order_keeps_the_frontier_small(make, bound):
+    # min(r, c) + 1 on an r x c grid, 4 on a wheel, whatever the labels
+    verts, edges = make()
+    rng = random.Random(31)
+    for _ in range(3):
+        g = _shuffled(verts, edges, rng)
+        order = [g.edge_ids[i] for i in engines._pivot_order(g)]
+        assert _max_frontier(g, order) <= bound
+
+
+def _random_graph(rng, nv, ne):
+    """A random recursive tree on nv vertices plus random chords, parallel
+    edges allowed, ne edges in all."""
+    edges = [(rng.randrange(i), i) for i in range(1, nv)]
+    edges += [tuple(rng.sample(range(nv), 2)) for _ in range(ne - len(edges))]
+    return range(nv), edges
+
+
+@pytest.mark.parametrize("make", [lambda: _grid(6, 6), lambda: _wheel(20),
+                                  lambda: _random_graph(random.Random(20), 20, 40)],
+                         ids=["grid6x6", "W20", "random20x40"])
+def test_delcon_oracles_at_scale(make):
+    verts, edges = make()
+    g = Multigraph(verts, dict(enumerate(edges)))
+    t = tutte_deletion_contraction(g)
+    assert t.evaluate(1, 1) == kirchhoff_tree_count(g)
+    assert t.evaluate(2, 2) == 2 ** g.edge_count
 
 
 def test_cross_check_k3_exhaustive_roots_and_rotations():
