@@ -7,17 +7,25 @@ the order of their earlier half-edge. An edge is active when it is
 order-minimal in its fundamental cycle (external edges) or cocycle
 (internal edges); the classical notion takes a fixed linear edge order.
 
-Both notions are decided by one kernel (``_activities``) that runs on flat
-int arrays: the graph is numbered once (``Multigraph._numbered_ends``), a
-tree is a bytearray of flags over edge positions, and a rank order is the
-list of edge positions, smallest first. The tree is hung once from vertex
-0, giving each vertex the bitmask of the tree edges on its path to the
-root, so the tree path of an external edge is the xor of its endpoints'
-masks (empty for a loop). Walking the edges in rank order, an external
-edge is active iff its path holds no tree edge ranked below it, and a tree
-edge iff no lower external edge's path covers it: those covering edges are
-the rest of its fundamental cocycle. The cost per tree is the rooting plus
-one pass over the edges; the tour is one loop over the rotation tuple.
+The two notions are decided by two kernels on flat int arrays that share
+no logic, so their agreement is a check. The graph is numbered once
+(``Multigraph._numbered_ends``) and a tree is its ``flags`` over edge
+positions.
+
+The order kernel (``_activities``) hangs the tree from vertex 0, giving
+each vertex the bitmask of its tree path to the root; an external edge's
+tree path is the xor of its endpoints' masks. In rank order, an external
+edge is active iff its path holds no lower tree edge, and a tree edge iff
+no lower external edge's path covers it.
+
+The tour kernel (``_tour_scan``) reads both off one scan of the
+tour. The two half-edges of each tree edge nest there like parentheses
+(Bernardi, EJC 14 (2007) R9), and an edge ranks by the step that opens
+it. An external edge's cycle is the tree edges open at exactly one of its
+two steps, and a tree edge's cocycle the external edges with exactly one
+step inside its span. So an external edge is active iff every tree edge
+open when it opens is still open when it closes, and a tree edge iff no
+external edge opened before it closes inside its span.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cmap import CombinatorialMap, MapError
 from .graph import GraphError, Multigraph
-from .spanning import SpanningTree, _incidence, _inside, _root_paths
+from .spanning import SpanningTree, _incidence, _root_paths
 
 __all__ = [
     "MotionNotCyclicError",
@@ -90,17 +98,17 @@ def _as_spanning_tree(graph: Multigraph, tree) -> SpanningTree:
     return SpanningTree(graph, ids)
 
 
-def _activities(ends: list, inc: list, inside, ranked: list[int]) -> tuple[list, list]:
+def _activities(ends: list, inc: list, flags, ranked: list[int]) -> tuple[list, list]:
     """The internal- and external-active edge positions of the tree whose
-    positions ``inside`` flags, deciding each edge in ``ranked`` (every
+    positions ``flags`` marks, deciding each edge in ``ranked`` (every
     edge position, smallest rank first) from its definition; see the module
     docstring. ``inc`` is ``_incidence(ends, nv)``."""
-    paths = _root_paths(inc, inside)
+    paths = _root_paths(inc, flags)
     covered = 0  # the tree edges on the cycles of the lower external edges
     lower = 0  # the lower tree edges
     internal, external = [], []
     for p in ranked:
-        if inside[p]:
+        if flags[p]:
             if not covered >> p & 1:
                 internal.append(p)
             lower |= 1 << p
@@ -119,17 +127,22 @@ def _half_edge_positions(m: CombinatorialMap) -> list[int]:
     return [index[e] for e in m.edge_ids for _ in (0, 1)]
 
 
-def _tour(m: CombinatorialMap, he_pos: list[int], inside) -> tuple[list, list]:
+def _tour_root(m: CombinatorialMap) -> int:
+    """The root of a rooted nonempty map, where its tours start."""
+    if m.is_empty:
+        raise MapError("the empty map has no tour")
+    if m.root is None:
+        raise MapError("the tour order needs a rooted map")
+    return m.root
+
+
+def _tour(m: CombinatorialMap, he_pos: list[int], flags) -> tuple[list, list]:
     """Half-edges in tour order from the root, and the edge positions in
     the order of their earlier half-edge. The successor of h is the
     rotation successor of h (external edge) or of its partner (internal).
     The walk must first come back to the root after exactly n steps; being
     deterministic, it then visited every half-edge exactly once."""
-    if m.is_empty:
-        raise MapError("the empty map has no tour")
-    if m.root is None:
-        raise MapError("the tour order needs a rooted map")
-    sigma, root, n = m._sigma, m.root, m.n_half_edges
+    sigma, root, n = m._sigma, _tour_root(m), m.n_half_edges
     seen = bytearray(n >> 1)
     ranked = []
     seq = []
@@ -140,7 +153,7 @@ def _tour(m: CombinatorialMap, he_pos: list[int], inside) -> tuple[list, list]:
         if not seen[p]:
             seen[p] = 1
             ranked.append(p)
-        h = sigma[h ^ 1] if inside[p] else sigma[h]
+        h = sigma[h ^ 1] if flags[p] else sigma[h]
         if h == root:
             break
     if h != root or len(seq) != n:
@@ -148,12 +161,70 @@ def _tour(m: CombinatorialMap, he_pos: list[int], inside) -> tuple[list, list]:
     return seq, ranked
 
 
+def _tour_scan(m: CombinatorialMap):
+    """The tour kernel of a rooted map: a function from the flags of a tree
+    to its internal- and external-active edge positions, ranked by its tour
+    (see the module docstring). Each stack frame holds an open tree edge and
+    the earliest opening step of an external edge that closed inside it.
+    The tour must return to the root after exactly n steps and close each
+    tree edge on top of the stack, or the flags mark no spanning tree."""
+    sigma, root, n = m._sigma, _tour_root(m), m.n_half_edges
+    he_pos = _half_edge_positions(m)
+    cross = [sigma[h ^ 1] for h in range(n)]  # the successor across an edge
+    ne = n >> 1
+
+    def scan(flags) -> tuple[list, list]:
+        opened = [-1] * (ne + 1)  # the step that opened each edge, n once closed
+        below = [0] * ne  # an external edge's top frame when it opened
+        stack, low = [ne], [n]  # ne is a sentinel frame that never closes
+        internal, external = [], []
+        h = root
+        t = 0
+        while True:
+            p = he_pos[h]
+            s = opened[p]
+            if flags[p]:
+                if s < 0:
+                    opened[p] = t
+                    stack.append(p)
+                    low.append(t)
+                elif stack[-1] != p:
+                    raise MotionNotCyclicError(
+                        f"tree edges cross: edge {p} closes at step {t} over an open one")
+                else:
+                    stack.pop()
+                    opened[p] = n
+                    first = low.pop()
+                    if first == s:
+                        internal.append(p)
+                    elif first < low[-1]:
+                        low[-1] = first
+                h = cross[h]
+            else:
+                if s < 0:
+                    opened[p] = t
+                    below[p] = stack[-1]
+                else:
+                    if opened[below[p]] < n:
+                        external.append(p)
+                    if s < low[-1]:
+                        low[-1] = s
+                h = sigma[h]
+            t += 1
+            if h == root:
+                break
+        if t != n:
+            raise MotionNotCyclicError(f"tour closed after {t} of {n} half-edges")
+        return internal, external
+
+    return scan
+
+
 def motion_function(m: CombinatorialMap, tree) -> TourOrder:
     """Tour the given spanning tree of a rooted map (see ``_tour``)."""
     graph = m.underlying_graph()
     st = _as_spanning_tree(graph, tree)
-    inside = _inside(graph.edge_count, st.positions)
-    seq, ranked = _tour(m, _half_edge_positions(m), inside)
+    seq, ranked = _tour(m, _half_edge_positions(m), st.flags)
     cycle = tuple(m.names[h] for h in seq)
     motion = dict(zip(cycle, cycle[1:] + cycle[:1]))
     he_rank = {nm: r for r, nm in enumerate(cycle)}
@@ -164,13 +235,9 @@ def motion_function(m: CombinatorialMap, tree) -> TourOrder:
 def _embedding_terms(m: CombinatorialMap, trees: Iterable) -> Iterator[tuple]:
     """(tree, internal-active positions, external-active positions) for
     each spanning tree of the map's underlying graph, ranked by its tour."""
-    graph = m.underlying_graph()
-    ends, he_pos = graph._numbered_ends(), _half_edge_positions(m)
-    inc = _incidence(ends, graph.vertex_count)
+    scan = _tour_scan(m)
     for st in trees:
-        inside = _inside(len(ends), st.positions)
-        _, ranked = _tour(m, he_pos, inside)
-        yield (st, *_activities(ends, inc, inside, ranked))
+        yield (st, *scan(st.flags))
 
 
 def _order_ranked(graph: Multigraph, order: Sequence) -> list[int]:
@@ -190,7 +257,7 @@ def _order_terms(graph: Multigraph, order: Sequence, trees: Iterable) -> Iterato
     ends = graph._numbered_ends()
     inc = _incidence(ends, graph.vertex_count)
     for st in trees:
-        yield (st, *_activities(ends, inc, _inside(len(ends), st.positions), ranked))
+        yield (st, *_activities(ends, inc, st.flags, ranked))
 
 
 def _summary(graph: Multigraph, terms: Iterator[tuple]) -> ActivitySummary:

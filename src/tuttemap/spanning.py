@@ -4,8 +4,8 @@ cycles/cocycles.
 Trees are handled on flat int arrays. A graph is numbered once
 (``Multigraph._numbered_ends``): edge position p is the p-th id of
 ``edge_ids`` and vertices are numbered by first appearance along those
-edges. A tree is the sorted list of its edge positions, or a bytearray
-flagging them, and ``_root_paths`` hangs it from vertex 0, giving each
+edges. A tree carries ``flags``, immutable bytes with a 1 at each of its
+edge positions, and ``_root_paths`` hangs it from vertex 0, giving each
 vertex the bitmask of the tree edges on its path to the root.
 
 ``enumerate_spanning_trees`` is one iterative backtracking walk over the
@@ -13,8 +13,10 @@ subsets of non-loop edges, the plain form of the backtracking of Gabow and
 Myers, SIAM J. Comput. 7 (1978), without their bridge test: an edge is
 taken only when it joins two components of a union-find kept in int lists,
 and backtracking undoes the last union, so no state is copied and the walk
-adds no Python frame per edge. ``kirchhoff_tree_count`` counts the
-same trees by the matrix-tree theorem, sharing no code with the walk.
+adds no Python frame per edge. The walk flags its edges as it unions them,
+and each tree it yields gets its own copy of those flags.
+``kirchhoff_tree_count`` counts the same trees by the matrix-tree theorem,
+sharing no code with the walk.
 """
 
 from __future__ import annotations
@@ -36,16 +38,8 @@ def _incidence(ends: list, nv: int) -> list[list[tuple[int, int]]]:
     return inc
 
 
-def _inside(ne: int, positions: list[int]) -> bytearray:
-    """The flags of a tree's edge positions."""
-    inside = bytearray(ne)
-    for p in positions:
-        inside[p] = 1
-    return inside
-
-
-def _root_paths(inc: list, inside) -> list[int]:
-    """The tree whose edge positions ``inside`` flags, hung from vertex 0:
+def _root_paths(inc: list, flags) -> list[int]:
+    """The tree whose edge positions ``flags`` marks, hung from vertex 0:
     for each vertex, the bitmask of the tree edges on its path to vertex 0.
     The tree path between u and v is then the xor of their masks."""
     path = [-1] * len(inc)
@@ -54,7 +48,7 @@ def _root_paths(inc: list, inside) -> list[int]:
     for u in order:  # order grows as the walk reaches new vertices
         mask = path[u]
         for w, p in inc[u]:
-            if path[w] < 0 and inside[p]:
+            if path[w] < 0 and flags[p]:
                 path[w] = mask | 1 << p
                 order.append(w)
     return path
@@ -66,11 +60,12 @@ class SpanningTree:
     Edges inside the tree are internal, the rest external. The fundamental
     cycle of an external edge e is e plus the tree path joining its
     endpoints; the fundamental cocycle of an internal edge e is e plus every
-    edge crossing the cut opened by removing e from the tree. ``positions``
-    lists the tree's edges by position in the parent's ``edge_ids``.
+    edge crossing the cut opened by removing e from the tree. ``flags``
+    marks the tree's edges by position in the parent's ``edge_ids``;
+    ``positions`` and ``internal_edges`` are derived from it when read.
     """
 
-    __slots__ = ("parent", "internal_edges", "positions")
+    __slots__ = ("parent", "flags", "_internal")
 
     def __init__(self, parent: Multigraph, edges: Iterable) -> None:
         chosen = frozenset(edges)
@@ -84,19 +79,21 @@ class SpanningTree:
                 f"edge set {sorted(chosen, key=str)} is not a spanning tree"
             )
         self.parent = parent
-        self.internal_edges = chosen
-        self.positions = [p for p, e in enumerate(parent.edge_ids) if e in chosen]
+        self.flags = bytes([e in chosen for e in parent.edge_ids])
+        self._internal = chosen
 
-    @classmethod
-    def _trusted(cls, parent: Multigraph, positions: list[int]) -> "SpanningTree":
-        """The tree on edge positions already known to span: no
-        re-validation."""
-        st = cls.__new__(cls)
-        ids = parent.edge_ids
-        st.parent = parent
-        st.internal_edges = frozenset([ids[p] for p in positions])
-        st.positions = positions
-        return st
+    @property
+    def positions(self) -> list[int]:
+        """The tree's edge positions, increasing."""
+        return [p for p, f in enumerate(self.flags) if f]
+
+    @property
+    def internal_edges(self) -> frozenset:
+        """The tree's edge ids, built on first read."""
+        if self._internal is None:
+            ids = self.parent.edge_ids
+            self._internal = frozenset([ids[p] for p in self.positions])
+        return self._internal
 
     def is_internal(self, e) -> bool:
         self.parent.endpoints(e)
@@ -106,8 +103,7 @@ class SpanningTree:
         """The tree path of each edge position, as a bitmask of positions."""
         graph = self.parent
         ends = graph._numbered_ends()
-        root = _root_paths(_incidence(ends, graph.vertex_count),
-                           _inside(len(ends), self.positions))
+        root = _root_paths(_incidence(ends, graph.vertex_count), self.flags)
         return [root[u] ^ root[v] for u, v in ends]
 
     def fundamental_cycle(self, e) -> frozenset:
@@ -139,7 +135,7 @@ class SpanningTree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpanningTree):
             return NotImplemented
-        return self.parent == other.parent and self.internal_edges == other.internal_edges
+        return self.parent == other.parent and self.flags == other.flags
 
     __hash__ = None
 
@@ -156,7 +152,9 @@ def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
     few edges remain to finish the tree. The union-find (by size, no path
     compression) lives in int lists and each backtrack undoes the last
     union, so no state is copied per step and a long input meets no
-    recursion limit.
+    recursion limit. The walk keeps the flags of the edges it has taken,
+    set on each union and cleared on each undo, and each tree it yields
+    gets an immutable copy of them.
     """
     ends = graph._numbered_ends()
     need = graph.vertex_count - 1
@@ -167,6 +165,8 @@ def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
     size = [1] * graph.vertex_count
     chosen: list[int] = []  # pool indexes of the edges taken, increasing
     joined: list[int] = []  # the root each union hung below another
+    flags = bytearray(len(ends))  # the edge positions taken
+    new = SpanningTree.__new__
     j = 0
     found = False
     while True:
@@ -183,12 +183,15 @@ def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
                 parent[b] = a
                 size[a] += size[b]
                 chosen.append(j)
+                flags[pool[j]] = 1
                 joined.append(b)
                 k += 1
             j += 1
         if k == need:
             found = True
-            yield SpanningTree._trusted(graph, [pool[i] for i in chosen])
+            st = new(SpanningTree)  # spanning by construction: no re-validation
+            st.parent, st.flags, st._internal = graph, bytes(flags), None
+            yield st
         elif not found:
             # the first descent takes every edge that joins two components,
             # so it ends short of a tree only on a disconnected graph
@@ -199,6 +202,7 @@ def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
         size[parent[b]] -= size[b]
         parent[b] = b
         j = chosen.pop() + 1
+        flags[pool[j - 1]] = 0
 
 
 def kirchhoff_tree_count(graph: Multigraph) -> int:

@@ -15,7 +15,8 @@ from collections import Counter
 
 from hypothesis import strategies as st
 
-from tuttemap import CombinatorialMap, Multigraph
+from tuttemap import CombinatorialMap, Multigraph, embed
+from tuttemap.cmap import _graph_incidences
 
 # -- worked-example fixtures -------------------------------------------------
 
@@ -394,3 +395,17 @@ def random_connected_multigraphs(draw, max_edges=8):
         [vname(v) for v in range(nv)],
         {ename(k): (vname(u), vname(v)) for k, (u, v) in zip(ranks, ends)},
     )
+
+
+@st.composite
+def ordered_and_embedded(draw, max_edges=8):
+    """A connected multigraph, a random order of its edges, and a random
+    rooted rotation system of it (None when it has no edge)."""
+    g = draw(random_connected_multigraphs(max_edges))
+    order = draw(st.permutations(g.edge_ids))
+    if not g.edge_count:
+        return g, order, None
+    at_vertex, _ = _graph_incidences(g)
+    rotations = {v: draw(st.permutations(at_vertex[v])) for v in sorted(at_vertex, key=str)}
+    m = embed(g, rotations=rotations)
+    return g, order, m.with_root(draw(st.sampled_from(m.names)))

@@ -1,13 +1,15 @@
 """Tours, tour orders, and both activity notions."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from tuttemap import (
     GraphError,
     MapError,
+    MotionNotCyclicError,
     Multigraph,
     SpanningTree,
     embed,
@@ -20,17 +22,19 @@ from tuttemap import (
     tutte_order_activities,
     tutte_subgraph_expansion,
 )
-from tuttemap.cmap import _graph_incidences
+from tuttemap.activity import _tour_scan
 
 from helpers import (
     TORUS_TREE,
     connected_multigraphs,
     cyclic_equal,
     expansion_coeffs_oracle,
+    is_spanning_tree_subset,
+    make_map,
     torus_map,
     k3,
     map_corpus,
-    random_connected_multigraphs,
+    ordered_and_embedded,
     random_rooted_map,
     single_isthmus_map,
     single_loop_map,
@@ -262,6 +266,57 @@ def test_embedding_activities_match_definition_on_map_corpus():
     assert pairs > 500
 
 
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(ordered_and_embedded())
+def test_embedding_activities_match_definition_on_random_rooted_maps(case):
+    _, _, m = case
+    if m is None:
+        return
+    mg = m.underlying_graph()
+    for st in enumerate_spanning_trees(mg):
+        rank = motion_function(m, st).edge_rank
+        act = embedding_activities(m, st)
+        expected = _minimal_by_swap_oracles(mg, st.internal_edges, rank)
+        assert (act.internal_active, act.external_active) == expected
+
+
+def _scan(m, edges):
+    """The tour kernel on the flags of the given edge ids of ``m``."""
+    ids = m.underlying_graph().edge_ids
+    return _tour_scan(m)(bytes([e in edges for e in ids]))
+
+
+def test_tour_kernel_rejects_a_cycle_and_a_forest():
+    # two crossing loops on one vertex: one face, so only nesting catches it
+    bouquet = make_map((2, 3, 1, 0))
+    with pytest.raises(MotionNotCyclicError, match="cross"):
+        _scan(bouquet, {"h0h1", "h2h3"})
+    assert _scan(bouquet, set()) == ([], [0, 1])
+    # a triangle splits the planar tour in two
+    triangle = embed(k3())
+    with pytest.raises(MotionNotCyclicError, match="closed after"):
+        _scan(triangle, {"a", "b", "c"})
+    # a forest that leaves vertex 3 out never reaches its half-edges
+    with pytest.raises(MotionNotCyclicError, match="closed after"):
+        _scan(triangle, {"a"})
+
+
+def test_tour_kernel_raises_on_every_edge_set_but_a_spanning_tree():
+    checked = 0
+    for m in map_corpus(per_size=25, max_edges=5):
+        g = m.underlying_graph()
+        ids = g.edge_ids
+        for r in range(len(ids) + 1):
+            for subset in itertools.combinations(ids, r):
+                if is_spanning_tree_subset(g, subset):
+                    _scan(m, set(subset))
+                else:
+                    with pytest.raises(MotionNotCyclicError):
+                        _scan(m, set(subset))
+                    checked += 1
+    assert checked > 1000
+
+
 def test_order_activities_match_definition_on_random_orders():
     rng = random.Random(65)
     pairs = 0
@@ -275,20 +330,6 @@ def test_order_activities_match_definition_on_random_orders():
             assert (act.internal_active, act.external_active) == expected
             pairs += 1
     assert pairs > 500
-
-
-@st.composite
-def ordered_and_embedded(draw):
-    """A connected multigraph, a random order of its edges, and a random
-    rooted rotation system of it (None when it has no edge)."""
-    g = draw(random_connected_multigraphs())
-    order = draw(st.permutations(g.edge_ids))
-    if not g.edge_count:
-        return g, order, None
-    at_vertex, _ = _graph_incidences(g)
-    rotations = {v: draw(st.permutations(at_vertex[v])) for v in sorted(at_vertex, key=str)}
-    m = embed(g, rotations=rotations)
-    return g, order, m.with_root(draw(st.sampled_from(m.names)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -13,6 +13,7 @@ from tuttemap import (
     Multigraph,
     cross_check,
     embed,
+    enumerate_spanning_trees,
     graph_certificate,
     graphs_isomorphic,
     kirchhoff_tree_count,
@@ -37,6 +38,7 @@ from helpers import (
     loop_graph,
     make_map,
     map_corpus,
+    ordered_and_embedded,
     random_connected_multigraphs,
     random_rooted_map,
     subgraph_components,
@@ -306,6 +308,41 @@ def test_delcon_builds_no_minor_graphs_and_no_certificates(monkeypatch):
         "x^3 + 3 x^2 + 2 x + 4 x y + 2 y + 3 y^2 + y^3"
     )
     assert tutte_deletion_contraction(k3()) == P("x^2 + x + y")
+
+
+def test_tree_routes_draw_their_trees_through_the_enumerator(monkeypatch):
+    # perfbench --trace counts trees by wrapping this very name, and checks
+    # the count against Kirchhoff: a route that bypassed it would fail there
+    drawn = []
+
+    def counting(graph):
+        for st in enumerate_spanning_trees(graph):
+            drawn.append(st)
+            yield st
+
+    monkeypatch.setattr(engines, "enumerate_spanning_trees", counting)
+    graphs = [Multigraph(verts, dict(enumerate(edges)))
+              for verts, edges in (_petersen(), _grid(3, 3), _wheel(6))]
+    graphs.append(Multigraph([1, 2, 3], {"a": (1, 2), "b": (1, 2), "c": (2, 3), "l": (3, 3)}))
+    for g in graphs:
+        want = kirchhoff_tree_count(g)
+        drawn.clear()
+        tutte_order_activities(g)
+        assert len(drawn) == want
+        drawn.clear()
+        tutte_embedding_activities(embed(g))
+        assert len(drawn) == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(ordered_and_embedded(max_edges=9))
+def test_cross_check_agrees_on_random_graphs(case):
+    g, order, m = case
+    report = cross_check(g, [] if m is None else [m], [order])
+    assert report.agreement
+    assert set(report.tree_tables) == {"order[0]"} | ({"embedding[0]"} if m else set())
+    for table in report.tree_tables.values():
+        assert len(table) == kirchhoff_tree_count(g)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

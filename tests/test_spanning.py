@@ -68,6 +68,29 @@ def test_enumeration_matches_subset_oracle():
         assert len(set(got)) == len(got)
 
 
+def test_yielded_trees_own_their_data():
+    rng = random.Random(53)
+    graphs = [k4(), double_edge_graph(),
+              Multigraph([1, 2, 3], {"a": (1, 2), "b": (2, 3), "c": (1, 3), "l": (2, 2)})]
+    while len(graphs) < 25:
+        nv = rng.randint(2, 5)
+        edges = {f"e{i}": (rng.randrange(nv), rng.randrange(nv))
+                 for i in range(rng.randint(nv, 8))}
+        g = Multigraph(range(nv), edges)
+        if g.is_connected():
+            graphs.append(g)
+    for g in graphs:
+        trees = list(enumerate_spanning_trees(g))  # the walk is over before any read
+        expected = sorted(brute_force_trees(g), key=sorted)  # the walk's order
+        assert len(trees) == len(expected)
+        for t, want in zip(trees, expected):
+            assert isinstance(t.flags, bytes)
+            assert t.flags == bytes([e in want for e in g.edge_ids])
+            assert t.positions == [p for p, e in enumerate(g.edge_ids) if e in want]
+            assert t.internal_edges == want
+            assert t == SpanningTree(g, want)
+
+
 def test_loops_never_internal():
     g = Multigraph([1, 2], {"i": (1, 2), "l": (1, 1), "m": (2, 2)})
     trees = list(enumerate_spanning_trees(g))
