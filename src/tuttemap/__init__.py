@@ -29,7 +29,7 @@ from .engines import (
     tutte_subgraph_expansion,
 )
 from .graph import GraphError, Multigraph
-from .mapenum import MapCensus, enumerate_rooted_maps, partition_function
+from .mapenum import enumerate_rooted_maps, partition_function
 from .poly import ONE, X, Y, ZERO, BivariatePolynomial, PolynomialParseError
 from .spanning import SpanningTree, enumerate_spanning_trees, kirchhoff_tree_count
 
@@ -41,7 +41,6 @@ __all__ = [
     "CombinatorialMap",
     "EvaluationReport",
     "GraphError",
-    "MapCensus",
     "MapError",
     "MotionNotCyclicError",
     "Multigraph",

@@ -15,13 +15,14 @@ import random
 import sys
 from pathlib import Path
 
-from .activity import MotionNotCyclicError, motion_function
+from .activity import MotionNotCyclicError, erase_check, motion_function
 from .cmap import CombinatorialMap, MapError, _graph_incidences, embed
 from .engines import (
     EvaluationReport,
     _activity_sum,
     _embedding_tree_terms,
     _require_connected,
+    cross_check,
     tutte_deletion_contraction,
     tutte_embedding_activities,
     tutte_order_activities,
@@ -63,32 +64,20 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _method_polynomials(graph: Multigraph, methods,
-                        emb: CombinatorialMap | None) -> EvaluationReport:
-    """Runs each method on the connected ``graph``; ``emb``, a rooted
-    embedding of it, serves the embedding and recursive methods."""
-    out: dict[str, BivariatePolynomial] = {}
-    for method in methods:
-        if method == "expansion":
-            out[method] = tutte_subgraph_expansion(graph)
-        elif method == "delcon":
-            out[method] = tutte_deletion_contraction(graph)
-        elif method == "order":
-            out[method] = tutte_order_activities(graph)
-        elif method == "embedding":
-            out[method] = tutte_embedding_activities(emb)
-        else:
-            out[method] = tutte_recursive_map(emb)
-    return EvaluationReport(out, {})
-
-
 def _cmd_tutte(args) -> int:
     graph = _load_graph(args.graph)
     _require_connected(graph)
     methods = METHODS if args.method == "all" else (args.method,)
     needs_map = any(m in methods for m in ("embedding", "recursive"))
     emb = embed(graph, root=args.root) if needs_map else None
-    report = _method_polynomials(graph, methods, emb)
+    evaluators = {
+        "expansion": lambda: tutte_subgraph_expansion(graph),
+        "delcon": lambda: tutte_deletion_contraction(graph),
+        "order": lambda: tutte_order_activities(graph),
+        "embedding": lambda: tutte_embedding_activities(emb),
+        "recursive": lambda: tutte_recursive_map(emb),
+    }
+    report = EvaluationReport({m: evaluators[m]() for m in methods}, {})
     polys = report.polynomials
     lines = [f"{m}: {polys[m]}" for m in methods]
     payload: dict = {"polynomials": {m: polys[m].json_terms() for m in methods}}
@@ -208,25 +197,29 @@ def _cmd_check(args) -> int:
         raise ValueError(f"--trials must be at least 0, got {args.trials}")
     graph = _load_graph(args.graph)
     rng = random.Random(args.seed)
-    failures = 0
     lines: list[str] = []
     rows: list[dict] = []
 
     def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
         tail = f" ({detail})" if detail and not ok else ""
         lines.append(f"{'ok' if ok else 'FAIL'}: {name}{tail}")
         rows.append({"name": name, "ok": ok})
 
     _require_connected(graph)
     emb = embed(graph)
-    evaluation = _method_polynomials(graph, METHODS, emb)
-    polys = evaluation.polynomials
-    report("five evaluator methods agree", evaluation.agreement,
-           " / ".join(f"{k}={v}" for k, v in polys.items()))
-    reference = polys["expansion"]
+    trials = range(1, args.trials + 1)
+    embeddings = [emb] + [_random_embedding(graph, rng) for _ in trials]
+    orders = [graph.edge_ids]
+    for _ in trials:
+        orders.append(list(graph.edge_ids))
+        rng.shuffle(orders[-1])
+    polys = cross_check(graph, embeddings, orders).polynomials
+    five = {m: polys[m if m in ("expansion", "delcon") else f"{m}[0]"]
+            for m in METHODS}
+    reference = five["expansion"]
+    report("five evaluator methods agree",
+           all(v == reference for v in five.values()),
+           " / ".join(f"{k}={v}" for k, v in five.items()))
 
     trees = list(enumerate_spanning_trees(emb.underlying_graph()))
     # the Kirchhoff count shares no code with the enumeration it checks
@@ -237,46 +230,24 @@ def _cmd_check(args) -> int:
     report("T(2,2) equals 2^|E|",
            reference.evaluate(2, 2) == 2 ** graph.edge_count)
 
-    try:
-        for st in trees:
-            motion_function(emb, st)
-        report("every tree tour is a single cycle", True)
-    except MotionNotCyclicError as exc:
-        report("every tree tour is a single cycle", False, str(exc))
+    # erase_check first tours its tree and raises MotionNotCyclicError unless
+    # the tour is one cycle; a list, not a short-circuiting all(), so that
+    # every tree is toured before the tour row claims it
+    erased = [erase_check(emb, st, eid) for st in trees for eid in emb.edge_ids]
+    report("every tree tour is a single cycle", True)
+    report("minor tours equal the original tour with two half-edges erased",
+           all(erased))
 
-    from .activity import erase_check
-    ok = all(
-        erase_check(emb, st, eid)
-        for st in trees
-        for eid in emb.edge_ids
-    )
-    report("minor tours equal the original tour with two half-edges erased", ok)
+    for name, labels in (
+        (f"embedding independence over {args.trials} random rooted embeddings",
+         [f"{r}[{i}]" for i in trials for r in ("embedding", "recursive")]),
+        (f"order independence over {args.trials} random edge orders",
+         [f"order[{i}]" for i in trials]),
+    ):
+        bad = next((polys[k] for k in labels if polys[k] != reference), None)
+        report(name, bad is None, f"{bad} != {reference}")
 
-    if graph.edge_count:
-        ok = True
-        bad = ""
-        for _ in range(args.trials):
-            m = _random_embedding(graph, rng)
-            val = tutte_embedding_activities(m)
-            if val != reference:
-                ok = False
-                bad = f"{val} != {reference}"
-                break
-        report(f"embedding independence over {args.trials} random rooted embeddings",
-               ok, bad)
-
-        ok = True
-        bad = ""
-        for _ in range(args.trials):
-            order = list(graph.edge_ids)
-            rng.shuffle(order)
-            val = tutte_order_activities(graph, order)
-            if val != reference:
-                ok = False
-                bad = f"{val} != {reference}"
-                break
-        report(f"order independence over {args.trials} random edge orders", ok, bad)
-
+    failures = sum(not row["ok"] for row in rows)
     lines.append(
         f"{failures} check(s) failed" if failures else "all checks passed"
     )

@@ -311,9 +311,6 @@ class CombinatorialMap:
         self.underlying_graph()
         return self._he_vertex[h]
 
-    def sigma_cycles(self) -> list[list[int]]:
-        return _perm_cycles(self._sigma)
-
     def euler_characteristic(self) -> int:
         """Rotation cycles plus face cycles minus edges; 2 - 2 * genus."""
         if self.is_empty:
@@ -392,7 +389,7 @@ class CombinatorialMap:
         result.validate()
         return result
 
-    # -- isomorphism ----------------------------------------------------------
+    # -- canonical form ------------------------------------------------------
 
     def canonical_form(self) -> tuple:
         """The rotation relabelled in first-visit order from the root (see
@@ -403,20 +400,6 @@ class CombinatorialMap:
         if self._root is None:
             raise MapError("canonical form needs a root")
         return _rooted(self._sigma, self._root)
-
-    def _min_canonical(self) -> tuple:
-        return min(_rooted(self._sigma, h) for h in range(len(self._sigma)))
-
-    def is_isomorphic(self, other: "CombinatorialMap") -> bool:
-        """Structural equivalence up to half-edge relabeling; roots must
-        correspond when both maps are rooted, and are ignored otherwise."""
-        if self.is_empty or other.is_empty:
-            return self.is_empty and other.is_empty
-        if self.n_half_edges != other.n_half_edges:
-            return False
-        if self._root is not None and other._root is not None:
-            return self.canonical_form() == other.canonical_form()
-        return self._min_canonical() == other._min_canonical()
 
     # -- text and JSON forms ------------------------------------------------------
 

@@ -13,37 +13,19 @@ isomorphism test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .cmap import CombinatorialMap
 from .engines import _activity_sum, _embedding_tree_terms
 from .poly import BivariatePolynomial
 
-__all__ = ["MapCensus", "enumerate_rooted_maps", "partition_function",
-           "MAX_CENSUS_EDGES"]
+__all__ = ["enumerate_rooted_maps", "partition_function", "MAX_CENSUS_EDGES"]
 
 # The census grows more than 10x per edge (8,162 maps at 5 edges, 110,410
 # at 6), and partition_function sums every spanning tree of every map; 5
 # edges already reach genus 2, which is all the desk-scale demonstration
 # needs.
 MAX_CENSUS_EDGES = 5
-
-
-@dataclass(frozen=True)
-class MapCensus:
-    """All rooted maps with n_edges edges (optionally of one genus), free of
-    rooted-isomorphic duplicates."""
-
-    n_edges: int
-    genus: int | None
-    maps: tuple[CombinatorialMap, ...]
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-    def __iter__(self) -> Iterator[CombinatorialMap]:
-        return iter(self.maps)
 
 
 def _rooted_sigmas(n: int) -> Iterator[tuple[int, ...]]:
@@ -66,8 +48,9 @@ def _rooted_sigmas(n: int) -> Iterator[tuple[int, ...]]:
     return walk(0, 2)
 
 
-def enumerate_rooted_maps(n: int, genus: int | None = None) -> MapCensus:
-    """Census of rooted maps with n edges, up to rooted isomorphism.
+def enumerate_rooted_maps(n: int,
+                          genus: int | None = None) -> tuple[CombinatorialMap, ...]:
+    """Census of rooted maps with n edges, one per rooted isomorphism class.
 
     ``genus``, when given, keeps only maps with Euler characteristic
     2 - 2*genus. Bounded at MAX_CENSUS_EDGES edges.
@@ -83,9 +66,7 @@ def enumerate_rooted_maps(n: int, genus: int | None = None) -> MapCensus:
         raise ValueError("genus cannot be negative")
     names = tuple(f"h{i}" for i in range(2 * n))
     maps = (CombinatorialMap(s, names, root=0) for s in _rooted_sigmas(n))
-    return MapCensus(n, genus, tuple(
-        m for m in maps if genus is None or m.genus() == genus
-    ))
+    return tuple(m for m in maps if genus is None or m.genus() == genus)
 
 
 def partition_function(n: int, genus: int | None = None) -> BivariatePolynomial:

@@ -283,21 +283,6 @@ def rooted_iso_oracle(m1: CombinatorialMap, m2: CombinatorialMap) -> bool:
     )
 
 
-def unrooted_iso_oracle(m1: CombinatorialMap, m2: CombinatorialMap) -> bool:
-    """Exhaustive relabeling search; only usable for tiny maps."""
-    n = m1.n_half_edges
-    if n != m2.n_half_edges:
-        return False
-    for perm in itertools.permutations(range(n)):
-        if all(
-            perm[m1.sigma(h)] == m2.sigma(perm[h])
-            and perm[m1.alpha(h)] == m2.alpha(perm[h])
-            for h in range(n)
-        ):
-            return True
-    return False
-
-
 def relabel_map(m: CombinatorialMap, rng: random.Random) -> CombinatorialMap:
     """A structurally identical map under a random renaming of half-edges."""
     fresh = [f"z{i}" for i in range(m.n_half_edges)]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tuttemap import BivariatePolynomial, CombinatorialMap
-from tuttemap import cli
+from tuttemap import activity, cli, engines
 from tuttemap.cli import main
 from tuttemap.engines import MAX_EXPANSION_EDGES
 
@@ -280,3 +280,87 @@ def test_disconnected_graph_names_connectivity(capsys, tmp_path, method):
     if method == "all":
         code, _, err = run(capsys, "check", "--graph", str(path))
         assert code == 1 and "connected graphs only" in err
+
+
+K4_TEXT = "v 1\nv 2\nv 3\nv 4\n" + "".join(
+    f"e {e} {u} {v}\n" for e, u, v in
+    (("a", 1, 2), ("b", 1, 3), ("c", 1, 4), ("d", 2, 3), ("e", 2, 4), ("f", 3, 4)))
+# two parallel edges, a triangle through them and a loop
+LOOPY_TEXT = "v 1\nv 2\nv 3\ne a 1 2\ne b 1 2\ne c 2 3\ne d 3 1\ne l 1 1\n"
+
+CHECK_ROWS = (
+    "five evaluator methods agree",
+    "T(1,1) equals the spanning tree count",
+    "T(2,2) equals 2^|E|",
+    "every tree tour is a single cycle",
+    "minor tours equal the original tour with two half-edges erased",
+    "embedding independence over {t} random rooted embeddings",
+    "order independence over {t} random edge orders",
+)
+
+
+@pytest.mark.parametrize("text", [K4_TEXT, LOOPY_TEXT], ids=["k4", "loopy"])
+@pytest.mark.parametrize("trials", [None, 0], ids=["default", "zero"])
+def test_check_golden(capsys, tmp_path, text, trials):
+    # the full row list, text and JSON, with the default seed
+    path = tmp_path / "g.g"
+    path.write_text(text)
+    argv = ["check", "--graph", str(path)]
+    if trials is not None:
+        argv += ["--trials", str(trials)]
+    names = [row.format(t=20 if trials is None else trials) for row in CHECK_ROWS]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "".join(f"ok: {n}\n" for n in names) + "all checks passed\n"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = ",\n".join(
+        f'    {{\n      "name": "{n}",\n      "ok": true\n    }}' for n in names)
+    assert out == f'{{\n  "checks": [\n{rows}\n  ],\n  "ok": true\n}}\n'
+
+
+def test_check_reports_a_failed_row(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "k4.g"
+    path.write_text(K4_TEXT)
+    real = cli.kirchhoff_tree_count
+    monkeypatch.setattr(cli, "kirchhoff_tree_count", lambda g: real(g) + 1)
+    code, out, _ = run(capsys, "check", "--graph", str(path))
+    assert code == 2
+    lines = out.splitlines()
+    assert ("FAIL: T(1,1) equals the spanning tree count"
+            " (T(1,1)=16, Kirchhoff=17, trees=16)") in lines
+    assert sum(line.startswith("FAIL") for line in lines) == 1
+    assert lines[-1] == "1 check(s) failed"
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--format", "json")
+    assert code == 2 and json.loads(out)["ok"] is False
+
+
+def test_check_runs_recursive_on_random_embeddings(capsys, monkeypatch, tmp_path):
+    # a wrong recursive answer on the second random embedding fails the
+    # embedding-independence row, and only that row
+    path = tmp_path / "k4.g"
+    path.write_text(K4_TEXT)
+    real, seen = engines.tutte_recursive_map, []
+
+    def recursive(m):
+        seen.append(m)
+        return real(m) + (1 if len(seen) == 3 else 0)
+
+    monkeypatch.setattr(engines, "tutte_recursive_map", recursive)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "5")
+    assert code == 2 and len(seen) == 6
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: embedding independence over 5 random rooted embeddings"
+        " (x^3 + 3 x^2 + 2 x + 4 x y + 1 + 2 y + 3 y^2 + y^3"
+        " != x^3 + 3 x^2 + 2 x + 4 x y + 2 y + 3 y^2 + y^3)"]
+    assert out.splitlines()[-1] == "1 check(s) failed"
+
+
+def test_check_exits_2_on_a_broken_tour(capsys, monkeypatch, k3_file):
+    def broken(m, tree):
+        raise activity.MotionNotCyclicError("the tour closed early")
+
+    monkeypatch.setattr(activity, "motion_function", broken)
+    code, out, err = run(capsys, "check", "--graph", k3_file)
+    assert code == 2 and out == ""
+    assert "internal invariant violation: the tour closed early" in err
