@@ -26,6 +26,13 @@ two steps, and a tree edge's cocycle the external edges with exactly one
 step inside its span. So an external edge is active iff every tree edge
 open when it opens is still open when it closes, and a tree edge iff no
 external edge opened before it closes inside its span.
+
+The erase check (``_erase_walk``) tests the fact the tour order rests on:
+deleting an external edge, or contracting a tree edge, erases exactly that
+edge's two half-edges from the tour (Bernardi, EJC 15 (2008) R109). It
+tours each tree once with ``_tour``, then for each edge splices it out of
+the flat rotation (``cmap._splice``) and tours the minor with the same
+flags from the first surviving half-edge.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cmap import CombinatorialMap, MapError
+from .cmap import CombinatorialMap, MapError, _splice
 from .graph import GraphError, Multigraph
 from .spanning import SpanningTree, _incidence, _root_paths
 
@@ -136,29 +143,22 @@ def _tour_root(m: CombinatorialMap) -> int:
     return m.root
 
 
-def _tour(m: CombinatorialMap, he_pos: list[int], flags) -> tuple[list, list]:
-    """Half-edges in tour order from the root, and the edge positions in
-    the order of their earlier half-edge. The successor of h is the
+def _tour(sigma: Sequence[int], start: int, he_pos: list[int], flags) -> list[int]:
+    """Half-edges in tour order from ``start``. The successor of h is the
     rotation successor of h (external edge) or of its partner (internal).
-    The walk must first come back to the root after exactly n steps; being
+    The walk must first come back to ``start`` after exactly n steps; being
     deterministic, it then visited every half-edge exactly once."""
-    sigma, root, n = m._sigma, _tour_root(m), m.n_half_edges
-    seen = bytearray(n >> 1)
-    ranked = []
+    n = len(sigma)
     seq = []
-    h = root
+    h = start
     for _ in range(n):
         seq.append(h)
-        p = he_pos[h]
-        if not seen[p]:
-            seen[p] = 1
-            ranked.append(p)
-        h = sigma[h ^ 1] if flags[p] else sigma[h]
-        if h == root:
+        h = sigma[h ^ 1] if flags[he_pos[h]] else sigma[h]
+        if h == start:
             break
-    if h != root or len(seq) != n:
+    if h != start or len(seq) != n:
         raise MotionNotCyclicError(f"tour closed after {len(seq)} of {n} half-edges")
-    return seq, ranked
+    return seq
 
 
 def _tour_scan(m: CombinatorialMap):
@@ -224,7 +224,9 @@ def motion_function(m: CombinatorialMap, tree) -> TourOrder:
     """Tour the given spanning tree of a rooted map (see ``_tour``)."""
     graph = m.underlying_graph()
     st = _as_spanning_tree(graph, tree)
-    seq, ranked = _tour(m, _half_edge_positions(m), st.flags)
+    he_pos = _half_edge_positions(m)
+    seq = _tour(m._sigma, _tour_root(m), he_pos, st.flags)
+    ranked = dict.fromkeys(he_pos[h] for h in seq)  # by earlier half-edge
     cycle = tuple(m.names[h] for h in seq)
     motion = dict(zip(cycle, cycle[1:] + cycle[:1]))
     he_rank = {nm: r for r, nm in enumerate(cycle)}
@@ -280,35 +282,32 @@ def order_activities(graph: Multigraph, order: Sequence, tree) -> ActivitySummar
     return _summary(graph, _order_terms(graph, order, [_as_spanning_tree(graph, tree)]))
 
 
-def erase_check(m: CombinatorialMap, tree, edge) -> bool:
-    """Check that the minor's tour is the original tour with the removed
-    edge's two half-edges erased.
+def _erase_walk(m: CombinatorialMap):
+    """The erase check of a rooted map: a function from the flags of a tree
+    and some edge numbers to whether, for each edge k, the tree's tour with
+    half-edges 2k and 2k+1 erased is the tour of the minor without k (k
+    deleted if external, contracted if a tree edge) under the rest of the
+    tree. The tree is toured once; each minor is a spliced rotation, toured
+    from the first surviving half-edge, so the comparison is exact."""
+    sigma, root = m._sigma, _tour_root(m)
+    he_pos = _half_edge_positions(m)
 
-    External edges are deleted (same tree), internal edges contracted (tree
-    loses the edge); the comparison is cyclic, so it does not depend on
-    where the minor is rooted.
-    """
+    def walk(flags, edges: Iterable[int]) -> bool:
+        seq = _tour(sigma, root, he_pos, flags)
+        for k in edges:
+            kept = [h - 2 if h > 2 * k else h for h in seq if h >> 1 != k]
+            if kept and _tour(_splice(sigma, k, flags[he_pos[2 * k]]), kept[0],
+                              he_pos[:2 * k] + he_pos[2 * k + 2:], flags) != kept:
+                return False
+        return True
+
+    return walk
+
+
+def erase_check(m: CombinatorialMap, tree, edge) -> bool:
+    """Check that deleting ``edge`` (if external to ``tree``) or contracting
+    it (if internal) erases exactly its two half-edges from the tree's tour
+    (see ``_erase_walk``). ``edge`` is an edge number, an edge id or the
+    name of either half-edge."""
     st = _as_spanning_tree(m.underlying_graph(), tree)
-    k = m.edge_index(edge) if isinstance(edge, str) else int(edge)
-    eid = m.edge_ids[k]
-    before = motion_function(m, st)
-    h1, h2 = 2 * k, 2 * k + 1
-    removed = {m.name(h1), m.name(h2)}
-    reroot = None
-    if m.root in (h1, h2) and m.n_half_edges > 2:
-        reroot = next(h for h in range(m.n_half_edges) if h not in (h1, h2))
-    if st.is_internal(eid):
-        minor = m.contract_edge(k, reroot=reroot)
-        minor_tree: Iterable = st.internal_edges - {eid}
-    else:
-        minor = m.delete_edge(k, reroot=reroot)
-        minor_tree = st.internal_edges
-    expected = [nm for nm in before.cycle if nm not in removed]
-    if minor.is_empty:
-        return not expected
-    after = motion_function(minor, minor_tree)
-    cyc = list(after.cycle)
-    if len(cyc) != len(expected) or set(cyc) != set(expected):
-        return False
-    i = cyc.index(expected[0])
-    return cyc[i:] + cyc[:i] == expected
+    return _erase_walk(m)(st.flags, [m._edge_arg(edge)])

@@ -15,7 +15,7 @@ import random
 import sys
 from pathlib import Path
 
-from .activity import MotionNotCyclicError, erase_check, motion_function
+from .activity import _erase_walk, motion_function
 from .cmap import CombinatorialMap, MapError, _graph_incidences, embed
 from .engines import (
     EvaluationReport,
@@ -77,7 +77,7 @@ def _cmd_tutte(args) -> int:
         "embedding": lambda: tutte_embedding_activities(emb),
         "recursive": lambda: tutte_recursive_map(emb),
     }
-    report = EvaluationReport({m: evaluators[m]() for m in methods}, {})
+    report = EvaluationReport({m: evaluators[m]() for m in methods})
     polys = report.polynomials
     lines = [f"{m}: {polys[m]}" for m in methods]
     payload: dict = {"polynomials": {m: polys[m].json_terms() for m in methods}}
@@ -230,10 +230,11 @@ def _cmd_check(args) -> int:
     report("T(2,2) equals 2^|E|",
            reference.evaluate(2, 2) == 2 ** graph.edge_count)
 
-    # erase_check first tours its tree and raises MotionNotCyclicError unless
+    # the walk first tours its tree and raises MotionNotCyclicError unless
     # the tour is one cycle; a list, not a short-circuiting all(), so that
     # every tree is toured before the tour row claims it
-    erased = [erase_check(emb, st, eid) for st in trees for eid in emb.edge_ids]
+    walk = _erase_walk(emb)
+    erased = [walk(st.flags, range(emb.edge_count)) for st in trees]
     report("every tree tour is a single cycle", True)
     report("minor tours equal the original tour with two half-edges erased",
            all(erased))
@@ -342,9 +343,6 @@ def main(argv=None) -> int:
         print(f"error: resource limit reached ({detail}); the input is too "
               "large for this method", file=sys.stderr)
         return 1
-    except MotionNotCyclicError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return 2
     except RuntimeError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2

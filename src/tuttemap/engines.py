@@ -207,16 +207,12 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
                   _graph_pivot, graph.edge_count)
 
 
-def _activity_sum(terms: Iterable, table: dict | None = None) -> BivariatePolynomial:
+def _activity_sum(terms: Iterable) -> BivariatePolynomial:
     """Sum of x^i y^e over (tree, internal-active, external-active) terms,
-    counted once per monomial; each tree's (i, e) also goes into ``table``
-    when given."""
+    counted once per monomial."""
     counts: Counter = Counter()
-    for st, internal, external in terms:
-        ie = (len(internal), len(external))
-        counts[ie] += 1
-        if table is not None:
-            table[tuple(sorted(st.internal_edges, key=str))] = ie
+    for _, internal, external in terms:
+        counts[len(internal), len(external)] += 1
     return BivariatePolynomial(counts)
 
 
@@ -409,14 +405,10 @@ def graphs_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
 
 @dataclass
 class EvaluationReport:
-    """Results of one cross-check run.
-
-    ``polynomials`` maps a method label to its result; ``tree_tables`` maps
-    activity-based method labels to {sorted tree edge tuple: (i, e)}.
-    """
+    """Results of one cross-check run: ``polynomials`` maps a method label
+    to its result."""
 
     polynomials: dict[str, BivariatePolynomial]
-    tree_tables: dict[str, dict[tuple, tuple[int, int]]]
 
     @property
     def agreement(self) -> bool:
@@ -445,14 +437,9 @@ def cross_check(graph: Multigraph,
         "expansion": tutte_subgraph_expansion(graph),
         "delcon": tutte_deletion_contraction(graph),
     }
-    tables: dict[str, dict[tuple, tuple[int, int]]] = {}
     for i, order in enumerate(orders):
-        label = f"order[{i}]"
-        tables[label] = {}
-        polys[label] = _activity_sum(_order_tree_terms(graph, order), tables[label])
+        polys[f"order[{i}]"] = _activity_sum(_order_tree_terms(graph, order))
     for i, m in enumerate(embeddings):
-        label = f"embedding[{i}]"
-        tables[label] = {}
-        polys[label] = _activity_sum(_embedding_tree_terms(m), tables[label])
+        polys[f"embedding[{i}]"] = _activity_sum(_embedding_tree_terms(m))
         polys[f"recursive[{i}]"] = tutte_recursive_map(m)
-    return EvaluationReport(polys, tables)
+    return EvaluationReport(polys)

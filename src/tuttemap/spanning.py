@@ -95,10 +95,6 @@ class SpanningTree:
             self._internal = frozenset([ids[p] for p in self.positions])
         return self._internal
 
-    def is_internal(self, e) -> bool:
-        self.parent.endpoints(e)
-        return e in self.internal_edges
-
     def _paths(self) -> list[int]:
         """The tree path of each edge position, as a bitmask of positions."""
         graph = self.parent

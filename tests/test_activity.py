@@ -22,7 +22,7 @@ from tuttemap import (
     tutte_order_activities,
     tutte_subgraph_expansion,
 )
-from tuttemap.activity import _tour_scan
+from tuttemap.activity import _erase_walk, _tour_scan
 
 from helpers import (
     TORUS_TREE,
@@ -108,13 +108,46 @@ def test_torus_map_erase_checks_worked_example():
     assert erase_check(m, TORUS_TREE, "bb'")
 
 
+def _erase_oracle(m, st, k) -> bool:
+    """The erase fact through map objects: delete or contract edge k as a
+    validated minor map (rerooted when the root is on k), tour it, and
+    compare cyclically with the tree's tour less k's two half-edges."""
+    eid = m.edge_ids[k]
+    removed = {m.name(2 * k), m.name(2 * k + 1)}
+    expected = [nm for nm in motion_function(m, st).cycle if nm not in removed]
+    reroot = None
+    if m.root >> 1 == k and m.n_half_edges > 2:
+        reroot = next(h for h in range(m.n_half_edges) if h >> 1 != k)
+    if eid in st.internal_edges:
+        minor = m.contract_edge(k, reroot=reroot)
+        minor_tree = st.internal_edges - {eid}
+    else:
+        minor = m.delete_edge(k, reroot=reroot)
+        minor_tree = st.internal_edges
+    if minor.is_empty:
+        return not expected
+    return cyclic_equal(motion_function(minor, minor_tree).cycle, expected)
+
+
 def test_erase_check_random_maps():
+    # loops and parallel edges included; the flat walk must agree with the
+    # map-object oracle on every (tree, edge) pair, and the fact must hold
     rng = random.Random(61)
     for _ in range(40):
         m = random_rooted_map(rng, rng.randint(1, 6))
+        walk = _erase_walk(m)
         for st in enumerate_spanning_trees(m.underlying_graph()):
-            for eid in m.edge_ids:
-                assert erase_check(m, st, eid)
+            for k, eid in enumerate(m.edge_ids):
+                assert (erase_check(m, st, eid), _erase_oracle(m, st, k)) == (True, True)
+            assert walk(st.flags, range(m.edge_count))
+
+
+def test_erase_check_rejects_unknown_edges():
+    m = embed(k3(), root="a")
+    tree = next(enumerate_spanning_trees(m.underlying_graph()))
+    for edge in (-1, m.edge_count, "nope"):
+        with pytest.raises(MapError):
+            erase_check(m, tree, edge)
 
 
 def test_tour_is_single_cycle_everywhere():
@@ -230,7 +263,8 @@ def sum_terms(table):
 
 def test_erase_check_when_root_on_removed_edge():
     m = torus_map()
-    # the root a sits on aa'; erase_check must still decide (cyclically)
+    # the root a sits on aa'; the minor is toured from the first surviving
+    # half-edge of the tour, so no reroot is needed
     assert erase_check(m, TORUS_TREE, "aa'")
 
 

@@ -357,10 +357,49 @@ def test_check_runs_recursive_on_random_embeddings(capsys, monkeypatch, tmp_path
 
 
 def test_check_exits_2_on_a_broken_tour(capsys, monkeypatch, k3_file):
-    def broken(m, tree):
+    def broken(sigma, start, he_pos, flags):
         raise activity.MotionNotCyclicError("the tour closed early")
 
-    monkeypatch.setattr(activity, "motion_function", broken)
+    monkeypatch.setattr(activity, "_tour", broken)
     code, out, err = run(capsys, "check", "--graph", k3_file)
     assert code == 2 and out == ""
     assert "internal invariant violation: the tour closed early" in err
+
+
+def test_check_fails_the_erase_row_on_a_mirrored_minor(capsys, monkeypatch, tmp_path):
+    # a splice that inverts the minor's rotation leaves every evaluator
+    # alone, so the erase row is the only one that can see it
+    real = activity._splice
+
+    def mirrored(sigma, k, contract):
+        minor = real(sigma, k, contract)
+        inverse = [0] * len(minor)
+        for h, s in enumerate(minor):
+            inverse[s] = h
+        return tuple(inverse)
+
+    monkeypatch.setattr(activity, "_splice", mirrored)
+    path = tmp_path / "k4.g"
+    path.write_text(K4_TEXT)
+    code, out, _ = run(capsys, "check", "--graph", str(path))
+    assert code == 2
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: minor tours equal the original tour with two half-edges erased"]
+    assert out.splitlines()[-1] == "1 check(s) failed"
+
+
+def test_check_builds_no_minor_maps_and_no_tour_orders(capsys, monkeypatch, tmp_path):
+    # the erase row splices flat rotations: it never builds a minor map
+    # object or a name-keyed tour order
+    def refuse(*args, **kwargs):
+        raise AssertionError("check must not call this")
+
+    monkeypatch.setattr(activity, "motion_function", refuse)
+    monkeypatch.setattr(cli, "motion_function", refuse)
+    for name in ("delete_edge", "contract_edge"):
+        monkeypatch.setattr(CombinatorialMap, name, refuse)
+    for text in (K4_TEXT, LOOPY_TEXT):
+        path = tmp_path / "g.g"
+        path.write_text(text)
+        code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
+        assert code == 0 and out.endswith("all checks passed\n")

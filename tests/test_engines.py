@@ -13,10 +13,12 @@ from tuttemap import (
     Multigraph,
     cross_check,
     embed,
+    embedding_activities,
     enumerate_spanning_trees,
     graph_certificate,
     graphs_isomorphic,
     kirchhoff_tree_count,
+    order_activities,
     tutte_deletion_contraction,
     tutte_embedding_activities,
     tutte_order_activities,
@@ -340,9 +342,7 @@ def test_cross_check_agrees_on_random_graphs(case):
     g, order, m = case
     report = cross_check(g, [] if m is None else [m], [order])
     assert report.agreement
-    assert set(report.tree_tables) == {"order[0]"} | ({"embedding[0]"} if m else set())
-    for table in report.tree_tables.values():
-        assert len(table) == kirchhoff_tree_count(g)
+    assert report.polynomials["order[0]"].evaluate(1, 1) == kirchhoff_tree_count(g)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -476,9 +476,6 @@ def test_cross_check_k3_exhaustive_roots_and_rotations():
     assert report.agreement
     assert report.polynomials["expansion"] == P("x^2 + x + y")
     assert len(report.polynomials) == 2 + len(orders) + 2 * len(embeddings)
-    # per-tree tables cover every spanning tree
-    for table in report.tree_tables.values():
-        assert len(table) == 3
 
 
 def test_cross_check_torus_embeddings():
@@ -504,13 +501,19 @@ def test_cross_check_rejects_wrong_embedding():
 
 
 def test_per_tree_tables_expose_monomials():
+    def table(graph, activities):
+        out = {}
+        for st in enumerate_spanning_trees(graph):
+            act = activities(st)
+            out[tuple(sorted(st.internal_edges))] = (act.internal_count, act.external_count)
+        return out
+
     g = k3()
-    report = cross_check(g, [embed(g, root="a")], [("a", "b", "c")])
-    order_table = report.tree_tables["order[0]"]
-    assert order_table == {
+    assert table(g, lambda st: order_activities(g, ("a", "b", "c"), st)) == {
         ("a", "b"): (2, 0),
         ("a", "c"): (1, 0),
         ("b", "c"): (0, 1),
     }
-    emb_table = report.tree_tables["embedding[0]"]
+    m = embed(g, root="a")
+    emb_table = table(m.underlying_graph(), lambda st: embedding_activities(m, st))
     assert sorted(emb_table.values()) == [(0, 1), (1, 0), (2, 0)]
