@@ -18,21 +18,26 @@ tree path is the xor of its endpoints' masks. In rank order, an external
 edge is active iff its path holds no lower tree edge, and a tree edge iff
 no lower external edge's path covers it.
 
-The tour kernel (``_tour_scan``) reads both off one scan of the
-tour. The two half-edges of each tree edge nest there like parentheses
-(Bernardi, EJC 14 (2007) R9), and an edge ranks by the step that opens
-it. An external edge's cycle is the tree edges open at exactly one of its
-two steps, and a tree edge's cocycle the external edges with exactly one
-step inside its span. So an external edge is active iff every tree edge
-open when it opens is still open when it closes, and a tree edge iff no
-external edge opened before it closes inside its span.
+The tour kernel (``_scan``) reads both off one scan of the tour. The two
+half-edges of each tree edge nest there like parentheses (Bernardi, EJC 14
+(2007) R9), and an edge ranks by the step that opens it. An external
+edge's cycle is the tree edges open at exactly one of its two steps, and a
+tree edge's cocycle the external edges with exactly one step inside its
+span. So an external edge is active iff every tree edge open when it opens
+is still open when it closes, and a tree edge iff no external edge opened
+before it closes inside its span. The kernel needs only the rotation, the
+root and the edge position of each half-edge, so the map census runs it on
+bare first-visit rotations, where half-edge h lies on edge h >> 1;
+``_tour_scan`` runs it on a ``CombinatorialMap``.
 
 The erase check (``_erase_walk``) tests the fact the tour order rests on:
 deleting an external edge, or contracting a tree edge, erases exactly that
 edge's two half-edges from the tour (Bernardi, EJC 15 (2008) R109). It
-tours each tree once with ``_tour``, then for each edge splices it out of
-the flat rotation (``cmap._splice``) and tours the minor with the same
-flags from the first surviving half-edge.
+tours each tree once with ``_tour``, then for each edge tours the minor
+with the same flags from the first surviving half-edge. A minor is the
+flat rotation with the edge spliced out (``cmap._splice``); it depends only
+on the edge and on whether the tree holds it, so a map splices each edge at
+most twice, however many trees it checks.
 """
 
 from __future__ import annotations
@@ -161,15 +166,16 @@ def _tour(sigma: Sequence[int], start: int, he_pos: list[int], flags) -> list[in
     return seq
 
 
-def _tour_scan(m: CombinatorialMap):
-    """The tour kernel of a rooted map: a function from the flags of a tree
-    to its internal- and external-active edge positions, ranked by its tour
-    (see the module docstring). Each stack frame holds an open tree edge and
-    the earliest opening step of an external edge that closed inside it.
-    The tour must return to the root after exactly n steps and close each
-    tree edge on top of the stack, or the flags mark no spanning tree."""
-    sigma, root, n = m._sigma, _tour_root(m), m.n_half_edges
-    he_pos = _half_edge_positions(m)
+def _scan(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
+    """The tour kernel of the rotation ``sigma`` rooted at ``root``, whose
+    half-edge h lies on the edge at position ``he_pos[h]``: a function from
+    the flags of a tree to its internal- and external-active edge
+    positions, ranked by its tour (see the module docstring). Each stack
+    frame holds an open tree edge and the earliest opening step of an
+    external edge that closed inside it. The tour must return to the root
+    after exactly n steps and close each tree edge on top of the stack, or
+    the flags mark no spanning tree."""
+    n = len(sigma)
     cross = [sigma[h ^ 1] for h in range(n)]  # the successor across an edge
     ne = n >> 1
 
@@ -218,6 +224,12 @@ def _tour_scan(m: CombinatorialMap):
         return internal, external
 
     return scan
+
+
+def _tour_scan(m: CombinatorialMap):
+    """The tour kernel (``_scan``) of a rooted map, over the edge positions
+    of its underlying graph."""
+    return _scan(m._sigma, _tour_root(m), _half_edge_positions(m))
 
 
 def motion_function(m: CombinatorialMap, tree) -> TourOrder:
@@ -288,16 +300,23 @@ def _erase_walk(m: CombinatorialMap):
     half-edges 2k and 2k+1 erased is the tour of the minor without k (k
     deleted if external, contracted if a tree edge) under the rest of the
     tree. The tree is toured once; each minor is a spliced rotation, toured
-    from the first surviving half-edge, so the comparison is exact."""
+    from the first surviving half-edge, so the comparison is exact. A minor
+    depends only on the edge and on whether the tree holds it, so each is
+    spliced once per map, on first use, and kept for the later trees."""
     sigma, root = m._sigma, _tour_root(m)
     he_pos = _half_edge_positions(m)
+    minors: dict = {}  # (k, contract) -> (spliced rotation, its he_pos)
 
     def walk(flags, edges: Iterable[int]) -> bool:
         seq = _tour(sigma, root, he_pos, flags)
         for k in edges:
+            key = k, flags[he_pos[2 * k]]
+            minor = minors.get(key)
+            if minor is None:
+                minor = minors[key] = (_splice(sigma, *key),
+                                       he_pos[:2 * k] + he_pos[2 * k + 2:])
             kept = [h - 2 if h > 2 * k else h for h in seq if h >> 1 != k]
-            if kept and _tour(_splice(sigma, k, flags[he_pos[2 * k]]), kept[0],
-                              he_pos[:2 * k] + he_pos[2 * k + 2:], flags) != kept:
+            if kept and _tour(minor[0], kept[0], minor[1], flags) != kept:
                 return False
         return True
 

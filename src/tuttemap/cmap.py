@@ -45,6 +45,29 @@ def _perm_cycles(perm: Sequence[int]) -> list[list[int]]:
     return out
 
 
+def _cycle_labels(perm: Sequence[int]) -> tuple[list[int], int]:
+    """The number of each element's cycle, cycles numbered 0, 1, ... in
+    order of their least element, and the number of cycles."""
+    label = [-1] * len(perm)
+    count = 0
+    for start in range(len(perm)):
+        if label[start] < 0:
+            h = start
+            while label[h] < 0:
+                label[h] = count
+                h = perm[h]
+            count += 1
+    return label, count
+
+
+def _euler(sigma: Sequence[int]) -> int:
+    """The Euler characteristic of the map with rotation ``sigma``:
+    rotation cycles (vertices) plus face cycles (h -> sigma(h ^ 1)) minus
+    edges."""
+    faces = [sigma[h ^ 1] for h in range(len(sigma))]
+    return _cycle_labels(sigma)[1] + _cycle_labels(faces)[1] - len(sigma) // 2
+
+
 def _splice(sigma: Sequence[int], k: int, contract: bool) -> tuple[int, ...]:
     """The rotation with edge k (half-edges 2k, 2k+1) removed and later
     half-edges renumbered down by two. Where a rotation reaches a removed
@@ -294,17 +317,13 @@ class CombinatorialMap:
                 self._he_vertex = ()
                 self._underlying = Multigraph((0,), {})
             else:
-                cycles = _perm_cycles(self._sigma)
-                vertex_of = [0] * len(self._sigma)
-                for vid, cyc in enumerate(cycles):
-                    for h in cyc:
-                        vertex_of[h] = vid
+                vertex_of, nv = _cycle_labels(self._sigma)
                 edges = {
                     self._edge_ids[k]: (vertex_of[2 * k], vertex_of[2 * k + 1])
                     for k in range(self.edge_count)
                 }
                 self._he_vertex = tuple(vertex_of)
-                self._underlying = Multigraph(range(len(cycles)), edges)
+                self._underlying = Multigraph(range(nv), edges)
         return self._underlying
 
     def vertex_of(self, h: int) -> int:
@@ -315,13 +334,7 @@ class CombinatorialMap:
         """Rotation cycles plus face cycles minus edges; 2 - 2 * genus."""
         if self.is_empty:
             raise MapError("the empty map has no Euler characteristic")
-        n = len(self._sigma)
-        faces = tuple(self._sigma[h ^ 1] for h in range(n))
-        return (
-            len(_perm_cycles(self._sigma))
-            + len(_perm_cycles(faces))
-            - self.edge_count
-        )
+        return _euler(self._sigma)
 
     def genus(self) -> int:
         return (2 - self.euler_characteristic()) // 2

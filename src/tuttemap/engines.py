@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 from .activity import _embedding_terms, _order_terms
 from .cmap import CombinatorialMap, MapError, _rooted, _splice
 from .graph import GraphError, Multigraph
-from .poly import ONE, X, Y, ZERO, BivariatePolynomial
+from .poly import X, Y, ZERO, BivariatePolynomial
 from .spanning import enumerate_spanning_trees
 
 __all__ = [
@@ -69,19 +69,13 @@ def tutte_subgraph_expansion(graph: Multigraph) -> BivariatePolynomial:
         )
     ids = graph.edge_ids
     nv = graph.vertex_count
-    xm, ym = X - 1, Y - 1
-    xpow = [ONE]
-    for _ in range(nv):
-        xpow.append(xpow[-1] * xm)
-    ypow = [ONE]
-    for _ in range(len(ids) + 1):
-        ypow.append(ypow[-1] * ym)
-    total = ZERO
+    pairs: Counter = Counter()  # (c(S) - 1, c(S) + |S| - |V|) -> subsets
     for mask in range(1 << len(ids)):
         subset = [ids[i] for i in range(len(ids)) if mask >> i & 1]
         c = graph.component_count(subset)
-        total = total + xpow[c - 1] * ypow[c + len(subset) - nv]
-    return total
+        pairs[c - 1, c + len(subset) - nv] += 1
+    return sum((count * (X - 1) ** i * (Y - 1) ** j
+                for (i, j), count in pairs.items()), ZERO)
 
 
 def _shape(ends) -> tuple:

@@ -9,15 +9,26 @@ This is the labelling ``CombinatorialMap.canonical_form`` returns, and a
 rooted map has exactly one such labelling, so generating the labellings
 yields each rooted map once, connected and with no duplicate, and needs no
 isomorphism test.
+
+In that labelling edge k is half-edges 2k and 2k+1 and the vertices are the
+cycles of sigma, so the rotation alone is a map's whole description. The
+census filters genus on the rotation (``cmap._euler``), and
+``partition_function`` sums on the bare rotations too: the tree walk
+(``spanning._tree_flags``) runs on the edge endpoints numbered by rotation
+cycle, and the tour kernel (``activity._scan``) on sigma with half-edge h on
+edge h >> 1. Only ``enumerate_rooted_maps`` builds ``CombinatorialMap``s,
+and only for the rotations it keeps.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .cmap import CombinatorialMap
-from .engines import _activity_sum, _embedding_tree_terms
+from .activity import _scan
+from .cmap import CombinatorialMap, _cycle_labels, _euler
+from .engines import _activity_sum
 from .poly import BivariatePolynomial
+from .spanning import _tree_flags
 
 __all__ = ["enumerate_rooted_maps", "partition_function", "MAX_CENSUS_EDGES"]
 
@@ -48,13 +59,10 @@ def _rooted_sigmas(n: int) -> Iterator[tuple[int, ...]]:
     return walk(0, 2)
 
 
-def enumerate_rooted_maps(n: int,
-                          genus: int | None = None) -> tuple[CombinatorialMap, ...]:
-    """Census of rooted maps with n edges, one per rooted isomorphism class.
-
-    ``genus``, when given, keeps only maps with Euler characteristic
-    2 - 2*genus. Bounded at MAX_CENSUS_EDGES edges.
-    """
+def _census_sigmas(n: int, genus: int | None) -> Iterator[tuple[int, ...]]:
+    """The rotations of the census maps with n edges and, when given, that
+    genus (Euler characteristic 2 - 2*genus). The bounds are checked here,
+    before the first rotation is made."""
     if n < 1:
         raise ValueError("a map census needs at least one edge")
     if n > MAX_CENSUS_EDGES:
@@ -64,13 +72,42 @@ def enumerate_rooted_maps(n: int,
         )
     if genus is not None and genus < 0:
         raise ValueError("genus cannot be negative")
+    if genus is None:
+        return _rooted_sigmas(n)
+    chi = 2 - 2 * genus
+    return (s for s in _rooted_sigmas(n) if _euler(s) == chi)
+
+
+def _census_ends(sigma: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count of a census rotation and the endpoints of each edge
+    k (half-edges 2k and 2k+1), vertices numbered as cycles of sigma."""
+    vertex, nv = _cycle_labels(sigma)
+    return nv, list(zip(vertex[::2], vertex[1::2]))
+
+
+def enumerate_rooted_maps(n: int,
+                          genus: int | None = None) -> tuple[CombinatorialMap, ...]:
+    """Census of rooted maps with n edges, one per rooted isomorphism class.
+
+    ``genus``, when given, keeps only maps with Euler characteristic
+    2 - 2*genus. Bounded at MAX_CENSUS_EDGES edges.
+    """
+    sigmas = _census_sigmas(n, genus)
     names = tuple(f"h{i}" for i in range(2 * n))
-    maps = (CombinatorialMap(s, names, root=0) for s in _rooted_sigmas(n))
-    return tuple(m for m in maps if genus is None or m.genus() == genus)
+    return tuple(CombinatorialMap(s, names, root=0) for s in sigmas)
 
 
 def partition_function(n: int, genus: int | None = None) -> BivariatePolynomial:
     """Sum of the embedding-activity generating function over the census,
-    one monomial per (map, spanning tree) pair."""
-    census = enumerate_rooted_maps(n, genus)
-    return _activity_sum(pair for m in census for pair in _embedding_tree_terms(m))
+    one monomial per (map, spanning tree) pair, computed on the bare
+    rotations (see the module docstring)."""
+    sigmas = _census_sigmas(n, genus)
+    he_pos = [h >> 1 for h in range(2 * n)]
+
+    def terms() -> Iterator[tuple]:
+        for sigma in sigmas:
+            scan = _scan(sigma, 0, he_pos)
+            for flags in _tree_flags(*_census_ends(sigma)):
+                yield (flags, *scan(flags))
+
+    return _activity_sum(terms())

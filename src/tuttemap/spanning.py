@@ -8,20 +8,23 @@ edges. A tree carries ``flags``, immutable bytes with a 1 at each of its
 edge positions, and ``_root_paths`` hangs it from vertex 0, giving each
 vertex the bitmask of the tree edges on its path to the root.
 
-``enumerate_spanning_trees`` is one iterative backtracking walk over the
-subsets of non-loop edges, the plain form of the backtracking of Gabow and
-Myers, SIAM J. Comput. 7 (1978), without their bridge test: an edge is
-taken only when it joins two components of a union-find kept in int lists,
-and backtracking undoes the last union, so no state is copied and the walk
-adds no Python frame per edge. The walk flags its edges as it unions them,
-and each tree it yields gets its own copy of those flags.
+``_tree_flags`` is one iterative backtracking walk over the subsets of
+non-loop edges, the plain form of the backtracking of Gabow and Myers,
+SIAM J. Comput. 7 (1978), without their bridge test: an edge is taken only
+when it joins two components of a union-find kept in int lists, and
+backtracking undoes the last union, so no state is copied and the walk
+adds no Python frame per edge. It needs only the vertex count and the
+endpoints of each edge position, so callers that number a graph
+themselves (the map census) run it with no ``Multigraph``. The walk flags
+its edges as it unions them and yields a copy of those flags per tree;
+``enumerate_spanning_trees`` puts each copy into a ``SpanningTree``.
 ``kirchhoff_tree_count`` counts the same trees by the matrix-tree theorem,
 sharing no code with the walk.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graph import GraphError, Multigraph
 
@@ -139,30 +142,29 @@ class SpanningTree:
         return f"SpanningTree(..., {sorted(self.internal_edges, key=str)!r})"
 
 
-def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
-    """Yield every spanning tree exactly once, in lexicographic order of the
-    sorted edge-id sets.
+def _tree_flags(nv: int, ends: Sequence[tuple[int, int]]) -> Iterator[bytes]:
+    """The flags of every spanning tree of the graph on vertices 0..nv-1
+    whose edge at position p joins ``ends[p]``, once each, in lexicographic
+    order of the position sets.
 
-    One iterative walk takes the non-loop edges in sorted id order; it keeps
+    One iterative walk takes the non-loop edges in position order; it keeps
     an edge only when it joins two components, and stops a branch when too
     few edges remain to finish the tree. The union-find (by size, no path
     compression) lives in int lists and each backtrack undoes the last
     union, so no state is copied per step and a long input meets no
     recursion limit. The walk keeps the flags of the edges it has taken,
-    set on each union and cleared on each undo, and each tree it yields
-    gets an immutable copy of them.
+    set on each union and cleared on each undo, and yields an immutable
+    copy of them per tree.
     """
-    ends = graph._numbered_ends()
-    need = graph.vertex_count - 1
+    need = nv - 1
     pool = [p for p, (u, v) in enumerate(ends) if u != v]
     pool_ends = [ends[p] for p in pool]
     slack = len(pool) - need  # with k edges taken, a tree needs j <= slack + k
-    parent = list(range(graph.vertex_count))
-    size = [1] * graph.vertex_count
+    parent = list(range(nv))
+    size = [1] * nv
     chosen: list[int] = []  # pool indexes of the edges taken, increasing
     joined: list[int] = []  # the root each union hung below another
     flags = bytearray(len(ends))  # the edge positions taken
-    new = SpanningTree.__new__
     j = 0
     found = False
     while True:
@@ -185,9 +187,7 @@ def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
             j += 1
         if k == need:
             found = True
-            st = new(SpanningTree)  # spanning by construction: no re-validation
-            st.parent, st.flags, st._internal = graph, bytes(flags), None
-            yield st
+            yield bytes(flags)
         elif not found:
             # the first descent takes every edge that joins two components,
             # so it ends short of a tree only on a disconnected graph
@@ -199,6 +199,17 @@ def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
         parent[b] = b
         j = chosen.pop() + 1
         flags[pool[j - 1]] = 0
+
+
+def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
+    """Yield every spanning tree exactly once, in lexicographic order of the
+    sorted edge-id sets: the walk of ``_tree_flags`` over the graph's
+    numbered edges, each flags value put into a ``SpanningTree``."""
+    new = SpanningTree.__new__
+    for flags in _tree_flags(graph.vertex_count, graph._numbered_ends()):
+        st = new(SpanningTree)  # spanning by construction: no re-validation
+        st.parent, st.flags, st._internal = graph, flags, None
+        yield st
 
 
 def kirchhoff_tree_count(graph: Multigraph) -> int:

@@ -22,6 +22,7 @@ from tuttemap import (
     tutte_order_activities,
     tutte_subgraph_expansion,
 )
+from tuttemap import activity
 from tuttemap.activity import _erase_walk, _tour_scan
 
 from helpers import (
@@ -140,6 +141,27 @@ def test_erase_check_random_maps():
             for k, eid in enumerate(m.edge_ids):
                 assert (erase_check(m, st, eid), _erase_oracle(m, st, k)) == (True, True)
             assert walk(st.flags, range(m.edge_count))
+
+
+def test_erase_walk_splices_each_minor_once(monkeypatch):
+    # a minor depends only on the edge and on whether the tree holds it, so
+    # the walk splices each (edge, contract) pair once, however many trees
+    real = activity._splice
+    spliced = []
+
+    def counting(sigma, k, contract):
+        spliced.append((k, bool(contract)))
+        return real(sigma, k, contract)
+
+    monkeypatch.setattr(activity, "_splice", counting)
+    rng = random.Random(62)
+    for _ in range(10):
+        m = random_rooted_map(rng, rng.randint(3, 6))
+        spliced.clear()
+        walk = _erase_walk(m)
+        trees = list(enumerate_spanning_trees(m.underlying_graph()))
+        assert all(walk(st.flags, range(m.edge_count)) for st in trees)
+        assert len(spliced) == len(set(spliced)) <= 2 * m.edge_count
 
 
 def test_erase_check_rejects_unknown_edges():

@@ -7,11 +7,17 @@ import pytest
 
 from tuttemap import (
     BivariatePolynomial,
+    CombinatorialMap,
+    GraphError,
+    Multigraph,
     enumerate_rooted_maps,
+    enumerate_spanning_trees,
     partition_function,
     tutte_embedding_activities,
 )
-from tuttemap.mapenum import MAX_CENSUS_EDGES
+from tuttemap.cmap import _euler
+from tuttemap.mapenum import MAX_CENSUS_EDGES, _census_ends, _census_sigmas
+from tuttemap.spanning import _tree_flags
 
 from helpers import all_rooted_sigmas, brute_force_trees, make_map, rooted_iso_oracle
 
@@ -111,13 +117,75 @@ def test_z_counts_tree_rooted_maps():
 
 
 def test_partition_function_matches_per_map_sum():
-    for n in (1, 2):
-        census = enumerate_rooted_maps(n)
-        total = sum(
-            (tutte_embedding_activities(m) for m in census),
-            start=P("0"),
-        )
-        assert partition_function(n) == total
+    # the flat sum over bare rotations against the per-map route, which
+    # builds each map, its underlying graph and its SpanningTrees
+    for n in (1, 2, 3, 4):
+        for genus in (None, 0, 1, 2):
+            census = enumerate_rooted_maps(n, genus)
+            total = sum(
+                (tutte_embedding_activities(m) for m in census),
+                start=P("0"),
+            )
+            assert partition_function(n, genus) == total
+
+
+def _face_count(sigma) -> int:
+    """The cycles of h -> sigma(h ^ 1), counted apart from cmap."""
+    seen: set = set()
+    faces = 0
+    for start in range(len(sigma)):
+        if start not in seen:
+            faces += 1
+            h = start
+            while h not in seen:
+                seen.add(h)
+                h = sigma[h ^ 1]
+    return faces
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_flat_genus_matches_map_genus(n):
+    census = enumerate_rooted_maps(n)
+    for m in census:
+        chi = m.underlying_graph().vertex_count - n + _face_count(m._sigma)
+        assert _euler(m._sigma) == m.euler_characteristic() == chi
+        assert m.genus() == (2 - chi) // 2
+    for genus in (0, 1, 2):
+        assert list(_census_sigmas(n, genus)) == [
+            m._sigma for m in census if m.genus() == genus]
+
+
+def test_flat_tree_walk_matches_the_enumerator():
+    # the census numbers edge k as half-edges 2k, 2k+1 and vertices as
+    # rotation cycles; matched through edge ids, it finds the same trees
+    for m in enumerate_rooted_maps(4):
+        ids = m.edge_ids
+        flat = [frozenset(ids[k] for k, f in enumerate(flags) if f)
+                for flags in _tree_flags(*_census_ends(m._sigma))]
+        graph = m.underlying_graph()
+        assert flat == [st.internal_edges for st in enumerate_spanning_trees(graph)]
+        assert len(set(flat)) == len(flat)
+
+
+def test_flat_tree_walk_rejects_disconnected_ends():
+    with pytest.raises(GraphError, match="connected"):
+        list(_tree_flags(4, [(0, 1), (2, 3)]))
+    with pytest.raises(GraphError, match="connected"):
+        list(_tree_flags(2, [(0, 0), (1, 1)]))
+
+
+def test_partition_function_builds_no_map_or_graph(monkeypatch):
+    # the census sum runs on bare rotations: per-map objects would bring
+    # back the setup the flat path removed
+    want = sum((tutte_embedding_activities(m) for m in enumerate_rooted_maps(4)),
+               start=P("0"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("partition_function must not build this")
+
+    monkeypatch.setattr(CombinatorialMap, "__init__", refuse)
+    monkeypatch.setattr(Multigraph, "__init__", refuse)
+    assert partition_function(4) == want
 
 
 def _catalan(k: int) -> int:
@@ -152,7 +220,7 @@ def test_census_counts_match_closed_forms(n):
         assert len(enumerate_rooted_maps(n, genus=g)) == count
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_z11_matches_closed_forms(n):
     # planar: C_n * C_{n+1} tree-rooted maps (Mullin 1967), and duality
     # swaps the two activities, so the planar sum is symmetric in x and y
