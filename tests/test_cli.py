@@ -139,6 +139,80 @@ def test_zpoly_json(capsys):
     assert z.evaluate(1, 1) == 10
 
 
+def _json_terms(terms) -> list:
+    """(coefficient, dx, dy) triples in the CLI's JSON term form."""
+    return [{"c": str(c), "dx": dx, "dy": dy} for c, dx, dy in terms]
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# two parallel edges and a loop on two vertices
+LOOPY_MAP_TEXT = "sigma: (p q l l')(p' q')\nalpha: (p p')(q q')(l l')\nroot: p\n"
+
+# per map: the text lines, then (tree, internal-active, external-active, dx,
+# dy) per row and the (c, dx, dy) terms of the total
+ACTIVITIES_GOLDEN = {
+    "torus": (
+        "tree {aa',bb',dd'}: internal-active {aa',dd'} external-active {} -> x^2\n"
+        "tree {aa',cc',dd'}: internal-active {aa',dd'} external-active {ee'} -> x^2 y\n"
+        "tree {aa',dd',ee'}: internal-active {aa',dd',ee'} external-active {} -> x^3\n"
+        "tree {bb',cc',dd'}: internal-active {dd'} external-active {aa',ff'} -> x y^2\n"
+        "tree {bb',dd',ee'}: internal-active {dd'} external-active {aa',cc',ff'} -> x y^3\n"
+        "tree {bb',dd',ff'}: internal-active {dd'} external-active {aa'} -> x y\n"
+        "tree {cc',dd',ff'}: internal-active {cc',dd'} external-active {aa'} -> x^2 y\n"
+        "tree {dd',ee',ff'}: internal-active {dd'} external-active {aa',cc'} -> x y^2\n"
+        "total: x^3 + x^2 + 2 x^2 y + x y + 2 x y^2 + x y^3\n",
+        [("aa' bb' dd'", "aa' dd'", "", 2, 0),
+         ("aa' cc' dd'", "aa' dd'", "ee'", 2, 1),
+         ("aa' dd' ee'", "aa' dd' ee'", "", 3, 0),
+         ("bb' cc' dd'", "dd'", "aa' ff'", 1, 2),
+         ("bb' dd' ee'", "dd'", "aa' cc' ff'", 1, 3),
+         ("bb' dd' ff'", "dd'", "aa'", 1, 1),
+         ("cc' dd' ff'", "cc' dd'", "aa'", 2, 1),
+         ("dd' ee' ff'", "dd'", "aa' cc'", 1, 2)],
+        [(1, 3, 0), (1, 2, 0), (2, 2, 1), (1, 1, 1), (2, 1, 2), (1, 1, 3)],
+    ),
+    "loopy": (
+        "tree {pp'}: internal-active {pp'} external-active {ll'} -> x y\n"
+        "tree {qq'}: internal-active {} external-active {ll',pp'} -> y^2\n"
+        "total: x y + y^2\n",
+        [("pp'", "pp'", "ll'", 1, 1),
+         ("qq'", "", "ll' pp'", 0, 2)],
+        [(1, 1, 1), (1, 0, 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVITIES_GOLDEN))
+def test_activities_golden(capsys, tmp_path, name):
+    # the full per-tree table, text and JSON, on the torus map and on a map
+    # with a loop and a parallel edge
+    path = tmp_path / f"{name}.map"
+    path.write_text(TORUS_MAP_TEXT if name == "torus" else LOOPY_MAP_TEXT)
+    text, rows, total = ACTIVITIES_GOLDEN[name]
+    code, out, _ = run(capsys, "activities", "--map", str(path))
+    assert code == 0 and out == text
+    code, out, _ = run(capsys, "activities", "--map", str(path), "--format", "json")
+    assert code == 0
+    assert out == _json_text({
+        "total": _json_terms(total),
+        "trees": [{"tree": tree.split(), "internal_active": internal.split(),
+                   "external_active": external.split(),
+                   "monomial": _json_terms([(1, dx, dy)])}
+                  for tree, internal, external, dx, dy in rows],
+    })
+
+
+def test_zpoly_golden_json(capsys):
+    code, out, _ = run(capsys, "zpoly", "--edges", "3", "--format", "json")
+    assert code == 0
+    assert out == _json_text({"z": _json_terms([
+        (5, 3, 0), (7, 2, 0), (15, 2, 1), (3, 1, 0), (15, 1, 1), (21, 1, 2),
+        (3, 0, 1), (11, 0, 2), (15, 0, 3)])})
+
+
 def test_check_passes_on_k3(capsys, k3_file):
     code, out, _ = run(capsys, "check", "--graph", k3_file)
     assert code == 0
