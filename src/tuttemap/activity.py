@@ -10,9 +10,14 @@ order-minimal in its fundamental cycle (external edges) or cocycle
 The two notions are decided by two kernels on flat int arrays that share
 no logic, so their agreement is a check. The graph is numbered once
 (``Multigraph._numbered_ends``) and a tree is its ``flags`` over edge
-positions.
+positions. A kernel is a function ``flags -> (internal, external)``, the
+lists of the tree's internal- and external-active edge positions, built
+once per graph and order or per map and applied to each tree. Every route
+ends in ``_activity_sum``, the one place that counts x^|I| y^|E|; the
+single-tree ``order_activities`` and ``embedding_activities`` apply the
+same kernels to one tree.
 
-The order kernel (``_activities``) hangs the tree from vertex 0, giving
+The order kernel (``_order_kernel``) hangs the tree from vertex 0, giving
 each vertex the bitmask of its tree path to the root; an external edge's
 tree path is the xor of its endpoints' masks. In rank order, an external
 edge is active iff its path holds no lower tree edge, and a tree edge iff
@@ -28,7 +33,7 @@ is still open when it closes, and a tree edge iff no external edge opened
 before it closes inside its span. The kernel needs only the rotation, the
 root and the edge position of each half-edge, so the map census runs it on
 bare first-visit rotations, where half-edge h lies on edge h >> 1;
-``_tour_scan`` runs it on a ``CombinatorialMap``.
+``_tour_kernel`` runs it on a ``CombinatorialMap``.
 
 The erase check (``_erase_walk``) tests the fact the tour order rests on:
 deleting an external edge, or contracting a tree edge, erases exactly that
@@ -42,11 +47,13 @@ most twice, however many trees it checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cmap import CombinatorialMap, MapError, _splice
 from .graph import GraphError, Multigraph
+from .poly import BivariatePolynomial
 from .spanning import SpanningTree, _incidence, _root_paths
 
 __all__ = [
@@ -110,27 +117,38 @@ def _as_spanning_tree(graph: Multigraph, tree) -> SpanningTree:
     return SpanningTree(graph, ids)
 
 
-def _activities(ends: list, inc: list, flags, ranked: list[int]) -> tuple[list, list]:
-    """The internal- and external-active edge positions of the tree whose
-    positions ``flags`` marks, deciding each edge in ``ranked`` (every
-    edge position, smallest rank first) from its definition; see the module
-    docstring. ``inc`` is ``_incidence(ends, nv)``."""
-    paths = _root_paths(inc, flags)
-    covered = 0  # the tree edges on the cycles of the lower external edges
-    lower = 0  # the lower tree edges
-    internal, external = [], []
-    for p in ranked:
-        if flags[p]:
-            if not covered >> p & 1:
-                internal.append(p)
-            lower |= 1 << p
-        else:
-            u, v = ends[p]
-            cycle = paths[u] ^ paths[v]
-            if not cycle & lower:
-                external.append(p)
-            covered |= cycle
-    return internal, external
+def _order_kernel(graph: Multigraph, order: Sequence):
+    """The order kernel of ``graph`` under ``order``, which must list every
+    edge id exactly once, smallest first: a function from the flags of a
+    tree to its internal- and external-active edge positions, each edge
+    decided from its definition in rank order (see the module docstring)."""
+    order = list(order)
+    if len(order) != graph.edge_count or set(order) != set(graph.edge_ids):
+        raise GraphError("order must list every edge id exactly once")
+    index = {e: p for p, e in enumerate(graph.edge_ids)}
+    ranked = [index[e] for e in order]
+    ends = graph._numbered_ends()
+    inc = _incidence(ends, graph.vertex_count)
+
+    def kernel(flags) -> tuple[list, list]:
+        paths = _root_paths(inc, flags)
+        covered = 0  # the tree edges on the cycles of the lower external edges
+        lower = 0  # the lower tree edges
+        internal, external = [], []
+        for p in ranked:
+            if flags[p]:
+                if not covered >> p & 1:
+                    internal.append(p)
+                lower |= 1 << p
+            else:
+                u, v = ends[p]
+                cycle = paths[u] ^ paths[v]
+                if not cycle & lower:
+                    external.append(p)
+                covered |= cycle
+        return internal, external
+
+    return kernel
 
 
 def _half_edge_positions(m: CombinatorialMap) -> list[int]:
@@ -226,10 +244,19 @@ def _scan(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
     return scan
 
 
-def _tour_scan(m: CombinatorialMap):
+def _tour_kernel(m: CombinatorialMap):
     """The tour kernel (``_scan``) of a rooted map, over the edge positions
     of its underlying graph."""
     return _scan(m._sigma, _tour_root(m), _half_edge_positions(m))
+
+
+def _activity_sum(pairs: Iterable) -> BivariatePolynomial:
+    """Sum of x^|I| y^|E| over (internal-active, external-active) pairs,
+    one pair per spanning tree, counted once per monomial."""
+    counts: Counter = Counter()
+    for internal, external in pairs:
+        counts[len(internal), len(external)] += 1
+    return BivariatePolynomial(counts)
 
 
 def motion_function(m: CombinatorialMap, tree) -> TourOrder:
@@ -246,38 +273,10 @@ def motion_function(m: CombinatorialMap, tree) -> TourOrder:
     return TourOrder(motion, cycle, he_rank, {ids[p]: r for r, p in enumerate(ranked)})
 
 
-def _embedding_terms(m: CombinatorialMap, trees: Iterable) -> Iterator[tuple]:
-    """(tree, internal-active positions, external-active positions) for
-    each spanning tree of the map's underlying graph, ranked by its tour."""
-    scan = _tour_scan(m)
-    for st in trees:
-        yield (st, *scan(st.flags))
-
-
-def _order_ranked(graph: Multigraph, order: Sequence) -> list[int]:
-    """The edge positions listed in ``order``, which must list every edge id
-    of the graph exactly once."""
-    order = list(order)
-    if len(order) != graph.edge_count or set(order) != set(graph.edge_ids):
-        raise GraphError("order must list every edge id exactly once")
-    index = {e: p for p, e in enumerate(graph.edge_ids)}
-    return [index[e] for e in order]
-
-
-def _order_terms(graph: Multigraph, order: Sequence, trees: Iterable) -> Iterator[tuple]:
-    """(tree, internal-active positions, external-active positions) for
-    each spanning tree, ranked by the edge order."""
-    ranked = _order_ranked(graph, order)
-    ends = graph._numbered_ends()
-    inc = _incidence(ends, graph.vertex_count)
-    for st in trees:
-        yield (st, *_activities(ends, inc, st.flags, ranked))
-
-
-def _summary(graph: Multigraph, terms: Iterator[tuple]) -> ActivitySummary:
-    """The activity sets of the one tree in ``terms``, as edge ids."""
+def _summary(graph: Multigraph, pair: tuple) -> ActivitySummary:
+    """One tree's activity positions, as edge ids."""
     ids = graph.edge_ids
-    ((_, internal, external),) = terms
+    internal, external = pair
     return ActivitySummary(frozenset(ids[p] for p in internal),
                            frozenset(ids[p] for p in external))
 
@@ -285,13 +284,15 @@ def _summary(graph: Multigraph, terms: Iterator[tuple]) -> ActivitySummary:
 def embedding_activities(m: CombinatorialMap, tree) -> ActivitySummary:
     """Activities of one spanning tree w.r.t. the rooted tour order."""
     graph = m.underlying_graph()
-    return _summary(graph, _embedding_terms(m, [_as_spanning_tree(graph, tree)]))
+    flags = _as_spanning_tree(graph, tree).flags
+    return _summary(graph, _tour_kernel(m)(flags))
 
 
 def order_activities(graph: Multigraph, order: Sequence, tree) -> ActivitySummary:
     """Classical activities w.r.t. a total order on the edge ids (given as
     the full edge list, smallest first)."""
-    return _summary(graph, _order_terms(graph, order, [_as_spanning_tree(graph, tree)]))
+    flags = _as_spanning_tree(graph, tree).flags
+    return _summary(graph, _order_kernel(graph, order)(flags))
 
 
 def _erase_walk(m: CombinatorialMap):

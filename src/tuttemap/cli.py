@@ -15,12 +15,10 @@ import random
 import sys
 from pathlib import Path
 
-from .activity import _erase_walk, motion_function
+from .activity import _activity_sum, _erase_walk, _tour_kernel, motion_function
 from .cmap import CombinatorialMap, MapError, _graph_incidences, embed
 from .engines import (
     EvaluationReport,
-    _activity_sum,
-    _embedding_tree_terms,
     _require_connected,
     cross_check,
     tutte_deletion_contraction,
@@ -69,7 +67,8 @@ def _cmd_tutte(args) -> int:
     _require_connected(graph)
     methods = METHODS if args.method == "all" else (args.method,)
     needs_map = any(m in methods for m in ("embedding", "recursive"))
-    emb = embed(graph, root=args.root) if needs_map else None
+    # a given root is checked whatever the method
+    emb = embed(graph, root=args.root) if needs_map or args.root is not None else None
     evaluators = {
         "expansion": lambda: tutte_subgraph_expansion(graph),
         "delcon": lambda: tutte_deletion_contraction(graph),
@@ -93,8 +92,15 @@ def _cmd_tutte(args) -> int:
 
 
 def _resolve_tree(m: CombinatorialMap, tree_arg: str) -> list[str]:
-    tokens = [t for t in tree_arg.split(",") if t]
-    return [m.edge_ids[m.edge_index(t)] for t in tokens]
+    """The edge ids the comma-separated tokens name, each edge once."""
+    edges: list[str] = []
+    for t in tree_arg.split(","):
+        if t:
+            e = m.edge_ids[m.edge_index(t)]
+            if e in edges:
+                raise MapError(f"tree token {t!r} repeats edge {e!r}")
+            edges.append(e)
+    return edges
 
 
 def _cmd_tour(args) -> int:
@@ -117,11 +123,14 @@ def _cmd_tour(args) -> int:
 
 def _cmd_activities(args) -> int:
     m = _load_map(args.map, args.root)
-    terms = list(_embedding_tree_terms(m))
-    ids = m.underlying_graph().edge_ids
+    graph = m.underlying_graph()
+    ids = graph.edge_ids
+    kernel = _tour_kernel(m)
+    trees = list(enumerate_spanning_trees(graph))
+    pairs = [kernel(st.flags) for st in trees]
     lines = []
     rows = []
-    for st, internal, external in terms:
+    for st, (internal, external) in zip(trees, pairs):
         tree_ids = sorted(st.internal_edges)
         internal_active = sorted(ids[p] for p in internal)
         external_active = sorted(ids[p] for p in external)
@@ -141,7 +150,7 @@ def _cmd_activities(args) -> int:
             "external_active": external_active,
             "monomial": mono.json_terms(),
         })
-    total = _activity_sum(terms)
+    total = _activity_sum(pairs)
     lines.append(f"total: {total}")
     _emit(args, {"trees": rows, "total": total.json_terms()}, "\n".join(lines))
     return 0

@@ -9,6 +9,12 @@ rerooting rules are needed). Agreement across routes on the same graph is
 the package's correctness argument, so the routes share no code beyond
 plumbing: the level sweep and the activity sum.
 
+The two tree routes apply a kernel from ``activity`` (``_order_kernel``
+or ``_tour_kernel``: a tree's flags to its active edge positions) to every
+tree of ``enumerate_spanning_trees``, looked up here as a module global,
+and sum with ``activity._activity_sum``. ``cross_check`` calls the same
+public evaluators as the command line.
+
 Both deletion-contraction routes run as one iterative sweep (``_sweep``),
 one level per edge, over exact minor keys, so equal minors merge with no
 isomorphism search and no recursion. A graph minor is keyed by its
@@ -26,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .activity import _embedding_terms, _order_terms
+from .activity import _activity_sum, _order_kernel, _tour_kernel
 from .cmap import CombinatorialMap, MapError, _rooted, _splice
 from .graph import GraphError, Multigraph
 from .poly import X, Y, ZERO, BivariatePolynomial
@@ -201,31 +207,13 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
                   _graph_pivot, graph.edge_count)
 
 
-def _activity_sum(terms: Iterable) -> BivariatePolynomial:
-    """Sum of x^i y^e over (tree, internal-active, external-active) terms,
-    counted once per monomial."""
-    counts: Counter = Counter()
-    for _, internal, external in terms:
-        counts[len(internal), len(external)] += 1
-    return BivariatePolynomial(counts)
-
-
-def _order_tree_terms(graph: Multigraph, order: Sequence):
-    return _order_terms(graph, order, enumerate_spanning_trees(graph))
-
-
 def tutte_order_activities(graph: Multigraph,
                            order: Sequence | None = None) -> BivariatePolynomial:
     """Sum of x^i y^e over spanning trees, activities taken with respect to
     a linear order on the edge ids (default: sorted ids)."""
     _require_connected(graph)
-    if order is None:
-        order = graph.edge_ids
-    return _activity_sum(_order_tree_terms(graph, order))
-
-
-def _embedding_tree_terms(m: CombinatorialMap):
-    return _embedding_terms(m, enumerate_spanning_trees(m.underlying_graph()))
+    kernel = _order_kernel(graph, graph.edge_ids if order is None else order)
+    return _activity_sum(kernel(st.flags) for st in enumerate_spanning_trees(graph))
 
 
 def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:
@@ -233,7 +221,9 @@ def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:
     if m.is_empty or m.root is None:
         raise MapError("a rooted map with at least one edge is required")
     m.validate()
-    return _activity_sum(_embedding_tree_terms(m))
+    kernel = _tour_kernel(m)
+    return _activity_sum(kernel(st.flags)
+                         for st in enumerate_spanning_trees(m.underlying_graph()))
 
 
 def _map_pivot(sigma: tuple) -> tuple:
@@ -266,7 +256,7 @@ def _map_pivot(sigma: tuple) -> tuple:
     return "ordinary", k, [(contracted, 0, 0), (rooted, 0, 0)]
 
 
-def tutte_recursive_map(m: CombinatorialMap, on_pivot=None) -> BivariatePolynomial:
+def tutte_recursive_map(m: CombinatorialMap) -> BivariatePolynomial:
     """Deletion/contraction performed on the rooted map itself.
 
     The pivot is always the edge carrying the half-edge just before the
@@ -281,26 +271,12 @@ def tutte_recursive_map(m: CombinatorialMap, on_pivot=None) -> BivariatePolynomi
     fixing its root, so equal tuples mean rooted-isomorphic maps and equal
     polynomials: the level sweep merges them exactly and pivots each
     distinct rooted minor once, with no recursion and no map objects.
-
-    ``on_pivot(map, edge_id, case, depth)`` is called once per distinct
-    rooted minor, with the minor built as a map on half-edges h0, h1, ...;
-    tests use it to watch the pivot discipline.
     """
     if m.is_empty or m.root is None:
         raise MapError("a rooted map with at least one edge is required")
     m.validate()
-    names = tuple(f"h{i}" for i in range(m.n_half_edges))
-
-    def pivot(sigma: tuple) -> list:
-        case, k, minors = _map_pivot(sigma)
-        if on_pivot is not None:
-            mm = CombinatorialMap(sigma, names[:len(sigma)], 0)
-            base = "-base" if mm.edge_count == 1 else ""
-            on_pivot(mm, mm.edge_ids[k], case + base,
-                     m.edge_count - mm.edge_count + 1)
-        return minors
-
-    return _sweep(m.canonical_form(), pivot, m.edge_count)
+    return _sweep(m.canonical_form(), lambda sigma: _map_pivot(sigma)[2],
+                  m.edge_count)
 
 
 # -- multigraph certificates and isomorphism --------------------------------
@@ -432,8 +408,8 @@ def cross_check(graph: Multigraph,
         "delcon": tutte_deletion_contraction(graph),
     }
     for i, order in enumerate(orders):
-        polys[f"order[{i}]"] = _activity_sum(_order_tree_terms(graph, order))
+        polys[f"order[{i}]"] = tutte_order_activities(graph, order)
     for i, m in enumerate(embeddings):
-        polys[f"embedding[{i}]"] = _activity_sum(_embedding_tree_terms(m))
+        polys[f"embedding[{i}]"] = tutte_embedding_activities(m)
         polys[f"recursive[{i}]"] = tutte_recursive_map(m)
     return EvaluationReport(polys)

@@ -15,18 +15,19 @@ cycles of sigma, so the rotation alone is a map's whole description. The
 census filters genus on the rotation (``cmap._euler``), and
 ``partition_function`` sums on the bare rotations too: the tree walk
 (``spanning._tree_flags``) runs on the edge endpoints numbered by rotation
-cycle, and the tour kernel (``activity._scan``) on sigma with half-edge h on
-edge h >> 1. Only ``enumerate_rooted_maps`` builds ``CombinatorialMap``s,
-and only for the rotations it keeps.
+cycle, and the tour kernel (``activity._scan``, a function from a tree's
+flags to its active edge positions) on sigma with half-edge h on edge
+h >> 1; ``activity._activity_sum`` counts the pairs it returns, as it does
+for the evaluators. Only ``enumerate_rooted_maps`` builds
+``CombinatorialMap``s, and only for the rotations it keeps.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .activity import _scan
+from .activity import _activity_sum, _scan
 from .cmap import CombinatorialMap, _cycle_labels, _euler
-from .engines import _activity_sum
 from .poly import BivariatePolynomial
 from .spanning import _tree_flags
 
@@ -104,10 +105,10 @@ def partition_function(n: int, genus: int | None = None) -> BivariatePolynomial:
     sigmas = _census_sigmas(n, genus)
     he_pos = [h >> 1 for h in range(2 * n)]
 
-    def terms() -> Iterator[tuple]:
+    def pairs() -> Iterator[tuple]:
         for sigma in sigmas:
-            scan = _scan(sigma, 0, he_pos)
+            kernel = _scan(sigma, 0, he_pos)
             for flags in _tree_flags(*_census_ends(sigma)):
-                yield (flags, *scan(flags))
+                yield kernel(flags)
 
-    return _activity_sum(terms())
+    return _activity_sum(pairs())

@@ -71,9 +71,12 @@ class SpanningTree:
     __slots__ = ("parent", "flags", "_internal")
 
     def __init__(self, parent: Multigraph, edges: Iterable) -> None:
-        chosen = frozenset(edges)
-        for e in chosen:
+        chosen = set()
+        for e in edges:
             parent.endpoints(e)
+            if e in chosen:
+                raise GraphError(f"edge {e!r} is listed twice in the tree")
+            chosen.add(e)
         if (
             len(chosen) != parent.vertex_count - 1
             or parent.component_count(chosen) != 1
@@ -83,7 +86,7 @@ class SpanningTree:
             )
         self.parent = parent
         self.flags = bytes([e in chosen for e in parent.edge_ids])
-        self._internal = chosen
+        self._internal = frozenset(chosen)
 
     @property
     def positions(self) -> list[int]:

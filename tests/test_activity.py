@@ -23,7 +23,7 @@ from tuttemap import (
     tutte_subgraph_expansion,
 )
 from tuttemap import activity
-from tuttemap.activity import _erase_walk, _tour_scan
+from tuttemap.activity import _erase_walk, _tour_kernel
 
 from helpers import (
     TORUS_TREE,
@@ -339,7 +339,7 @@ def test_embedding_activities_match_definition_on_random_rooted_maps(case):
 def _scan(m, edges):
     """The tour kernel on the flags of the given edge ids of ``m``."""
     ids = m.underlying_graph().edge_ids
-    return _tour_scan(m)(bytes([e in edges for e in ids]))
+    return _tour_kernel(m)(bytes([e in edges for e in ids]))
 
 
 def test_tour_kernel_rejects_a_cycle_and_a_forest():

@@ -6,7 +6,7 @@ import pytest
 
 from tuttemap import BivariatePolynomial, CombinatorialMap
 from tuttemap import activity, cli, engines
-from tuttemap.cli import main
+from tuttemap.cli import METHODS, main
 from tuttemap.engines import MAX_EXPANSION_EDGES
 
 from helpers import TORUS_MAP_TEXT
@@ -237,6 +237,28 @@ def test_root_override(capsys, torus_file):
                        "--tree", "aa',bb',dd'", "--root", "d")
     assert code == 0
     assert out.splitlines()[0].startswith("(d d'")
+
+
+@pytest.mark.parametrize("tree, token", [("aa',bb',dd',aa'", "\"aa'\""),
+                                         ("a,b,d',a'", "\"a'\"")])
+def test_tour_rejects_a_repeated_tree_edge(capsys, torus_file, tree, token):
+    # by edge id or by either half-edge name, a repeat is an input error
+    code, out, err = run(capsys, "tour", "--map", torus_file, "--tree", tree)
+    assert code == 1 and out == ""
+    assert f"tree token {token} repeats edge" in err
+    code, _, _ = run(capsys, "tour", "--map", torus_file, "--tree", "a,b,d'")
+    assert code == 0
+
+
+def test_tutte_root_is_checked_for_every_method(capsys, k3_file):
+    for method in METHODS:
+        code, out, err = run(capsys, "tutte", "--graph", k3_file,
+                             "--method", method, "--root", "nosuch")
+        assert code == 1 and out == ""
+        assert "'nosuch'" in err
+    code, out, _ = run(capsys, "tutte", "--graph", k3_file,
+                       "--method", "delcon", "--root", "b'")
+    assert code == 0 and out == "delcon: x^2 + x + y\n"
 
 
 def test_input_errors_exit_1(capsys, tmp_path, k3_file, torus_file):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from tuttemap import (
     BivariatePolynomial,
+    CombinatorialMap,
     GraphError,
     MapError,
     Multigraph,
@@ -26,6 +27,7 @@ from tuttemap import (
     tutte_subgraph_expansion,
 )
 from tuttemap import engines
+from tuttemap.engines import _map_pivot
 
 from helpers import (
     all_rooted_sigmas,
@@ -143,17 +145,34 @@ def _pivot_minors(mm, case):
     return [mm.delete_edge(k), mm.contract_edge(k)]
 
 
-def test_recursive_map_matches_expansion_on_map_corpus():
+def _watched_pivots(monkeypatch, m):
+    """T of ``m`` by the map recursion, and one (minor, pivot edge id, case,
+    depth) event per distinct rooted minor it pivots, the minor built as a
+    map on half-edges h0, h1, ... and the case suffixed "-base" on a
+    one-edge minor."""
+    events = []
+
+    def watch(sigma):
+        case, k, minors = _map_pivot(sigma)
+        mm = CombinatorialMap(sigma, tuple(f"h{i}" for i in range(len(sigma))), 0)
+        base = "-base" if mm.edge_count == 1 else ""
+        events.append((mm, mm.edge_ids[k], case + base,
+                       m.edge_count - mm.edge_count + 1))
+        return case, k, minors
+
+    monkeypatch.setattr(engines, "_map_pivot", watch)
+    return tutte_recursive_map(m), events
+
+
+def test_recursive_map_matches_expansion_on_map_corpus(monkeypatch):
     # the corpus has every 1- and 2-edge rooted map, so the root sits on a
     # leaf and on a loop; each level's minors must be exactly those that
     # the public minor operations give the level before
     for m in map_corpus():
+        t, events = _watched_pivots(monkeypatch, m)
         levels: dict = {}
-
-        def watch(mm, eid, case, depth):
+        for mm, _, case, depth in events:
             levels.setdefault(depth, []).append((mm, case))
-
-        t = tutte_recursive_map(m, on_pivot=watch)
         assert t == tutte_subgraph_expansion(m.underlying_graph())
         assert [mm.canonical_form() for mm, _ in levels[1]] == [m.canonical_form()]
         for depth in range(1, m.edge_count + 1):
@@ -163,38 +182,31 @@ def test_recursive_map_matches_expansion_on_map_corpus():
             assert got == want
 
 
-def test_recursive_map_pivot_discipline():
+def test_recursive_map_pivot_discipline(monkeypatch):
     # the pivot never carries the root except via the two rerooting cases,
     # and the recursion gets exactly one edge shallower per step
     rng = random.Random(83)
     for _ in range(30):
         m = random_rooted_map(rng, rng.randint(1, 6))
-        events = []
-
-        def watch(mm, eid, case, depth):
-            events.append((mm, eid, case, depth))
+        _, events = _watched_pivots(monkeypatch, m)
+        for mm, eid, case, depth in events:
             root_edge = mm.edge_ids[mm.root >> 1]
             if case == "ordinary":
                 assert root_edge != eid
             if case in ("loop", "isthmus") and root_edge == eid:
                 pass  # rerooting rule applies; allowed
-
-        tutte_recursive_map(m, on_pivot=watch)
-        for mm, _, _, depth in events:
             assert depth + mm.edge_count == m.edge_count + 1
         assert max(d for _, _, _, d in events) == m.edge_count
 
 
-def test_recursive_map_expands_each_rooted_minor_once():
+def test_recursive_map_expands_each_rooted_minor_once(monkeypatch):
     # each level of the sweep is keyed on the exact rooted canonical form,
     # so no two pivoted minors of one call are rooted-isomorphic
     rng = random.Random(83)
     for _ in range(30):
         m = random_rooted_map(rng, rng.randint(1, 6))
-        forms = []
-        tutte_recursive_map(
-            m, on_pivot=lambda mm, *_: forms.append(mm.canonical_form())
-        )
+        _, events = _watched_pivots(monkeypatch, m)
+        forms = [mm.canonical_form() for mm, *_ in events]
         assert len(forms) == len(set(forms))
 
 

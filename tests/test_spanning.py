@@ -111,6 +111,9 @@ def test_spanning_tree_validation():
         SpanningTree(g, ["a", "b", "c"])
     with pytest.raises(GraphError, match="unknown edge"):
         SpanningTree(g, ["a", "zzz"])
+    # a repeat is named, not dropped: {a, b} is a spanning tree of K3
+    with pytest.raises(GraphError, match="'a' is listed twice"):
+        SpanningTree(g, ["a", "b", "a"])
 
 
 def test_fundamental_cycle_k3():
