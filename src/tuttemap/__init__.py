@@ -18,7 +18,6 @@ from .activity import (
 )
 from .cmap import CombinatorialMap, MapError, all_rotation_systems, embed
 from .engines import (
-    EvaluationReport,
     cross_check,
     graph_certificate,
     graphs_isomorphic,
@@ -39,7 +38,6 @@ __all__ = [
     "ActivitySummary",
     "BivariatePolynomial",
     "CombinatorialMap",
-    "EvaluationReport",
     "GraphError",
     "MapError",
     "MotionNotCyclicError",

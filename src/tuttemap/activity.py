@@ -158,9 +158,7 @@ def _half_edge_positions(m: CombinatorialMap) -> list[int]:
 
 
 def _tour_root(m: CombinatorialMap) -> int:
-    """The root of a rooted nonempty map, where its tours start."""
-    if m.is_empty:
-        raise MapError("the empty map has no tour")
+    """The root of a rooted map, where its tours start."""
     if m.root is None:
         raise MapError("the tour order needs a rooted map")
     return m.root

@@ -18,7 +18,6 @@ from pathlib import Path
 from .activity import _activity_sum, _erase_walk, _tour_kernel, motion_function
 from .cmap import CombinatorialMap, MapError, _graph_incidences, embed
 from .engines import (
-    EvaluationReport,
     _require_connected,
     cross_check,
     tutte_deletion_contraction,
@@ -76,13 +75,12 @@ def _cmd_tutte(args) -> int:
         "embedding": lambda: tutte_embedding_activities(emb),
         "recursive": lambda: tutte_recursive_map(emb),
     }
-    report = EvaluationReport({m: evaluators[m]() for m in methods})
-    polys = report.polynomials
+    polys = {m: evaluators[m]() for m in methods}
     lines = [f"{m}: {polys[m]}" for m in methods]
     payload: dict = {"polynomials": {m: polys[m].json_terms() for m in methods}}
     status = 0
     if args.method == "all":
-        agree = report.agreement
+        agree = len(set(polys.values())) == 1
         lines.append(f"agreement: {'yes' if agree else 'NO'}")
         payload["agreement"] = agree
         if not agree:
@@ -159,11 +157,9 @@ def _cmd_activities(args) -> int:
 def _cmd_minor(args) -> int:
     m = _load_map(args.map, args.root)
     if args.delete is not None:
-        result = m.delete_edge(m.edge_index(args.delete))
+        result = m.delete_edge(args.delete)
     else:
-        result = m.contract_edge(m.edge_index(args.contract))
-    if result.is_empty:
-        raise MapError("the minor is the single-vertex map; nothing to print")
+        result = m.contract_edge(args.contract)
     _emit(args, result.to_json_obj(), result.to_text())
     return 0
 
@@ -222,7 +218,7 @@ def _cmd_check(args) -> int:
     for _ in trials:
         orders.append(list(graph.edge_ids))
         rng.shuffle(orders[-1])
-    polys = cross_check(graph, embeddings, orders).polynomials
+    polys = cross_check(graph, embeddings, orders)
     five = {m: polys[m if m in ("expansion", "delcon") else f"{m}[0]"]
             for m in METHODS}
     reference = five["expansion"]

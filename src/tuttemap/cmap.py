@@ -2,10 +2,10 @@
 
 A map is a permutation sigma (the counterclockwise order of half-edges
 around each vertex) together with a fixed-point-free pairing alpha whose
-orbits are the edges, acting transitively. Internally half-edges are
-normalized to 0..2m-1 with partner(2i) = 2i+1, so the pairing is the xor
-with 1 and permutations are flat tuples; user-facing names are carried
-alongside for parsing and display.
+orbits are the edges, acting transitively, with at least one edge.
+Internally half-edges are normalized to 0..2m-1 with partner(2i) = 2i+1,
+so the pairing is the xor with 1 and permutations are flat tuples;
+user-facing names are carried alongside for parsing and display.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _rooted(sigma: Sequence[int], root: int) -> tuple[int, ...]:
     odd one after it. Only half-edges the walk reaches are kept, so a
     result shorter than ``sigma`` means a disconnected map. A rooted map
     has exactly one such labelling."""
-    if not sigma:  # the terminal single-vertex map
+    if not sigma:  # the last level of the map sweep
         return ()
     label = [-1] * len(sigma)
     label[root], label[root ^ 1] = 0, 1
@@ -102,14 +102,15 @@ def _rooted(sigma: Sequence[int], root: int) -> tuple[int, ...]:
 
 
 class CombinatorialMap:
-    """An embedded connected multigraph, optionally rooted at a half-edge.
+    """An embedded connected multigraph with at least one edge, optionally
+    rooted at a half-edge.
 
     Instances are immutable. Edge deletion and contraction return new maps;
-    the empty map (no half-edges) exists only as the terminal value those
-    operations can produce, and ``validate`` rejects it.
+    the constructor refuses a map with no half-edges, so removing a map's
+    only edge is an error.
     """
 
-    __slots__ = ("_sigma", "_names", "_root", "_index", "_inverse",
+    __slots__ = ("_sigma", "_names", "_root", "_index",
                  "_edge_ids", "_underlying", "_he_vertex")
 
     def __init__(self, sigma: Sequence[int], names: Sequence[str],
@@ -117,6 +118,8 @@ class CombinatorialMap:
         sigma = tuple(sigma)
         names = tuple(names)
         n = len(sigma)
+        if not n:
+            raise MapError("map has no half-edges")
         if n % 2:
             raise MapError("a map needs an even number of half-edges")
         if len(names) != n:
@@ -145,19 +148,9 @@ class CombinatorialMap:
         self._names = names
         self._root = root
         self._index = index
-        self._inverse = None
         self._edge_ids = tuple(edge_ids)
         self._underlying = None
         self._he_vertex = None
-
-    @classmethod
-    def empty(cls) -> "CombinatorialMap":
-        """The single-vertex, zero-edge terminal value."""
-        return cls((), (), None)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._sigma
 
     # -- basic access ---------------------------------------------------
 
@@ -202,14 +195,6 @@ class CombinatorialMap:
     def alpha(self, h: int) -> int:
         return h ^ 1
 
-    def sigma_inverse(self, h: int) -> int:
-        if self._inverse is None:
-            inv = [0] * len(self._sigma)
-            for i, img in enumerate(self._sigma):
-                inv[img] = i
-            self._inverse = tuple(inv)
-        return self._inverse[h]
-
     def edge_of(self, h: int) -> int:
         """Edge number of a half-edge."""
         return h >> 1
@@ -234,27 +219,14 @@ class CombinatorialMap:
     def validate(self) -> None:
         """Raise MapError naming the first violated structural rule.
 
-        The constructor already enforces that sigma is a permutation and
-        that the pairing is a fixed-point-free involution (it is built in);
-        this adds non-emptiness and transitivity.
+        The constructor already enforces that sigma is a permutation of at
+        least two half-edges and that the pairing is a fixed-point-free
+        involution (it is built in); this adds transitivity: the first-visit
+        walk of ``_rooted`` from the root (or half-edge 0) must reach every
+        half-edge.
         """
-        if self.is_empty:
-            raise MapError(
-                "map has no half-edges (the empty map is only a recursion terminal)"
-            )
         n = len(self._sigma)
-        seen = [False] * n
-        start = 0 if self._root is None else self._root
-        stack = [start]
-        seen[start] = True
-        count = 1
-        while stack:
-            h = stack.pop()
-            for nxt in (self._sigma[h], h ^ 1):
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    count += 1
-                    stack.append(nxt)
+        count = len(_rooted(self._sigma, self._root or 0))
         if count != n:
             raise MapError(
                 "sigma and alpha do not act transitively on the half-edges "
@@ -272,8 +244,6 @@ class CombinatorialMap:
         half-edge; names missing from ``sigma`` are taken as fixed points.
         """
         domain = set(alpha)
-        if not domain:
-            raise MapError("map has no half-edges")
         for h, h2 in alpha.items():
             if h2 == h:
                 raise MapError(f"alpha fixes {h!r}; every half-edge needs a distinct partner")
@@ -313,17 +283,13 @@ class CombinatorialMap:
         per half-edge pair. ``vertex_of`` and ``edge_ids`` are the incidence
         tables from half-edges back into this graph."""
         if self._underlying is None:
-            if self.is_empty:
-                self._he_vertex = ()
-                self._underlying = Multigraph((0,), {})
-            else:
-                vertex_of, nv = _cycle_labels(self._sigma)
-                edges = {
-                    self._edge_ids[k]: (vertex_of[2 * k], vertex_of[2 * k + 1])
-                    for k in range(self.edge_count)
-                }
-                self._he_vertex = tuple(vertex_of)
-                self._underlying = Multigraph(range(nv), edges)
+            vertex_of, nv = _cycle_labels(self._sigma)
+            edges = {
+                self._edge_ids[k]: (vertex_of[2 * k], vertex_of[2 * k + 1])
+                for k in range(self.edge_count)
+            }
+            self._he_vertex = tuple(vertex_of)
+            self._underlying = Multigraph(range(nv), edges)
         return self._underlying
 
     def vertex_of(self, h: int) -> int:
@@ -332,8 +298,6 @@ class CombinatorialMap:
 
     def euler_characteristic(self) -> int:
         """Rotation cycles plus face cycles minus edges; 2 - 2 * genus."""
-        if self.is_empty:
-            raise MapError("the empty map has no Euler characteristic")
         return _euler(self._sigma)
 
     def genus(self) -> int:
@@ -349,52 +313,45 @@ class CombinatorialMap:
             raise MapError(f"edge number {k} is out of range")
         return k
 
-    def delete_edge(self, e, reroot=None) -> "CombinatorialMap":
+    def delete_edge(self, e) -> "CombinatorialMap":
         """Remove a non-isthmus edge, keeping the rotation order of the
-        surviving half-edges around each vertex."""
+        surviving half-edges around each vertex. The edge may be neither
+        the map's only edge nor the one carrying the root (re-root first
+        with ``with_root``)."""
         k = self._edge_arg(e)
         if self.underlying_graph().is_isthmus(self._edge_ids[k]):
             raise MapError(
                 f"edge {self._edge_ids[k]!r} is an isthmus; deleting it would "
                 "disconnect the map"
             )
-        return self._minor(k, False, reroot)
+        return self._minor(k, False)
 
-    def contract_edge(self, e, reroot=None) -> "CombinatorialMap":
+    def contract_edge(self, e) -> "CombinatorialMap":
         """Merge the two endpoint rotations of a non-loop edge: where a
         rotation reaches the removed edge it continues, in order, through
-        the rotation at the other endpoint."""
+        the rotation at the other endpoint. The same two edges are refused
+        as by ``delete_edge``."""
         k = self._edge_arg(e)
         if self.underlying_graph().is_loop(self._edge_ids[k]):
             raise MapError(
                 f"edge {self._edge_ids[k]!r} is a loop and cannot be contracted"
             )
-        return self._minor(k, True, reroot)
+        return self._minor(k, True)
 
-    def _minor(self, k: int, contract: bool, reroot) -> "CombinatorialMap":
+    def _minor(self, k: int, contract: bool) -> "CombinatorialMap":
         h1, h2 = 2 * k, 2 * k + 1
+        eid = self._edge_ids[k]
         if self.n_half_edges == 2:
-            # removing the only edge leaves the terminal single-vertex map,
-            # which carries no root at all
-            if reroot is not None:
-                raise MapError("the terminal map has no half-edge to root")
-            return CombinatorialMap.empty()
+            raise MapError(
+                f"edge {eid!r} is the only edge; its minor is the single-vertex "
+                "map, which has no half-edges"
+            )
         if self._root in (h1, h2):
-            if reroot is None:
-                raise MapError(
-                    f"edge {self._edge_ids[k]!r} contains the root; supply a "
-                    "replacement root"
-                )
-            new_root = reroot if isinstance(reroot, int) else self.index(reroot)
-            if new_root in (h1, h2) or not 0 <= new_root < len(self._sigma):
-                raise MapError("replacement root must be a surviving half-edge")
-        else:
-            if reroot is not None:
-                raise MapError(
-                    "a replacement root is only accepted when the removed edge "
-                    "contains the root"
-                )
-            new_root = self._root
+            raise MapError(
+                f"edge {eid!r} carries the root; re-root first (with_root, "
+                "or --root on the command line)"
+            )
+        new_root = self._root
         if new_root is not None and new_root > h2:
             new_root -= 2
         names = self._names[:h1] + self._names[h2 + 1:]
@@ -408,8 +365,6 @@ class CombinatorialMap:
         """The rotation relabelled in first-visit order from the root (see
         ``_rooted``); the census generates maps in this labelling. Two
         rooted maps are isomorphic exactly when these forms coincide."""
-        if self.is_empty:
-            return ()
         if self._root is None:
             raise MapError("canonical form needs a root")
         return _rooted(self._sigma, self._root)
@@ -508,8 +463,6 @@ class CombinatorialMap:
         return hash((self._sigma, self._names, self._root))
 
     def __repr__(self) -> str:
-        if self.is_empty:
-            return "CombinatorialMap.empty()"
         return f"CombinatorialMap.from_text({self.to_text('; ')!r})"
 
 

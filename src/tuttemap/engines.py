@@ -29,7 +29,6 @@ is keyed by its rotation in first-visit labelling from the root
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .activity import _activity_sum, _order_kernel, _tour_kernel
@@ -45,7 +44,6 @@ __all__ = [
     "tutte_embedding_activities",
     "tutte_recursive_map",
     "cross_check",
-    "EvaluationReport",
     "graph_certificate",
     "graphs_isomorphic",
     "MAX_EXPANSION_EDGES",
@@ -218,8 +216,8 @@ def tutte_order_activities(graph: Multigraph,
 
 def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:
     """Sum of x^I y^E over spanning trees, activities from the rooted tour."""
-    if m.is_empty or m.root is None:
-        raise MapError("a rooted map with at least one edge is required")
+    if m.root is None:
+        raise MapError("a rooted map is required")
     m.validate()
     kernel = _tour_kernel(m)
     return _activity_sum(kernel(st.flags)
@@ -272,8 +270,8 @@ def tutte_recursive_map(m: CombinatorialMap) -> BivariatePolynomial:
     polynomials: the level sweep merges them exactly and pivots each
     distinct rooted minor once, with no recursion and no map objects.
     """
-    if m.is_empty or m.root is None:
-        raise MapError("a rooted map with at least one edge is required")
+    if m.root is None:
+        raise MapError("a rooted map is required")
     m.validate()
     return _sweep(m.canonical_form(), lambda sigma: _map_pivot(sigma)[2],
                   m.edge_count)
@@ -373,23 +371,12 @@ def graphs_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
 # -- the cross-check harness --------------------------------------------------
 
 
-@dataclass
-class EvaluationReport:
-    """Results of one cross-check run: ``polynomials`` maps a method label
-    to its result."""
-
-    polynomials: dict[str, BivariatePolynomial]
-
-    @property
-    def agreement(self) -> bool:
-        vals = list(self.polynomials.values())
-        return all(v == vals[0] for v in vals[1:])
-
-
 def cross_check(graph: Multigraph,
                 embeddings: Iterable[CombinatorialMap] = (),
-                orders: Iterable[Sequence] = ()) -> EvaluationReport:
-    """Run every evaluator over the supplied embeddings and edge orders.
+                orders: Iterable[Sequence] = ()) -> dict[str, BivariatePolynomial]:
+    """Run every evaluator over the supplied embeddings and edge orders,
+    and return their polynomials by method label: ``expansion``,
+    ``delcon``, ``order[i]``, ``embedding[i]`` and ``recursive[i]``.
 
     Each embedding's underlying graph must be isomorphic to ``graph``; a
     mismatch is rejected up front.
@@ -398,8 +385,8 @@ def cross_check(graph: Multigraph,
     embeddings = list(embeddings)
     orders = list(orders)
     for i, m in enumerate(embeddings):
-        if m.is_empty or m.root is None:
-            raise MapError(f"embedding #{i} must be a rooted nonempty map")
+        if m.root is None:
+            raise MapError(f"embedding #{i} must be a rooted map")
         if not graphs_isomorphic(graph, m.underlying_graph()):
             raise GraphError(f"embedding #{i} is not an embedding of this graph")
 
@@ -412,4 +399,4 @@ def cross_check(graph: Multigraph,
     for i, m in enumerate(embeddings):
         polys[f"embedding[{i}]"] = tutte_embedding_activities(m)
         polys[f"recursive[{i}]"] = tutte_recursive_map(m)
-    return EvaluationReport(polys)
+    return polys

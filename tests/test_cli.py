@@ -9,7 +9,7 @@ from tuttemap import activity, cli, engines
 from tuttemap.cli import METHODS, main
 from tuttemap.engines import MAX_EXPANSION_EDGES
 
-from helpers import TORUS_MAP_TEXT
+from helpers import SINGLE_ISTHMUS_TEXT, SINGLE_LOOP_TEXT, TORUS_MAP_TEXT
 
 K3_TEXT = "v 1\nv 2\nv 3\ne a 1 2\ne b 2 3\ne c 1 3\n"
 
@@ -102,6 +102,33 @@ def test_activities_table(capsys, torus_file):
     assert lines[-1].startswith("total: ")
     total = BivariatePolynomial.parse(lines[-1].split(": ", 1)[1])
     assert total.evaluate(1, 1) == 8  # the graph has eight spanning trees
+
+
+@pytest.mark.parametrize("text, op", [(SINGLE_ISTHMUS_TEXT, "--contract"),
+                                      (SINGLE_LOOP_TEXT, "--delete")],
+                         ids=["isthmus", "loop"])
+def test_minor_of_the_only_edge_exits_1(capsys, tmp_path, text, op):
+    path = tmp_path / "one_edge.map"
+    path.write_text(text)
+    code, out, err = run(capsys, "minor", "--map", str(path), op, "h")
+    assert (code, out) == (1, "")
+    assert err == ("error: edge \"hh'\" is the only edge; its minor is the "
+                   "single-vertex map, which has no half-edges\n")
+
+
+def test_minor_of_the_root_edge_needs_a_new_root(capsys, torus_file):
+    code, out, err = run(capsys, "minor", "--map", torus_file, "--delete", "aa'")
+    assert (code, out) == (1, "")
+    assert err == ("error: edge \"aa'\" carries the root; re-root first "
+                   "(with_root, or --root on the command line)\n")
+    code, out, err = run(capsys, "minor", "--map", torus_file,
+                         "--delete", "aa'", "--root", "e")
+    assert (code, err) == (0, "")
+    assert out == ("sigma: (b d f')(b' c' e')(c e f)(d')\n"
+                   "alpha: (b b')(c c')(d d')(e e')(f f')\n"
+                   "root: e\n")
+    code, out, err = run(capsys, "minor", "--map", torus_file, "--contract", "3")
+    assert (code, out, err) == (1, "", "error: unknown edge '3'\n")
 
 
 def test_euler(capsys, torus_file):

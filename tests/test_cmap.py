@@ -3,16 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuttemap import CombinatorialMap, MapError, all_rotation_systems, embed
 
 from helpers import (
     TORUS_MAP_TEXT,
+    _transitive,
     compose,
     cycles_of,
     torus_map,
     torus_map_alt,
     k3,
+    make_map,
     name_alpha,
     name_sigma,
     random_rooted_map,
@@ -50,6 +54,32 @@ def test_two_disjoint_loops_not_transitive():
             {"p": "p'", "p'": "p", "q": "q'", "q'": "q"},
             {"p": "p'", "p'": "p", "q": "q'", "q'": "q"},
         )
+
+
+def test_map_without_half_edges_rejected():
+    with pytest.raises(MapError, match="no half-edges"):
+        CombinatorialMap((), ())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.permutations(range(2 * n)), st.none() | st.integers(0, 2 * n - 1))))
+def test_validate_reaches_the_orbit_of_the_root(case):
+    # validate raises exactly on a non-transitive map, and the count it
+    # gives is the orbit of the root under sigma and the pairing
+    sigma, root = case
+    m = make_map(tuple(sigma), root)
+    orbit = [0 if root is None else root]
+    for h in orbit:  # breadth first; the list grows as it is read
+        for nxt in (sigma[h], h ^ 1):
+            if nxt not in orbit:
+                orbit.append(nxt)
+    if _transitive(tuple(sigma)):
+        m.validate()
+    else:
+        reached = f"reached {len(orbit)} of {len(sigma)}\\)"
+        with pytest.raises(MapError, match=reached):
+            m.validate()
 
 
 def test_unknown_root_rejected():
@@ -165,13 +195,15 @@ def test_contract_edge_merges_rotations():
     assert g.vertex_count == 3 and g.edge_count == 5
 
 
-def test_contract_single_isthmus_gives_terminal():
-    # the root sits on the only edge; contract the unrooted map instead
-    m = single_isthmus_map().with_root(None)
-    out = m.contract_edge(0)
-    assert out.is_empty
-    with pytest.raises(MapError):
-        out.validate()
+def test_removing_the_only_edge_rejected():
+    # the minor would be the single-vertex map, which has no half-edges;
+    # this rule comes before the one for an edge that carries the root
+    for m in (single_isthmus_map(), single_isthmus_map().with_root(None)):
+        with pytest.raises(MapError, match="only edge.*single-vertex map"):
+            m.contract_edge(0)
+    for m in (single_loop_map(), single_loop_map().with_root(None)):
+        with pytest.raises(MapError, match="only edge.*single-vertex map"):
+            m.delete_edge(0)
 
 
 def test_contract_loop_rejected():
@@ -190,12 +222,12 @@ def test_contract_triangle_edge():
 
 def test_minor_edges_need_reroot_when_root_removed():
     m = torus_map()  # rooted at a
-    with pytest.raises(MapError, match="replacement root"):
-        m.contract_edge(m.edge_index("aa'"))
-    moved = m.contract_edge(m.edge_index("aa'"), reroot="e")
+    for remove in (m.contract_edge, m.delete_edge):
+        with pytest.raises(MapError, match="\"aa'\" carries the root; re-root"):
+            remove("aa'")
+    moved = m.with_root("e").contract_edge("aa'")
     assert moved.root_name == "e"
-    with pytest.raises(MapError, match="replacement root"):
-        m.delete_edge(m.edge_index("ee'"), reroot="f")  # root not on ee'
+    moved.validate()
 
 
 def test_erasure_and_merge_laws_on_random_maps():
@@ -205,16 +237,18 @@ def test_erasure_and_merge_laws_on_random_maps():
         g = m.underlying_graph()
         for k in range(m.edge_count):
             eid = m.edge_ids[k]
+            if m.edge_count == 1:
+                with pytest.raises(MapError, match="only edge"):
+                    (m.contract_edge if g.is_isthmus(eid) else m.delete_edge)(k)
+                continue
             if not g.is_isthmus(eid):
                 out = m.delete_edge(k)
-                if not out.is_empty:
-                    out.validate()
-                    assert name_sigma(out) == _delete_skip_oracle(m, k)
+                out.validate()
+                assert name_sigma(out) == _delete_skip_oracle(m, k)
             if not g.is_loop(eid):
                 out = m.contract_edge(k)
-                if not out.is_empty:
-                    out.validate()
-                    assert name_sigma(out) == _contract_jump_oracle(m, k)
+                out.validate()
+                assert name_sigma(out) == _contract_jump_oracle(m, k)
 
 
 def test_minor_commutes_with_underlying_graph():
@@ -228,16 +262,10 @@ def test_minor_commutes_with_underlying_graph():
             eid = m.edge_ids[k]
             if not g.is_isthmus(eid):
                 out = m.delete_edge(k)
-                if not out.is_empty:
-                    assert graphs_isomorphic(
-                        out.underlying_graph(), g.delete(eid)
-                    )
+                assert graphs_isomorphic(out.underlying_graph(), g.delete(eid))
             if not g.is_loop(eid):
                 out = m.contract_edge(k)
-                if not out.is_empty:
-                    assert graphs_isomorphic(
-                        out.underlying_graph(), g.contract(eid)
-                    )
+                assert graphs_isomorphic(out.underlying_graph(), g.contract(eid))
 
 
 def same_form(a: CombinatorialMap, b: CombinatorialMap) -> bool:

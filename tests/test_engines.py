@@ -129,7 +129,7 @@ def _pivot_minors(mm, case):
     operations and the reroot rules: a root on the loop moves to its
     rotation successor, a root alone at the leaf moves across the edge."""
     h0 = mm.root
-    hstar = mm.sigma_inverse(h0)
+    hstar = next(h for h in range(mm.n_half_edges) if mm.sigma(h) == h0)
     k = hstar >> 1
     g, eid = mm.underlying_graph(), mm.edge_ids[k]
     assert case.startswith("loop") == g.is_loop(eid)
@@ -137,10 +137,12 @@ def _pivot_minors(mm, case):
         assert case.endswith("-base")
         return []
     if g.is_loop(eid):
-        return [mm.delete_edge(k, reroot=mm.sigma(h0) if h0 == hstar ^ 1 else None)]
+        moved = mm.with_root(mm.sigma(h0)) if h0 == hstar ^ 1 else mm
+        return [moved.delete_edge(k)]
     if g.is_isthmus(eid):
         assert case == "isthmus"
-        return [mm.contract_edge(k, reroot=mm.sigma(hstar ^ 1) if h0 == hstar else None)]
+        moved = mm.with_root(mm.sigma(hstar ^ 1)) if h0 == hstar else mm
+        return [moved.contract_edge(k)]
     assert case == "ordinary"
     return [mm.delete_edge(k), mm.contract_edge(k)]
 
@@ -352,9 +354,9 @@ def test_tree_routes_draw_their_trees_through_the_enumerator(monkeypatch):
 @given(ordered_and_embedded(max_edges=9))
 def test_cross_check_agrees_on_random_graphs(case):
     g, order, m = case
-    report = cross_check(g, [] if m is None else [m], [order])
-    assert report.agreement
-    assert report.polynomials["order[0]"].evaluate(1, 1) == kirchhoff_tree_count(g)
+    polys = cross_check(g, [] if m is None else [m], [order])
+    assert len(set(polys.values())) == 1
+    assert polys["order[0]"].evaluate(1, 1) == kirchhoff_tree_count(g)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -484,27 +486,27 @@ def test_cross_check_k3_exhaustive_roots_and_rotations():
         for h in range(m.n_half_edges)
     ]
     orders = [("a", "b", "c"), ("c", "b", "a"), ("b", "a", "c")]
-    report = cross_check(g, embeddings, orders)
-    assert report.agreement
-    assert report.polynomials["expansion"] == P("x^2 + x + y")
-    assert len(report.polynomials) == 2 + len(orders) + 2 * len(embeddings)
+    polys = cross_check(g, embeddings, orders)
+    assert len(set(polys.values())) == 1
+    assert polys["expansion"] == P("x^2 + x + y")
+    assert len(polys) == 2 + len(orders) + 2 * len(embeddings)
 
 
 def test_cross_check_torus_embeddings():
     from helpers import torus_map_alt
 
     left, right = torus_map(), torus_map_alt()
-    report = cross_check(left.underlying_graph(), [left, right])
-    assert report.agreement
+    polys = cross_check(left.underlying_graph(), [left, right])
+    assert len(set(polys.values())) == 1
 
 
 def test_cross_check_single_edge():
-    report = cross_check(isthmus_graph(), [embed(isthmus_graph())], [("i",)])
-    assert report.agreement
-    assert report.polynomials["expansion"] == P("x")
-    report = cross_check(loop_graph(), [embed(loop_graph())], [("l",)])
-    assert report.agreement
-    assert report.polynomials["expansion"] == P("y")
+    polys = cross_check(isthmus_graph(), [embed(isthmus_graph())], [("i",)])
+    assert len(set(polys.values())) == 1
+    assert polys["expansion"] == P("x")
+    polys = cross_check(loop_graph(), [embed(loop_graph())], [("l",)])
+    assert len(set(polys.values())) == 1
+    assert polys["expansion"] == P("y")
 
 
 def test_cross_check_rejects_wrong_embedding():
