@@ -88,17 +88,50 @@ def _rooted(sigma: Sequence[int], root: int) -> tuple[int, ...]:
     odd one after it. Only half-edges the walk reaches are kept, so a
     result shorter than ``sigma`` means a disconnected map. A rooted map
     has exactly one such labelling."""
-    if not sigma:  # the last level of the map sweep
-        return ()
     label = [-1] * len(sigma)
     label[root], label[root ^ 1] = 0, 1
     order = [root, root ^ 1]
+    free = 2  # the next unused label
     for h in order:  # order grows as the walk reaches new edges
         s = sigma[h]
         if label[s] < 0:
-            label[s], label[s ^ 1] = len(order), len(order) + 1
-            order += (s, s ^ 1)
+            label[s] = free
+            label[s ^ 1] = free + 1
+            free += 2
+            order.append(s)
+            order.append(s ^ 1)
     return tuple([label[sigma[h]] for h in order])
+
+
+def _rooted_whole(sigma: Sequence[int], root: int) -> tuple[int, ...]:
+    """``_rooted(sigma, root)``, or MapError if the walk misses a half-edge,
+    that is, if sigma and the pairing do not act transitively."""
+    rooted = _rooted(sigma, root)
+    if len(rooted) != len(sigma):
+        raise MapError(
+            "sigma and alpha do not act transitively on the half-edges "
+            f"(reached {len(rooted)} of {len(sigma)})"
+        )
+    return rooted
+
+
+def _rooted_minor(sigma: tuple[int, ...], k: int,
+                  contract: bool) -> tuple[int, ...]:
+    """``_rooted(_splice(sigma, k, contract), 0)`` in one walk over the old
+    labels, from half-edge 0, or from 2 when k == 0 (the splice renumbers
+    either to 0). Only the half-edges whose image lies on edge k change:
+    each is pointed past the edge as ``_splice`` skips, and the walk never
+    reaches 2k or 2k + 1. A one-edge map leaves ()."""
+    if len(sigma) == 2:
+        return ()
+    sig = list(sigma)
+    for t in (2 * k, 2 * k + 1):
+        p = sigma.index(t)
+        if p >> 1 != k:
+            while t >> 1 == k:
+                t = sigma[t ^ 1] if contract else sigma[t]
+            sig[p] = t
+    return _rooted(sig, 2 if k == 0 else 0)
 
 
 class CombinatorialMap:
@@ -225,13 +258,7 @@ class CombinatorialMap:
         walk of ``_rooted`` from the root (or half-edge 0) must reach every
         half-edge.
         """
-        n = len(self._sigma)
-        count = len(_rooted(self._sigma, self._root or 0))
-        if count != n:
-            raise MapError(
-                "sigma and alpha do not act transitively on the half-edges "
-                f"(reached {count} of {n})"
-            )
+        _rooted_whole(self._sigma, self._root or 0)
 
     # -- construction from named permutations ------------------------------
 

@@ -23,7 +23,10 @@ renamed by first appearance. The pivot order is chosen from the graph, a
 greedy min-frontier vertex elimination, so that the number of distinct
 shapes per level stays small; T does not depend on it. A rooted map minor
 is keyed by its rotation in first-visit labelling from the root
-(``canonical_form``).
+(``canonical_form``), made in one walk that skips the pivot edge
+(``cmap._rooted_minor``). Each state's weight is one int with a fixed slot
+per monomial x^i y^j, so a factor x or y is a shift and merging two equal
+minors one addition; the int becomes a polynomial once, at the end.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .activity import _activity_sum, _order_kernel, _tour_kernel
-from .cmap import CombinatorialMap, MapError, _rooted, _splice
+from .cmap import (CombinatorialMap, MapError, _cycle_labels,
+                   _rooted_minor, _rooted_whole)
 from .graph import GraphError, Multigraph
 from .poly import X, Y, ZERO, BivariatePolynomial
 from .spanning import enumerate_spanning_trees
@@ -122,26 +126,44 @@ def _graph_pivot(shape: tuple) -> list:
     return [(_shape(rest), 0, 0), (contracted, 0, 0)]
 
 
-def _sweep(start, pivot, levels: int) -> BivariatePolynomial:
-    """Deletion-contraction over exact minor keys, one level per edge.
+def _sweep(start, pivot, levels: int, vertices: int) -> BivariatePolynomial:
+    """Deletion-contraction over exact minor keys, one level per edge, of a
+    connected graph or map with ``levels`` edges and ``vertices`` vertices.
 
-    Each level maps a state to its weight, a ``Counter`` {(i, j): coeff},
-    with T = sum of weight * T(state) over the level. ``pivot(state)``
-    removes one edge and returns (minor, dx, dy) triples: the minor gains
-    the weight times x^dx y^dy. Equal keys merge with no further check.
-    After ``levels`` levels one empty state is left, holding T.
+    Each level maps a state to its weight, with T = sum of weight *
+    T(state) over the level. ``pivot(state)`` removes one edge and returns
+    (minor, dx, dy) triples: the minor gains the weight times x^dx y^dy.
+    Equal keys merge with no further check. After ``levels`` levels one
+    empty state is left, holding T.
+
+    A weight is one int (Kronecker substitution): the coefficient of
+    x^i y^j sits in slot i * (levels - vertices + 2) + j, as y-degrees stay
+    within the nullity, and each slot is levels + 2 bits wide. All
+    coefficients are nonnegative and a pivot yields at most two minors, so
+    one level's coefficients sum to at most 2^level and no slot carries
+    into the next. A factor x^dx y^dy is a left shift, a merge one
+    addition, and the int is unpacked into a polynomial once, at the end.
     """
-    level = {start: Counter({(0, 0): 1})}
+    width = levels - vertices + 2  # slots per power of x
+    bits = levels + 2
+    xbits = width * bits
+    level = {start: 1}
     for _ in range(levels):
         nxt: dict = {}
+        get = nxt.get
         for state, weight in level.items():
             for minor, dx, dy in pivot(state):
-                nxt.setdefault(minor, Counter()).update(
-                    {(i + dx, j + dy): c for (i, j), c in weight.items()}
-                    if dx or dy else weight)
+                nxt[minor] = get(minor, 0) + (
+                    weight << dx * xbits + dy * bits if dx or dy else weight)
         level = nxt
     (weight,) = level.values()
-    return BivariatePolynomial(weight)
+    digits = format(weight, "b")  # read in slices, in linear time
+    terms = {}
+    for slot, end in enumerate(range(len(digits), 0, -bits)):
+        coeff = int(digits[max(end - bits, 0):end], 2)
+        if coeff:
+            terms[divmod(slot, width)] = coeff
+    return BivariatePolynomial(terms)
 
 
 def _pivot_order(graph: Multigraph) -> list:
@@ -202,7 +224,7 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
     _require_connected(graph)
     ends = graph._numbered_ends()
     return _sweep(_shape([w for i in _pivot_order(graph) for w in ends[i]]),
-                  _graph_pivot, graph.edge_count)
+                  _graph_pivot, graph.edge_count, graph.vertex_count)
 
 
 def tutte_order_activities(graph: Multigraph,
@@ -227,31 +249,31 @@ def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:
 def _map_pivot(sigma: tuple) -> tuple:
     """One pivot step on a rotation in first-visit labelling (root 0,
     partner h ^ 1): the case, the pivot edge k, and (minor, dx, dy) triples
-    with each minor relabelled from its half-edge 0. Both reroot rules land
-    there: a root on a loop moves to sigma(0), a root alone at a leaf to
-    sigma(1), and in this labelling either is half-edge 2, which the splice
-    renumbers 0. The pivot carries the root (k == 0) in those cases only."""
+    with each minor relabelled from its root by one walk
+    (``_rooted_minor``). Both reroot rules land there: a root on a loop
+    moves to sigma(0), a root alone at a leaf to sigma(1), and in this
+    labelling either is half-edge 2, which the splice renumbers 0. The
+    pivot carries the root (k == 0) in those cases only."""
     hstar = sigma.index(0)  # the half-edge just before the root
     k, partner = hstar >> 1, hstar ^ 1
     h = 0
     while h != hstar and h != partner:  # around the root's vertex
         h = sigma[h]
     if h == partner:  # a loop
-        return "loop", k, [(_rooted(_splice(sigma, k, False), 0), 0, 1)]
+        return "loop", k, [(_rooted_minor(sigma, k, False), 0, 1)]
     if hstar == 0 or sigma[partner] == partner:
         # an isthmus with a leaf end: deleting it would leave the other
         # half-edges connected, so the test below would miss it
-        return "isthmus", k, [(_rooted(_splice(sigma, k, True), 0), 1, 0)]
+        return "isthmus", k, [(_rooted_minor(sigma, k, True), 1, 0)]
     if k == 0:
         raise RuntimeError(
             "ordinary pivot unexpectedly contains the root; map recursion is broken"
         )
-    deleted = _splice(sigma, k, False)
-    rooted = _rooted(deleted, 0)
-    contracted = _rooted(_splice(sigma, k, True), 0)
-    if len(rooted) < len(deleted):  # the deletion is disconnected
+    deleted = _rooted_minor(sigma, k, False)
+    contracted = _rooted_minor(sigma, k, True)
+    if len(deleted) < len(sigma) - 2:  # the deletion is disconnected
         return "isthmus", k, [(contracted, 1, 0)]
-    return "ordinary", k, [(contracted, 0, 0), (rooted, 0, 0)]
+    return "ordinary", k, [(contracted, 0, 0), (deleted, 0, 0)]
 
 
 def tutte_recursive_map(m: CombinatorialMap) -> BivariatePolynomial:
@@ -268,13 +290,15 @@ def tutte_recursive_map(m: CombinatorialMap) -> BivariatePolynomial:
     root (``canonical_form``). A rooted map has no nontrivial automorphism
     fixing its root, so equal tuples mean rooted-isomorphic maps and equal
     polynomials: the level sweep merges them exactly and pivots each
-    distinct rooted minor once, with no recursion and no map objects.
+    distinct rooted minor once, with no recursion and no map objects. The
+    walk that labels the map from its root also checks that it reaches
+    every half-edge, as ``validate`` does.
     """
     if m.root is None:
         raise MapError("a rooted map is required")
-    m.validate()
-    return _sweep(m.canonical_form(), lambda sigma: _map_pivot(sigma)[2],
-                  m.edge_count)
+    start = _rooted_whole(m._sigma, m.root)
+    return _sweep(start, lambda sigma: _map_pivot(sigma)[2], m.edge_count,
+                  _cycle_labels(start)[1])
 
 
 # -- multigraph certificates and isomorphism --------------------------------

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttemap import CombinatorialMap, MapError, all_rotation_systems, embed
+from tuttemap import (CombinatorialMap, MapError, all_rotation_systems, embed,
+                      tutte_recursive_map)
+from tuttemap.cmap import _rooted, _rooted_minor, _splice
 
 from helpers import (
     TORUS_MAP_TEXT,
     _transitive,
+    all_rooted_sigmas,
     compose,
     cycles_of,
     torus_map,
@@ -80,6 +83,9 @@ def test_validate_reaches_the_orbit_of_the_root(case):
         reached = f"reached {len(orbit)} of {len(sigma)}\\)"
         with pytest.raises(MapError, match=reached):
             m.validate()
+        if root is not None:  # the map recursion checks in its own walk
+            with pytest.raises(MapError, match=reached):
+                tutte_recursive_map(m)
 
 
 def test_unknown_root_rejected():
@@ -158,6 +164,20 @@ def _contract_jump_oracle(m, k):
             nxt = sig[alp[nxt]]
         out[h] = nxt
     return out
+
+
+def test_rooted_minor_is_one_walk_of_splice_then_relabel():
+    # every rooted map up to 4 edges, in its first-visit labelling, every
+    # edge deleted and contracted: k == 0 is the re-rooting case, which
+    # walks from half-edge 2; a disconnected deletion stays short
+    for n in range(1, 5):
+        for sigma in all_rooted_sigmas(n):
+            if _rooted(sigma, 0) != sigma:
+                continue
+            for k in range(n):
+                for contract in (False, True):
+                    want = _rooted(_splice(sigma, k, contract), 0) if n > 1 else ()
+                    assert _rooted_minor(sigma, k, contract) == want
 
 
 def test_delete_edge_torus_map():

@@ -1,6 +1,7 @@
 """The five evaluators, their agreement, and the cross-check harness."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -105,6 +106,11 @@ def test_disconnected_rejected_by_every_evaluator():
             fn(g)
     with pytest.raises(MapError, match="connected"):
         embed(g)
+    # a map built directly, two one-edge components: the walk that labels
+    # the map from its root reaches half of it
+    two = CombinatorialMap((0, 1, 2, 3), ("a", "a'", "b", "b'"), 0)
+    with pytest.raises(MapError, match=r"transitively .*\(reached 2 of 4\)"):
+        tutte_recursive_map(two)
 
 
 def test_map_evaluators_reject_unrooted():
@@ -113,6 +119,32 @@ def test_map_evaluators_reject_unrooted():
         tutte_embedding_activities(m)
     with pytest.raises(MapError, match="root"):
         tutte_recursive_map(m)
+
+
+def _branching(*shifts):
+    """A pivot that keeps its one state and passes the weight on once per
+    (dx, dy) in ``shifts``."""
+    return lambda state: [(state, dx, dy) for dx, dy in shifts]
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 130])
+def test_sweep_packing_holds_at_its_bound(n):
+    # two branches per level over n levels drive the coefficient sum to
+    # 2^n, the bound the slot width rests on: each result must be the exact
+    # binomial expansion, so a carry from one slot into the next fails
+    cases = [  # (pivot, vertices, expected terms)
+        (_branching((0, 0), (0, 1)), 1,
+         {(0, j): math.comb(n, j) for j in range(n + 1)}),  # (1 + y)^n
+        (_branching((0, 0), (1, 0)), n + 1,
+         {(i, 0): math.comb(n, i) for i in range(n + 1)}),  # (1 + x)^n
+        (_branching((1, 0), (0, 1)), 1,
+         {(i, n - i): math.comb(n, i) for i in range(n + 1)}),  # (x + y)^n
+        (_branching((0, 0), (0, 0)), 1, {(0, 0): 2 ** n}),  # one full slot
+    ]
+    for pivot, vertices, want in cases:
+        t = engines._sweep("s", pivot, n, vertices)
+        assert t.terms() == want
+        assert t.evaluate(1, 1) == 2 ** n
 
 
 def test_recursive_map_agrees_with_expansion_on_random_maps():
@@ -474,6 +506,17 @@ def test_delcon_oracles_at_scale(make):
     t = tutte_deletion_contraction(g)
     assert t.evaluate(1, 1) == kirchhoff_tree_count(g)
     assert t.evaluate(2, 2) == 2 ** g.edge_count
+
+
+@pytest.mark.parametrize("make", [lambda: _grid(4, 4), lambda: _wheel(20)],
+                         ids=["grid4x4", "W20"])
+def test_recursive_oracles_at_scale(make):
+    verts, edges = make()
+    g = Multigraph(verts, dict(enumerate(edges)))
+    t = tutte_recursive_map(embed(g))
+    assert t.evaluate(1, 1) == kirchhoff_tree_count(g)
+    assert t.evaluate(2, 2) == 2 ** g.edge_count
+    assert t == tutte_deletion_contraction(g)
 
 
 def test_cross_check_k3_exhaustive_roots_and_rotations():
