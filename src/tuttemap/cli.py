@@ -50,7 +50,6 @@ def _load_map(path: str, root: str | None) -> CombinatorialMap:
         m = m.with_root(root)
     if m.root is None:
         raise MapError("this command needs a rooted map (root: record or --root)")
-    m.validate()
     return m
 
 
@@ -168,7 +167,6 @@ def _cmd_euler(args) -> int:
     m = CombinatorialMap.from_text(_read(args.map))
     if args.root is not None:
         m = m.with_root(args.root)
-    m.validate()
     chi = m.euler_characteristic()
     _emit(args, {"chi": chi, "genus": m.genus()},
           f"chi: {chi}\ngenus: {m.genus()}")
@@ -177,9 +175,11 @@ def _cmd_euler(args) -> int:
 
 def _cmd_census(args) -> int:
     census = enumerate_rooted_maps(args.edges, args.genus)
-    text = "\n".join(m.to_text(line_separator="; ") for m in census)
-    _emit(args, {"count": len(census),
-                 "maps": [m.to_json_obj() for m in census]}, text)
+    if args.format == "json":  # build only the form that is printed
+        _emit(args, {"count": len(census),
+                     "maps": [m.to_json_obj() for m in census]}, "")
+    else:
+        _emit(args, {}, "\n".join(m.to_text(line_separator="; ") for m in census))
     return 0
 
 

@@ -6,6 +6,9 @@ orbits are the edges, acting transitively, with at least one edge.
 Internally half-edges are normalized to 0..2m-1 with partner(2i) = 2i+1,
 so the pairing is the xor with 1 and permutations are flat tuples;
 user-facing names are carried alongside for parsing and display.
+
+The ``CombinatorialMap`` constructor checks all of this, transitivity
+included, so every instance is a map and nothing downstream checks again.
 """
 
 from __future__ import annotations
@@ -103,18 +106,6 @@ def _rooted(sigma: Sequence[int], root: int) -> tuple[int, ...]:
     return tuple([label[sigma[h]] for h in order])
 
 
-def _rooted_whole(sigma: Sequence[int], root: int) -> tuple[int, ...]:
-    """``_rooted(sigma, root)``, or MapError if the walk misses a half-edge,
-    that is, if sigma and the pairing do not act transitively."""
-    rooted = _rooted(sigma, root)
-    if len(rooted) != len(sigma):
-        raise MapError(
-            "sigma and alpha do not act transitively on the half-edges "
-            f"(reached {len(rooted)} of {len(sigma)})"
-        )
-    return rooted
-
-
 def _rooted_minor(sigma: tuple[int, ...], k: int,
                   contract: bool) -> tuple[int, ...]:
     """``_rooted(_splice(sigma, k, contract), 0)`` in one walk over the old
@@ -138,13 +129,14 @@ class CombinatorialMap:
     """An embedded connected multigraph with at least one edge, optionally
     rooted at a half-edge.
 
-    Instances are immutable. Edge deletion and contraction return new maps;
-    the constructor refuses a map with no half-edges, so removing a map's
-    only edge is an error.
+    Instances are immutable, and the constructor refuses anything that is
+    not a map (see ``validate``). Edge deletion and contraction return new
+    maps; since a map has at least one edge, removing a map's only edge is
+    an error.
     """
 
     __slots__ = ("_sigma", "_names", "_root", "_index",
-                 "_edge_ids", "_underlying", "_he_vertex")
+                 "_edge_ids", "_underlying")
 
     def __init__(self, sigma: Sequence[int], names: Sequence[str],
                  root: int | None = None) -> None:
@@ -183,7 +175,7 @@ class CombinatorialMap:
         self._index = index
         self._edge_ids = tuple(edge_ids)
         self._underlying = None
-        self._he_vertex = None
+        self.validate()
 
     # -- basic access ---------------------------------------------------
 
@@ -250,22 +242,27 @@ class CombinatorialMap:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise MapError naming the first violated structural rule.
+        """Raise MapError unless sigma and the pairing act transitively.
 
-        The constructor already enforces that sigma is a permutation of at
-        least two half-edges and that the pairing is a fixed-point-free
-        involution (it is built in); this adds transitivity: the first-visit
-        walk of ``_rooted`` from the root (or half-edge 0) must reach every
-        half-edge.
+        The constructor calls this last, once the rest of its checks have
+        passed: sigma is a permutation of at least two half-edges, and the
+        pairing is a fixed-point-free involution (it is built in). The
+        first-visit walk of ``_rooted`` from the root (or half-edge 0) must
+        then reach every half-edge.
         """
-        _rooted_whole(self._sigma, self._root or 0)
+        reached = len(_rooted(self._sigma, self._root or 0))
+        if reached != len(self._sigma):
+            raise MapError(
+                "sigma and alpha do not act transitively on the half-edges "
+                f"(reached {reached} of {len(self._sigma)})"
+            )
 
     # -- construction from named permutations ------------------------------
 
     @classmethod
     def from_permutations(cls, sigma: Mapping[str, str], alpha: Mapping[str, str],
                           root: str | None = None) -> "CombinatorialMap":
-        """Build and validate a map from name-level permutations.
+        """Build a map from name-level permutations.
 
         ``alpha`` must be a fixed-point-free involution covering every
         half-edge; names missing from ``sigma`` are taken as fixed points.
@@ -299,29 +296,22 @@ class CombinatorialMap:
             if root not in index:
                 raise MapError(f"root {root!r} is not a half-edge")
             r = index[root]
-        m = cls(sig, names, r)
-        m.validate()
-        return m
+        return cls(sig, names, r)
 
     # -- derived structure ----------------------------------------------------
 
     def underlying_graph(self) -> Multigraph:
-        """The abstract multigraph: one vertex per rotation cycle, one edge
-        per half-edge pair. ``vertex_of`` and ``edge_ids`` are the incidence
-        tables from half-edges back into this graph."""
+        """The abstract multigraph: one vertex per rotation cycle, numbered
+        0, 1, ... in order of the cycles' least half-edges, and one edge per
+        half-edge pair, named by ``edge_ids``."""
         if self._underlying is None:
             vertex_of, nv = _cycle_labels(self._sigma)
             edges = {
                 self._edge_ids[k]: (vertex_of[2 * k], vertex_of[2 * k + 1])
                 for k in range(self.edge_count)
             }
-            self._he_vertex = tuple(vertex_of)
             self._underlying = Multigraph(range(nv), edges)
         return self._underlying
-
-    def vertex_of(self, h: int) -> int:
-        self.underlying_graph()
-        return self._he_vertex[h]
 
     def euler_characteristic(self) -> int:
         """Rotation cycles plus face cycles minus edges; 2 - 2 * genus."""
@@ -382,9 +372,7 @@ class CombinatorialMap:
         if new_root is not None and new_root > h2:
             new_root -= 2
         names = self._names[:h1] + self._names[h2 + 1:]
-        result = CombinatorialMap(_splice(self._sigma, k, contract), names, new_root)
-        result.validate()
-        return result
+        return CombinatorialMap(_splice(self._sigma, k, contract), names, new_root)
 
     # -- canonical form ------------------------------------------------------
 
@@ -451,29 +439,9 @@ class CombinatorialMap:
         if "sigma" not in records or "alpha" not in records:
             raise MapError("map text needs both a sigma: and an alpha: record")
 
-        sigma_map: dict[str, str] = {}
-        for cyc in _parse_cycles(records["sigma"], "sigma"):
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if a in sigma_map:
-                    raise MapError(f"half-edge {a!r} appears twice in sigma")
-                sigma_map[a] = b
-        alpha_map: dict[str, str] = {}
-        for cyc in _parse_cycles(records["alpha"], "alpha"):
-            if len(cyc) == 1:
-                raise MapError(
-                    f"alpha fixes {cyc[0]!r}; every half-edge needs a distinct partner"
-                )
-            if len(cyc) > 2:
-                raise MapError(
-                    f"alpha is not an involution (cycle of length {len(cyc)})"
-                )
-            a, b = cyc
-            for t in (a, b):
-                if t in alpha_map:
-                    raise MapError(f"half-edge {t!r} appears twice in alpha")
-            alpha_map[a] = b
-            alpha_map[b] = a
-        return cls.from_permutations(sigma_map, alpha_map, records.get("root"))
+        return cls.from_permutations(_parse_cycles(records["sigma"], "sigma"),
+                                     _parse_cycles(records["alpha"], "alpha"),
+                                     records.get("root"))
 
     # -- equality --------------------------------------------------------------
 
@@ -493,7 +461,9 @@ class CombinatorialMap:
         return f"CombinatorialMap.from_text({self.to_text('; ')!r})"
 
 
-def _parse_cycles(text: str, what: str) -> list[list[str]]:
+def _parse_cycles(text: str, what: str) -> dict[str, str]:
+    """The permutation a record's cycles spell out, name -> image. Each
+    name may appear once; ``from_permutations`` checks the rest."""
     cycles: list[list[str]] = []
     depth = 0
     current: list[str] = []
@@ -527,7 +497,13 @@ def _parse_cycles(text: str, what: str) -> list[list[str]]:
         raise MapError(f"unbalanced '(' in {what}")
     if not cycles:
         raise MapError(f"{what} record lists no cycles")
-    return cycles
+    perm: dict[str, str] = {}
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if a in perm:
+                raise MapError(f"half-edge {a!r} appears twice in {what}")
+            perm[a] = b
+    return perm
 
 
 # -- embeddings of an abstract graph ---------------------------------------
@@ -592,9 +568,7 @@ def embed(graph: Multigraph, rotations: Mapping | None = None,
         root = names[0]
     if root not in index:
         raise MapError(f"root {root!r} is not a half-edge of this embedding")
-    m = CombinatorialMap(sigma, names, index[root])
-    m.validate()
-    return m
+    return CombinatorialMap(sigma, names, index[root])
 
 
 def all_rotation_systems(graph: Multigraph) -> Iterator[CombinatorialMap]:

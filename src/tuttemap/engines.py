@@ -35,8 +35,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .activity import _activity_sum, _order_kernel, _tour_kernel
-from .cmap import (CombinatorialMap, MapError, _cycle_labels,
-                   _rooted_minor, _rooted_whole)
+from .cmap import CombinatorialMap, MapError, _cycle_labels, _rooted_minor
 from .graph import GraphError, Multigraph
 from .poly import X, Y, ZERO, BivariatePolynomial
 from .spanning import enumerate_spanning_trees
@@ -238,9 +237,6 @@ def tutte_order_activities(graph: Multigraph,
 
 def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:
     """Sum of x^I y^E over spanning trees, activities from the rooted tour."""
-    if m.root is None:
-        raise MapError("a rooted map is required")
-    m.validate()
     kernel = _tour_kernel(m)
     return _activity_sum(kernel(st.flags)
                          for st in enumerate_spanning_trees(m.underlying_graph()))
@@ -291,12 +287,9 @@ def tutte_recursive_map(m: CombinatorialMap) -> BivariatePolynomial:
     fixing its root, so equal tuples mean rooted-isomorphic maps and equal
     polynomials: the level sweep merges them exactly and pivots each
     distinct rooted minor once, with no recursion and no map objects. The
-    walk that labels the map from its root also checks that it reaches
-    every half-edge, as ``validate`` does.
+    start is the map's ``canonical_form``, which needs a root.
     """
-    if m.root is None:
-        raise MapError("a rooted map is required")
-    start = _rooted_whole(m._sigma, m.root)
+    start = m.canonical_form()
     return _sweep(start, lambda sigma: _map_pivot(sigma)[2], m.edge_count,
                   _cycle_labels(start)[1])
 

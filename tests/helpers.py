@@ -38,6 +38,14 @@ TORUS_TREE = ("aa'", "bb'", "dd'")
 SINGLE_LOOP_TEXT = "sigma: (h h')\nalpha: (h h')\nroot: h\n"
 SINGLE_ISTHMUS_TEXT = "sigma: (h)(h')\nalpha: (h h')\nroot: h\n"
 
+# (sigma record, malformed alpha record, the error it gives)
+ALPHA_DIAGNOSTICS = [
+    ("(a)", "(a)", "alpha fixes 'a'"),
+    ("(a b c)", "(a b c)", "alpha is not an involution at 'a'"),
+    ("(a)", "(a a)", "half-edge 'a' appears twice in alpha"),
+    ("(a b c)", "(a b)(b c)", "half-edge 'b' appears twice in alpha"),
+]
+
 
 def torus_map() -> CombinatorialMap:
     return CombinatorialMap.from_text(TORUS_MAP_TEXT)

@@ -9,7 +9,8 @@ from tuttemap import activity, cli, engines
 from tuttemap.cli import METHODS, main
 from tuttemap.engines import MAX_EXPANSION_EDGES
 
-from helpers import SINGLE_ISTHMUS_TEXT, SINGLE_LOOP_TEXT, TORUS_MAP_TEXT
+from helpers import (ALPHA_DIAGNOSTICS, SINGLE_ISTHMUS_TEXT, SINGLE_LOOP_TEXT,
+                     TORUS_MAP_TEXT)
 
 K3_TEXT = "v 1\nv 2\nv 3\ne a 1 2\ne b 2 3\ne c 1 3\n"
 
@@ -526,3 +527,37 @@ def test_check_builds_no_minor_maps_and_no_tour_orders(capsys, monkeypatch, tmp_
         path.write_text(text)
         code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
         assert code == 0 and out.endswith("all checks passed\n")
+
+
+@pytest.mark.parametrize("sigma,alpha,message", ALPHA_DIAGNOSTICS)
+def test_euler_names_the_bad_alpha_half_edge(capsys, tmp_path, sigma, alpha, message):
+    path = tmp_path / "bad.map"
+    path.write_text(f"sigma: {sigma}\nalpha: {alpha}\n")
+    code, out, err = run(capsys, "euler", "--map", str(path))
+    assert code == 1 and out == "" and message in err
+
+
+def test_each_map_is_validated_once(capsys, monkeypatch, tmp_path, torus_file):
+    # the constructor is the one place a map is checked, so a command
+    # validates each map it builds exactly once
+    calls = {"built": 0, "validated": 0}
+    init, validate = CombinatorialMap.__init__, CombinatorialMap.validate
+
+    def counted_init(self, *args, **kwargs):
+        calls["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_validate(self):
+        calls["validated"] += 1
+        validate(self)
+
+    monkeypatch.setattr(CombinatorialMap, "__init__", counted_init)
+    monkeypatch.setattr(CombinatorialMap, "validate", counted_validate)
+    k4 = tmp_path / "k4.g"
+    k4.write_text(K4_TEXT)
+    for argv in (("tutte", "--graph", str(k4), "--method", "all"),
+                 ("activities", "--map", torus_file)):
+        calls.update(built=0, validated=0)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls["validated"] == calls["built"] >= 1, argv

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttemap import (CombinatorialMap, MapError, all_rotation_systems, embed,
-                      tutte_recursive_map)
+from tuttemap import CombinatorialMap, MapError, all_rotation_systems, embed
 from tuttemap.cmap import _rooted, _rooted_minor, _splice
 
 from helpers import (
+    ALPHA_DIAGNOSTICS,
     TORUS_MAP_TEXT,
     _transitive,
     all_rooted_sigmas,
@@ -68,24 +68,21 @@ def test_map_without_half_edges_rejected():
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.permutations(range(2 * n)), st.none() | st.integers(0, 2 * n - 1))))
 def test_validate_reaches_the_orbit_of_the_root(case):
-    # validate raises exactly on a non-transitive map, and the count it
-    # gives is the orbit of the root under sigma and the pairing
+    # the constructor's validate raises exactly on a non-transitive map,
+    # and the count it gives is the orbit of the root (or of half-edge 0)
+    # under sigma and the pairing
     sigma, root = case
-    m = make_map(tuple(sigma), root)
     orbit = [0 if root is None else root]
     for h in orbit:  # breadth first; the list grows as it is read
         for nxt in (sigma[h], h ^ 1):
             if nxt not in orbit:
                 orbit.append(nxt)
     if _transitive(tuple(sigma)):
-        m.validate()
+        make_map(tuple(sigma), root)
     else:
-        reached = f"reached {len(orbit)} of {len(sigma)}\\)"
+        reached = f"transitively .*\\(reached {len(orbit)} of {len(sigma)}\\)"
         with pytest.raises(MapError, match=reached):
-            m.validate()
-        if root is not None:  # the map recursion checks in its own walk
-            with pytest.raises(MapError, match=reached):
-                tutte_recursive_map(m)
+            make_map(tuple(sigma), root)
 
 
 def test_unknown_root_rejected():
@@ -99,10 +96,13 @@ def test_underlying_graph_torus_map():
     # count the permutation cycles directly
     assert len(cycles_of(name_sigma(m))) == 4 == g.vertex_count
     assert len(cycles_of(name_alpha(m))) == 6 == g.edge_count
-    # the incidence tables are consistent
-    for h in range(m.n_half_edges):
-        eid = m.edge_ids[m.edge_of(h)]
-        assert m.vertex_of(h) in g.endpoints(eid)
+    # each edge joins the rotation cycles of its two half-edges, vertices
+    # numbered in order of their cycles' least half-edges
+    rotation = {h: m.sigma(h) for h in range(m.n_half_edges)}
+    vertex = {h: v for v, cyc in enumerate(sorted(cycles_of(rotation), key=min))
+              for h in cyc}
+    for k, eid in enumerate(m.edge_ids):
+        assert sorted(g.endpoints(eid)) == sorted((vertex[2 * k], vertex[2 * k + 1]))
 
 
 def test_underlying_graph_single_edge_maps():
@@ -343,6 +343,11 @@ def test_parse_diagnostics():
         CombinatorialMap.from_text("sigma: (a a'\nalpha: (a a')\n")
     with pytest.raises(MapError, match="sigma"):
         CombinatorialMap.from_text("alpha: (a a')\n")
+    # the alpha record: repeats are caught in the parser, the rest by
+    # from_permutations, each message naming a half-edge
+    for sigma, alpha, message in ALPHA_DIAGNOSTICS:
+        with pytest.raises(MapError, match=message):
+            CombinatorialMap.from_text(f"sigma: {sigma}\nalpha: {alpha}\n")
 
 
 def test_serializer_sorts_cycles():

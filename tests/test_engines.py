@@ -106,11 +106,10 @@ def test_disconnected_rejected_by_every_evaluator():
             fn(g)
     with pytest.raises(MapError, match="connected"):
         embed(g)
-    # a map built directly, two one-edge components: the walk that labels
-    # the map from its root reaches half of it
-    two = CombinatorialMap((0, 1, 2, 3), ("a", "a'", "b", "b'"), 0)
+    # a map built directly, two one-edge components: the constructor's
+    # walk from the root reaches half of it, so no evaluator sees it
     with pytest.raises(MapError, match=r"transitively .*\(reached 2 of 4\)"):
-        tutte_recursive_map(two)
+        make_map((0, 1, 2, 3))
 
 
 def test_map_evaluators_reject_unrooted():
