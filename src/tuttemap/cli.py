@@ -190,11 +190,11 @@ def _cmd_zpoly(args) -> int:
 
 
 def _random_embedding(graph: Multigraph, rng: random.Random) -> CombinatorialMap:
-    at_vertex, _ = _graph_incidences(graph)
+    at_vertex, partner = _graph_incidences(graph)
     for v in sorted(at_vertex, key=str):
         rng.shuffle(at_vertex[v])
-    m = embed(graph, rotations=at_vertex)
-    return m.with_root(rng.choice(m.names))
+    # the partner keys are embed's half-edge names, in embed's order
+    return embed(graph, rotations=at_vertex, root=rng.choice(list(partner)))
 
 
 def _cmd_check(args) -> int:

@@ -220,10 +220,6 @@ class CombinatorialMap:
     def alpha(self, h: int) -> int:
         return h ^ 1
 
-    def edge_of(self, h: int) -> int:
-        """Edge number of a half-edge."""
-        return h >> 1
-
     def edge_index(self, token: str) -> int:
         """Resolve an edge id, or the name of either of its half-edges."""
         for k, eid in enumerate(self._edge_ids):

@@ -218,8 +218,16 @@ class Multigraph:
         return cls(verts, edges)
 
     def to_text(self) -> str:
-        lines = [f"v {v}" for v in sorted(self._vertices, key=str)]
-        for e in sorted(self._edges, key=str):
+        """The line format ``from_text`` reads, which gives ids back as
+        strings. An id whose text is empty or holds whitespace or ``#``
+        would not read back, so it raises GraphError."""
+        verts = sorted(self._vertices, key=str)
+        edges = sorted(self._edges, key=str)
+        for word in map(str, verts + edges):
+            if "#" in word or word.split() != [word]:
+                raise GraphError(f"id {word!r} is empty or holds whitespace or '#'")
+        lines = [f"v {v}" for v in verts]
+        for e in edges:
             u, v = sorted(self._edges[e], key=str)
             lines.append(f"e {e} {u} {v}")
         return "\n".join(lines) + "\n"

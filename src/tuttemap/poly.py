@@ -4,6 +4,8 @@ This is the value type shared by every Tutte evaluator in the package.
 Coefficients are plain Python ints, so nothing overflows or rounds; the
 cross-checks between evaluators rely on that exactness. Evaluation takes
 exact rational points (ints or fractions.Fraction); floats are refused.
+Text is read only in the grammar ``str`` prints: signed terms, each an
+optional coefficient, then ``x`` or ``x^n``, then ``y`` or ``y^n``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class PolynomialParseError(ValueError):
     """The input text is not a polynomial in x and y."""
 
 
-_TOKEN = re.compile(r"\s*(\d+|[xy^+\-*])")
+_TERM = re.compile(r"\s*([+-]?)\s*(\d*)\s*(x(?:\^(\d*))?)?\s*(y(?:\^(\d*))?)?\s*")
 
 
 class BivariatePolynomial:
@@ -190,82 +192,32 @@ class BivariatePolynomial:
 
     @classmethod
     def parse(cls, text: str) -> "BivariatePolynomial":
-        """Parse the canonical text form, e.g. ``x^2 - 2 x + 1``."""
-        tokens: list[str] = []
+        """Read the text ``str`` prints, e.g. ``x^2 - 2 x + 1``.
+
+        Terms are joined by ``+`` or ``-``, and the first may carry a sign.
+        A term is an optional decimal coefficient, then an optional ``x``
+        or ``x^n``, then an optional ``y`` or ``y^n``; whitespace may
+        separate the parts. Errors name the first character where no term
+        can start or continue.
+        """
+        if not text.strip():
+            raise PolynomialParseError("empty polynomial text")
+        out = []
         pos = 0
         while pos < len(text):
-            match = _TOKEN.match(text, pos)
-            if not match:
-                rest = text[pos:].strip()
-                if not rest:
-                    break
+            m = _TERM.match(text, pos)
+            sign, coeff, x, dx, y, dy = m.groups()
+            if out and not sign:
                 raise PolynomialParseError(
-                    f"unexpected character {rest[0]!r} in polynomial"
-                )
-            tokens.append(match.group(1))
-            pos = match.end()
-        if not tokens:
-            raise PolynomialParseError("empty polynomial text")
-
-        n = len(tokens)
-
-        def parse_term(i: int, sign: int):
-            coeff = sign
-            dx = dy = 0
-            got = False
-            while i < n:
-                tok = tokens[i]
-                if tok == "*":
-                    i += 1
-                    continue
-                if tok.isdigit():
-                    coeff *= int(tok)
-                    i += 1
-                    got = True
-                    continue
-                if tok in ("x", "y"):
-                    i += 1
-                    exp = 1
-                    if i < n and tokens[i] == "^":
-                        i += 1
-                        if i >= n or not tokens[i].isdigit():
-                            raise PolynomialParseError(
-                                "'^' must be followed by an integer exponent"
-                            )
-                        exp = int(tokens[i])
-                        i += 1
-                    if tok == "x":
-                        dx += exp
-                    else:
-                        dy += exp
-                    got = True
-                    continue
-                break
-            if not got:
-                found = tokens[i] if i < n else "end of input"
-                raise PolynomialParseError(f"expected a term, found {found!r}")
-            return i, ((dx, dy), coeff)
-
-        def eat_signs(i: int):
-            sign = 1
-            while i < n and tokens[i] in "+-":
-                if tokens[i] == "-":
-                    sign = -sign
-                i += 1
-            return i, sign
-
-        out = []
-        i, sign = eat_signs(0)
-        i, term = parse_term(i, sign)
-        out.append(term)
-        while i < n:
-            if tokens[i] not in "+-":
-                raise PolynomialParseError(
-                    f"expected '+' or '-', found {tokens[i]!r}"
-                )
-            i, sign = eat_signs(i)
-            i, term = parse_term(i, sign)
-            out.append(term)
+                    f"expected '+' or '-', found {text[m.start(1)]!r}")
+            if not (coeff or x or y):
+                found = repr(text[m.end()]) if m.end() < len(text) else "end of input"
+                raise PolynomialParseError(f"expected a term, found {found}")
+            if dx == "" or dy == "":
+                raise PolynomialParseError("'^' must be followed by an integer exponent")
+            key = (int(dx or 1) if x else 0, int(dy or 1) if y else 0)
+            out.append((key, int(coeff or 1) * (-1 if sign == "-" else 1)))
+            pos = m.end()
         return cls(out)
 
     def json_terms(self) -> list[dict]:

@@ -322,7 +322,7 @@ def test_embedding_activities_match_definition_on_map_corpus():
     assert pairs > 500
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(ordered_and_embedded())
 def test_embedding_activities_match_definition_on_random_rooted_maps(case):
     _, _, m = case
@@ -388,7 +388,7 @@ def test_order_activities_match_definition_on_random_orders():
     assert pairs > 500
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(ordered_and_embedded())
 def test_both_activity_sums_match_the_expansion_oracle(case):
     g, order, m = case

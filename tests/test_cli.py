@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuttemap import BivariatePolynomial, CombinatorialMap
 from tuttemap import activity, cli, engines
@@ -561,3 +563,40 @@ def test_each_map_is_validated_once(capsys, monkeypatch, tmp_path, torus_file):
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert calls["validated"] == calls["built"] >= 1, argv
+
+
+# a valid file, and the words, ids and punctuation of its soups
+_GRAPH_SOUP = ("v 1\nv 2\ne a 1 2\ne b 2 2\ne c 1 2", ["v", "e", "a", "b", "1", "2", "#"])
+_MAP_SOUP = ("sigma: (a b)(a' b')\nalpha: (a a')(b b')\nroot: a",
+             ["sigma:", "alpha:", "root:", "(", ")", "a", "a'", "b", "b'", ";", "#"])
+_WORDS = ["bb'", "a", "a'", "aa'", "b", "aa',bb'", "z", ",", ""]
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_malformed_input_never_crashes_the_cli(tmp_path_factory, data):
+    # bad input exits 1 with a message; exit 2 and uncaught exceptions are
+    # kept for broken invariants and bugs
+    command = data.draw(st.sampled_from(
+        ["tutte", "check", "euler", "activities", "tour", "minor"]))
+    on_graph = command in ("tutte", "check")
+    text, soup = _GRAPH_SOUP if on_graph else _MAP_SOUP
+    lines = text.splitlines()
+    line = st.sampled_from(text.splitlines()) | st.lists(st.sampled_from(soup), max_size=4).map(" ".join)
+    for _ in range(data.draw(st.integers(0, 3))):  # delete, replace or add a line
+        i = data.draw(st.integers(0, len(lines)))
+        lines[i:i + 1] = data.draw(st.lists(line, max_size=1))
+    path = tmp_path_factory.getbasetemp() / "soup.txt"
+    path.write_text("\n".join(lines))
+    argv = [command, "--graph" if on_graph else "--map", str(path),
+            "--format", data.draw(st.sampled_from(["text", "json"]))]
+    word = st.sampled_from(_WORDS)
+    if command == "check":
+        argv += ["--trials", "1"]
+    elif command == "tour":
+        argv += ["--tree", data.draw(word)]
+    elif command == "minor":
+        argv += [data.draw(st.sampled_from(["--delete", "--contract"])), data.draw(word)]
+    if command != "check" and data.draw(st.booleans()):
+        argv += ["--root", data.draw(word)]
+    assert main(argv) in (0, 1)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tuttemap import CombinatorialMap, MapError, all_rotation_systems, embed
@@ -64,7 +64,7 @@ def test_map_without_half_edges_rejected():
         CombinatorialMap((), ())
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.permutations(range(2 * n)), st.none() | st.integers(0, 2 * n - 1))))
 def test_validate_reaches_the_orbit_of_the_root(case):
@@ -332,6 +332,27 @@ def test_text_round_trip():
     assert same_form(again, m) and rooted_iso_oracle(again, m)
     # single-line form with ';' separators parses too
     assert CombinatorialMap.from_text(m.to_text(line_separator="; ")).to_text() == text
+
+
+# names a map can carry: no whitespace and none of "()#;,"
+_half_edge_names = st.text(
+    st.characters(exclude_categories=("Z", "Cc"), exclude_characters="()#;,"),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.randoms(use_true_random=False), st.integers(0, 2 * n - 1),
+    st.lists(_half_edge_names, min_size=2 * n, max_size=2 * n, unique=True))))
+def test_text_round_trip_random_names(case):
+    rng, root, names = case
+    edge_ids = {"".join(sorted(names[k:k + 2])) for k in range(0, len(names), 2)}
+    assume(2 * len(edge_ids) == len(names))  # no two edges print alike
+    m = random_rooted_map(rng, len(names) // 2)
+    m = CombinatorialMap([m.sigma(h) for h in range(m.n_half_edges)], names, root)
+    again = CombinatorialMap.from_text(m.to_text())
+    assert again.to_text() == m.to_text()
+    assert again.canonical_form() == m.canonical_form()
 
 
 def test_parse_diagnostics():

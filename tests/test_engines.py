@@ -381,7 +381,7 @@ def test_tree_routes_draw_their_trees_through_the_enumerator(monkeypatch):
         assert len(drawn) == want
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(ordered_and_embedded(max_edges=9))
 def test_cross_check_agrees_on_random_graphs(case):
     g, order, m = case
@@ -390,7 +390,7 @@ def test_cross_check_agrees_on_random_graphs(case):
     assert polys["order[0]"].evaluate(1, 1) == kirchhoff_tree_count(g)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(random_connected_multigraphs())
 def test_delcon_matches_expansion_and_oracle(g):
     t = tutte_deletion_contraction(g)
@@ -454,7 +454,7 @@ def _max_frontier(g, order):
     return most
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(random_connected_multigraphs())
 def test_pivot_order_is_a_permutation_of_the_edges(g):
     assert sorted(engines._pivot_order(g)) == list(range(g.edge_count))

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuttemap import GraphError, Multigraph
 
@@ -148,6 +150,36 @@ def test_text_format_round_trip():
     assert g.vertex_count == 4 and g.edge_count == 6
     assert g.is_loop("l")
     assert Multigraph.from_text(g.to_text()) == g
+
+
+# ids the graph text can carry: no whitespace and no "#"
+_ids = st.text(st.characters(exclude_categories=("Z", "Cc"), exclude_characters="#"),
+               min_size=1, max_size=4)
+
+
+@st.composite
+def _string_id_graphs(draw):
+    verts = draw(st.lists(_ids, min_size=1, max_size=5, unique=True))
+    ends = st.tuples(st.sampled_from(verts), st.sampled_from(verts))
+    return Multigraph(verts, draw(st.dictionaries(_ids, ends, max_size=8)))
+
+
+@settings(max_examples=200)
+@given(_string_id_graphs())
+def test_text_round_trip_string_ids(g):
+    # loops and parallel edges are drawn too
+    assert Multigraph.from_text(g.to_text()) == g
+
+
+def test_to_text_refuses_ids_it_cannot_read_back():
+    for g, bad in [(Multigraph(["a#", "c"], {"e": ("c", "c")}), "'a#'"),
+                   (Multigraph(["a", "b"], {"e 1": ("a", "b")}), "'e 1'"),
+                   (Multigraph(["", "b"], {"e": ("b", "b")}), "''")]:
+        with pytest.raises(GraphError, match=bad):
+            g.to_text()
+    # int ids are written as words and come back as strings
+    g = Multigraph([1, 2], {3: (1, 2)})
+    assert Multigraph.from_text(g.to_text()) == Multigraph(["1", "2"], {"3": ("1", "2")})
 
 
 def test_text_format_errors():

@@ -1,9 +1,12 @@
 """Polynomial arithmetic, canonical text, and exact evaluation."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tuttemap import BivariatePolynomial, ONE, X, Y, ZERO, PolynomialParseError
 
@@ -132,6 +135,26 @@ def test_parse_errors_name_the_token():
         P("x^ +")
     with pytest.raises(PolynomialParseError, match="empty"):
         P("   ")
+    # forms that str never prints are refused at their first character
+    for text, bad in [("2*x", "*"), ("x * y", "*"), ("- - x", "-"), ("+-x", "-"),
+                      ("2 3 x", "3"), ("y x", "x"), ("x x", "x"), ("x ^ 2", "^")]:
+        with pytest.raises(PolynomialParseError, match=re.escape(repr(bad))):
+            P(text)
+
+
+_coefficients = st.integers(-(10**40), 10**40)
+_polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)), _coefficients, max_size=8
+).map(BivariatePolynomial)
+
+
+@settings(max_examples=300)
+@given(_polynomials)
+@example(ZERO)
+def test_text_and_json_round_trip(p):
+    assert P(str(p)) == p
+    assert str(P(str(p))) == str(p)
+    assert BivariatePolynomial.from_json_terms(p.json_terms()) == p
 
 
 def test_pow_matches_repeated_mul():
