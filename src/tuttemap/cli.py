@@ -27,7 +27,7 @@ from .engines import (
     tutte_subgraph_expansion,
 )
 from .graph import Multigraph
-from .mapenum import enumerate_rooted_maps, partition_function
+from .mapenum import census_texts, partition_function
 from .poly import BivariatePolynomial
 from .spanning import enumerate_spanning_trees, kirchhoff_tree_count
 
@@ -165,8 +165,8 @@ def _cmd_minor(args) -> int:
 
 def _cmd_euler(args) -> int:
     m = CombinatorialMap.from_text(_read(args.map))
-    if args.root is not None:
-        m = m.with_root(args.root)
+    if args.root is not None:  # chi and genus do not depend on the root
+        m.index(args.root)
     chi = m.euler_characteristic()
     _emit(args, {"chi": chi, "genus": m.genus()},
           f"chi: {chi}\ngenus: {m.genus()}")
@@ -174,12 +174,19 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    census = enumerate_rooted_maps(args.edges, args.genus)
-    if args.format == "json":  # build only the form that is printed
-        _emit(args, {"count": len(census),
-                     "maps": [m.to_json_obj() for m in census]}, "")
-    else:
-        _emit(args, {}, "\n".join(m.to_text(line_separator="; ") for m in census))
+    texts = census_texts(args.edges, args.genus, args.format)
+    if args.format == "text":
+        print(next(texts, ""))  # an empty census prints one empty line
+        for line in texts:
+            print(line)
+        return 0
+    # the count prints first, so the maps are held; json.dumps lays out the
+    # payload with one null standing for them (none for an empty census),
+    # and their texts, nested two levels in, take its place
+    maps = [m.replace("\n", "\n    ") for m in texts]
+    payload = json.dumps({"count": len(maps), "maps": [None] * bool(maps)},
+                         indent=2, sort_keys=True)
+    print(payload.replace("null", ",\n    ".join(maps)))
     return 0
 
 

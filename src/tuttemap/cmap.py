@@ -32,20 +32,29 @@ class MapError(ValueError):
     """Malformed map input, or an operation the map structure rules out."""
 
 
-def _perm_cycles(perm: Sequence[int]) -> list[list[int]]:
+def _named_cycles(perm: Sequence[int],
+                  names: Sequence[str]) -> list[list[str]]:
+    """The cycles of ``perm`` as names, in the order map text and JSON
+    print them: each cycle starts at its least name and the cycles are
+    sorted by it, comparing names as strings (h10 comes before h2)."""
     seen = [False] * len(perm)
-    out = []
+    cycles = []
     for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = []
-        h = start
-        while not seen[h]:
-            seen[h] = True
-            cyc.append(h)
-            h = perm[h]
-        out.append(cyc)
-    return out
+        if not seen[start]:
+            named = []
+            h = start
+            while not seen[h]:
+                seen[h] = True
+                named.append(names[h])
+                h = perm[h]
+            j = named.index(min(named))
+            cycles.append(named[j:] + named[:j])
+    cycles.sort()  # the first names differ, so they alone decide
+    return cycles
+
+
+def _cycles_text(cycles: list[list[str]]) -> str:
+    return "".join("(" + " ".join(c) + ")" for c in cycles)
 
 
 def _cycle_labels(perm: Sequence[int]) -> tuple[list[int], int]:
@@ -382,39 +391,25 @@ class CombinatorialMap:
 
     # -- text and JSON forms ------------------------------------------------------
 
-    def _named_sigma_cycles(self) -> list[list[str]]:
-        cycles = []
-        for cyc in _perm_cycles(self._sigma):
-            named = [self._names[h] for h in cyc]
-            j = named.index(min(named))
-            cycles.append(named[j:] + named[:j])
-        cycles.sort(key=lambda c: c[0])
-        return cycles
-
-    def _named_alpha_pairs(self) -> list[list[str]]:
-        pairs = [
-            sorted((self._names[2 * k], self._names[2 * k + 1]))
-            for k in range(self.edge_count)
-        ]
-        pairs.sort(key=lambda p: p[0])
-        return pairs
+    def _printed_cycles(self) -> tuple[list[list[str]], list[list[str]]]:
+        """The sigma cycles and the alpha pairs, named and ordered as the
+        text and JSON forms print them."""
+        alpha = [h ^ 1 for h in range(len(self._sigma))]
+        return (_named_cycles(self._sigma, self._names),
+                _named_cycles(alpha, self._names))
 
     def to_text(self, line_separator: str = "\n") -> str:
         """Serialize as ``sigma:``/``alpha:``/``root:`` records, rotation
         cycles sorted by their smallest half-edge name."""
-        sig = "".join("(" + " ".join(c) + ")" for c in self._named_sigma_cycles())
-        alp = "".join("(" + " ".join(p) + ")" for p in self._named_alpha_pairs())
-        parts = [f"sigma: {sig}", f"alpha: {alp}"]
+        sig, alp = self._printed_cycles()
+        parts = [f"sigma: {_cycles_text(sig)}", f"alpha: {_cycles_text(alp)}"]
         if self._root is not None:
             parts.append(f"root: {self._names[self._root]}")
         return line_separator.join(parts)
 
     def to_json_obj(self) -> dict:
-        return {
-            "sigma": self._named_sigma_cycles(),
-            "alpha": self._named_alpha_pairs(),
-            "root": self.root_name,
-        }
+        sig, alp = self._printed_cycles()
+        return {"sigma": sig, "alpha": alp, "root": self.root_name}
 
     @classmethod
     def from_text(cls, text: str) -> "CombinatorialMap":

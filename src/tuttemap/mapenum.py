@@ -18,20 +18,25 @@ census filters genus on the rotation (``cmap._euler``), and
 cycle, and the tour kernel (``activity._scan``, a function from a tree's
 flags to its active edge positions) on sigma with half-edge h on edge
 h >> 1; ``activity._activity_sum`` counts the pairs it returns, as it does
-for the evaluators. Only ``enumerate_rooted_maps`` builds
+for the evaluators. ``census_texts`` prints each map from its rotation
+too: half-edge i is named h<i> and the root is h0, so only the sigma
+cycles differ from map to map. Only ``enumerate_rooted_maps`` builds
 ``CombinatorialMap``s, and only for the rotations it keeps.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Iterator
 
 from .activity import _activity_sum, _scan
-from .cmap import CombinatorialMap, _cycle_labels, _euler
+from .cmap import (CombinatorialMap, _cycle_labels, _cycles_text, _euler,
+                   _named_cycles)
 from .poly import BivariatePolynomial
 from .spanning import _tree_flags
 
-__all__ = ["enumerate_rooted_maps", "partition_function", "MAX_CENSUS_EDGES"]
+__all__ = ["enumerate_rooted_maps", "census_texts", "partition_function",
+           "MAX_CENSUS_EDGES"]
 
 # The census grows more than 10x per edge (8,162 maps at 5 edges, 110,410
 # at 6), and partition_function sums every spanning tree of every map; 5
@@ -96,6 +101,32 @@ def enumerate_rooted_maps(n: int,
     sigmas = _census_sigmas(n, genus)
     names = tuple(f"h{i}" for i in range(2 * n))
     return tuple(CombinatorialMap(s, names, root=0) for s in sigmas)
+
+
+def census_texts(n: int, genus: int | None, form: str) -> Iterator[str]:
+    """Each census map as it prints, in census order, made from its
+    rotation with no map object: with form "text", the one-line text form
+    (``to_text("; ")``), and with "json", the JSON object text
+    (``json.dumps(to_json_obj(), indent=2, sort_keys=True)``). The alpha
+    and root parts are the same for every map with n edges, so they are
+    formatted once. The bounds are checked before this returns."""
+    sigmas = _census_sigmas(n, genus)
+    names = [f"h{i}" for i in range(2 * n)]
+    alpha = _named_cycles([h ^ 1 for h in range(2 * n)], names)
+    if form == "text":
+        tail = f"; alpha: {_cycles_text(alpha)}; root: h0"
+        return ("sigma: " + _cycles_text(_named_cycles(s, names)) + tail
+                for s in sigmas)
+    head, _, tail = json.dumps({"alpha": alpha, "root": "h0", "sigma": None},
+                               indent=2, sort_keys=True).partition("null")
+    # the sigma list sits one level in: cycles at 4 spaces, names at 6
+    quoted = {nm: "\n      " + json.dumps(nm) for nm in names}
+
+    def sigma_json(cycles: list[list[str]]) -> str:
+        return "[" + ",".join("\n    [" + ",".join(quoted[nm] for nm in c)
+                              + "\n    ]" for c in cycles) + "\n  ]"
+
+    return (head + sigma_json(_named_cycles(s, names)) + tail for s in sigmas)
 
 
 def partition_function(n: int, genus: int | None = None) -> BivariatePolynomial:

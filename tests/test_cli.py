@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuttemap import BivariatePolynomial, CombinatorialMap
+from tuttemap import BivariatePolynomial, CombinatorialMap, enumerate_rooted_maps
 from tuttemap import activity, cli, engines
 from tuttemap.cli import METHODS, main
 from tuttemap.engines import MAX_EXPANSION_EDGES
@@ -563,6 +563,52 @@ def test_each_map_is_validated_once(capsys, monkeypatch, tmp_path, torus_file):
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert calls["validated"] == calls["built"] >= 1, argv
+    # the census prints from bare rotations, and euler only looks the root
+    # up: chi and genus do not depend on it
+    for argv, built in ((("census", "--edges", "4"), 0),
+                        (("census", "--edges", "4", "--format", "json"), 0),
+                        (("euler", "--map", torus_file, "--root", "e'"), 1)):
+        calls.update(built=0, validated=0)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls["validated"] == calls["built"] == built, argv
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("bad", [("--edges", "6"), ("--edges", "0"),
+                                 ("--edges", "2", "--genus", "-1")])
+def test_census_checks_its_bounds_before_printing(capsys, form, bad):
+    code, out, err = run(capsys, "census", *bad, "--format", form)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n, genus", [(n, g) for n in (1, 2, 3, 4)
+                                      for g in (None, 0, 1, 2, 3)] + [(5, None)])
+def test_census_prints_what_the_maps_print(capsys, n, genus):
+    # the census formats rotations itself; the map objects are the reference
+    census = enumerate_rooted_maps(n, genus)
+    argv = ["census", "--edges", str(n)]
+    if genus is not None:
+        argv += ["--genus", str(genus)]
+    # compared as lists of lines: a failing diff of the whole text is slow
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    want = "\n".join(m.to_text("; ") for m in census)
+    assert out.split("\n") == (want + "\n").split("\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    want = json.dumps({"count": len(census),
+                       "maps": [m.to_json_obj() for m in census]},
+                      indent=2, sort_keys=True)
+    assert out.split("\n") == (want + "\n").split("\n")
+
+
+def test_euler_root_override(capsys, torus_file):
+    code, out, err = run(capsys, "euler", "--map", torus_file, "--root", "c'")
+    assert (code, out, err) == (0, "chi: 0\ngenus: 1\n", "")
+    code, out, err = run(capsys, "euler", "--map", torus_file, "--root", "z")
+    assert (code, out, err) == (1, "", "error: unknown half-edge 'z'\n")
 
 
 # a valid file, and the words, ids and punctuation of its soups

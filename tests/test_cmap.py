@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tuttemap import CombinatorialMap, MapError, all_rotation_systems, embed
-from tuttemap.cmap import _rooted, _rooted_minor, _splice
+from tuttemap.cmap import _named_cycles, _rooted, _rooted_minor, _splice
 
 from helpers import (
     ALPHA_DIAGNOSTICS,
@@ -124,6 +124,21 @@ def test_euler_characteristic():
     assert len(cycles_of(sa)) == 2
     assert m.euler_characteristic() == 4 + 2 - 6 == 0
     assert m.genus() == 1
+
+
+def test_cycles_print_in_name_order():
+    # names compare as strings, so in a 6-edge map h10 comes before h3,
+    # and a cycle through h3, h9 and h10 starts at h10
+    names = [f"h{i}" for i in range(12)]
+    sigma = [2, 1, 4, 9, 6, 5, 8, 7, 0, 10, 3, 11]
+    assert _named_cycles(sigma, names) == [
+        ["h0", "h2", "h4", "h6", "h8"], ["h1"], ["h10", "h3", "h9"],
+        ["h11"], ["h5"], ["h7"]]
+    m = CombinatorialMap(sigma, names, root=0)
+    assert m.to_text("; ").startswith(
+        "sigma: (h0 h2 h4 h6 h8)(h1)(h10 h3 h9)(h11)(h5)(h7); "
+        "alpha: (h0 h1)(h10 h11)(h2 h3)")
+    assert m.to_json_obj()["sigma"] == _named_cycles(sigma, names)
 
 
 def test_euler_characteristic_even_and_bounded():

@@ -220,6 +220,24 @@ def test_census_counts_match_closed_forms(n):
         assert len(enumerate_rooted_maps(n, genus=g)) == count
 
 
+def _baxter(k: int) -> int:
+    # A001181: Baxter permutations of length k
+    c = math.comb
+    return sum(c(k + 1, j - 1) * c(k + 1, j) * c(k + 1, j + 1)
+               for j in range(1, k + 1)) // (c(k + 1, 1) * c(k + 1, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_planar_linear_coefficients_are_baxter_numbers(n):
+    # over rooted planar maps the coefficient of x counts plane bipolar
+    # orientations, A001181(n - 1) (Baxter, Ann. Comb. 5 (2001)); the
+    # single isthmus gives 1 at n = 1, and duality gives y the same count
+    assert [_baxter(k) for k in range(1, 6)] == [1, 2, 6, 22, 92]
+    terms = partition_function(n, genus=0).terms()
+    want = 1 if n == 1 else _baxter(n - 1)
+    assert terms.get((1, 0), 0) == terms.get((0, 1), 0) == want
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_z11_matches_closed_forms(n):
     # planar: C_n * C_{n+1} tree-rooted maps (Mullin 1967), and duality
