@@ -12,16 +12,46 @@ no logic, so their agreement is a check. The graph is numbered once
 (``Multigraph._numbered_ends``) and a tree is its ``flags`` over edge
 positions. A kernel is a function ``flags -> (internal, external)``, the
 lists of the tree's internal- and external-active edge positions, built
-once per graph and order or per map and applied to each tree. Every route
-ends in ``_activity_sum``, the one place that counts x^|I| y^|E|; the
-single-tree ``order_activities`` and ``embedding_activities`` apply the
-same kernels to one tree.
+once per graph and order or per map and applied to each tree. Every
+per-tree route ends in ``_activity_sum``, the one place that counts
+x^|I| y^|E| over trees; the single-tree ``order_activities`` and
+``embedding_activities`` apply the same kernels to one tree. The order
+route also has a batch kernel over many trees (below), counted by
+``_lane_sum``.
 
 The order kernel (``_order_kernel``) hangs the tree from vertex 0, giving
 each vertex the bitmask of its tree path to the root; an external edge's
 tree path is the xor of its endpoints' masks. In rank order, an external
 edge is active iff its path holds no lower tree edge, and a tree edge iff
 no lower external edge's path covers it.
+
+The batch order kernel (``_order_batch``) decides a chunk of trees at once
+and roots none of them. Its lanes are bit-sliced: bit i of every mask
+belongs to tree i of the chunk, edge p's plane is the mask of the trees
+that hold p, and one big-int operation acts on every tree of the chunk.
+It rests on two facts, for a spanning tree T, an edge f with ends u, v,
+and "above f" and "below f" meaning ranked above or below f:
+
+1. An external edge f is active iff u and v are joined by tree edges
+   above f. f is active iff every edge of its tree path ranks above f.
+   If so, that path joins u and v; conversely, any walk in T from u to v
+   contains the tree path, so a walk of edges above f puts the path above
+   f. A loop's cycle is itself, so a loop is always active.
+2. A tree edge p is active iff u and v stay apart in (T - p) plus every
+   edge below p. p is active iff no edge below p lies in its cocycle, the
+   edges joining the two components of T - p, which hold u and v. An edge
+   below p in the cocycle joins the two, and so u to v. Conversely, a path
+   from u to v in (T - p) plus the edges below p must cross between the
+   two components by an edge outside T - p, so by an edge below p in the
+   cocycle.
+
+Fact 2 takes every edge below p, whatever the tree, so the batch kernel
+contracts those edges once per p, for all chunks, and asks whether the
+tree edges above p join the classes of u and v (tree edges below p lie
+inside a class). Both facts are then one lane-wise reachability question
+(``_joined``) over the tree edges above the edge, with each edge present
+in the lanes of its plane. ``_lane_sum`` counts x^|I| y^|E| over the
+lanes with bit-sliced counters, beside ``_activity_sum``.
 
 The tour kernel (``_scan``) reads both off one scan of the tour. The two
 half-edges of each tree edge nest there like parentheses (Bernardi, EJC 14
@@ -117,16 +147,22 @@ def _as_spanning_tree(graph: Multigraph, tree) -> SpanningTree:
     return SpanningTree(graph, ids)
 
 
-def _order_kernel(graph: Multigraph, order: Sequence):
-    """The order kernel of ``graph`` under ``order``, which must list every
-    edge id exactly once, smallest first: a function from the flags of a
-    tree to its internal- and external-active edge positions, each edge
-    decided from its definition in rank order (see the module docstring)."""
+def _ranked(graph: Multigraph, order: Sequence) -> list[int]:
+    """The edge positions in rank order. ``order`` must list every edge id
+    exactly once, smallest first."""
     order = list(order)
     if len(order) != graph.edge_count or set(order) != set(graph.edge_ids):
         raise GraphError("order must list every edge id exactly once")
     index = {e: p for p, e in enumerate(graph.edge_ids)}
-    ranked = [index[e] for e in order]
+    return [index[e] for e in order]
+
+
+def _order_kernel(graph: Multigraph, order: Sequence):
+    """The order kernel of ``graph`` under ``order``: a function from the
+    flags of a tree to its internal- and external-active edge positions,
+    each edge decided from its definition in rank order (see the module
+    docstring)."""
+    ranked = _ranked(graph, order)
     ends = graph._numbered_ends()
     inc = _incidence(ends, graph.vertex_count)
 
@@ -149,6 +185,70 @@ def _order_kernel(graph: Multigraph, order: Sequence):
         return internal, external
 
     return kernel
+
+
+_LANE_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _joined(n: int, s: int, t: int, lanes: int, edges: list) -> int:
+    """The lanes of ``lanes`` in which a path of ``edges`` joins s to t, on
+    nodes 0..n-1. An edge (a, b, mask) is present in the lanes of its mask.
+    ``reach[w]`` holds the lanes in which s reaches w; each sweep over the
+    edges widens both ends of an edge by what either end reaches through
+    it, until a sweep changes nothing. A path of k edges is found within k
+    sweeps."""
+    if s == t:
+        return lanes
+    reach = [0] * n
+    reach[s] = lanes
+    changed = True
+    while changed:
+        changed = False
+        for a, b, mask in edges:
+            ra, rb = reach[a], reach[b]
+            new = (ra | rb) & mask
+            if new & ~(ra & rb):
+                reach[a], reach[b] = ra | new, rb | new
+                changed = True
+    return reach[t]
+
+
+def _order_batch(graph: Multigraph, order: Sequence):
+    """The order kernel over many trees at once: a function from a list of
+    tree flags (a chunk) to two lists, by edge position, of lane masks. Bit
+    i of ``internal[p]`` (of ``external[p]``) is set iff edge p is
+    internally (externally) active in tree i of the chunk. Each edge is
+    decided from the two connectivity facts of the module docstring, with
+    the edges ranked below it contracted once here, for every chunk."""
+    ranked = _ranked(graph, order)
+    ends = graph._numbered_ends()
+    nv, ne = graph.vertex_count, len(ends)
+    cls = list(range(nv))  # each vertex's class once the lower edges contract
+    steps = []
+    for r, p in enumerate(ranked):
+        u, v = ends[p]
+        cu, cv = cls[u], cls[v]
+        above = [(*ends[q], q) for q in ranked[r + 1:] if ends[q][0] != ends[q][1]]
+        merged = [(cls[a], cls[b], q) for a, b, q in above if cls[a] != cls[b]]
+        steps.append((p, u, v, cu, cv, above, merged))
+        cls = [cv if c == cu else c for c in cls]
+
+    def batch(chunk: list) -> tuple[list, list]:
+        full = (1 << len(chunk)) - 1
+        buf = b"".join(reversed(chunk))  # tree i lands on bit i
+        planes = [int(buf[p::ne].translate(_LANE_DIGITS), 2) for p in range(ne)]
+        internal, external = [0] * ne, [0] * ne
+        for p, u, v, cu, cv, above, merged in steps:
+            tree = planes[p]
+            if tree != full:
+                external[p] = _joined(nv, u, v, full ^ tree,
+                                      [(a, b, planes[q]) for a, b, q in above])
+            if tree:
+                internal[p] = tree ^ _joined(nv, cu, cv, tree,
+                                             [(a, b, planes[q]) for a, b, q in merged])
+        return internal, external
+
+    return batch
 
 
 def _half_edge_positions(m: CombinatorialMap) -> list[int]:
@@ -254,6 +354,49 @@ def _activity_sum(pairs: Iterable) -> BivariatePolynomial:
     counts: Counter = Counter()
     for internal, external in pairs:
         counts[len(internal), len(external)] += 1
+    return BivariatePolynomial(counts)
+
+
+def _lane_sum(internal: Iterable[int], external: Iterable[int],
+              lanes: int) -> BivariatePolynomial:
+    """Sum of x^|I| y^|E| over the lanes 0..lanes-1 of a batch kernel's
+    masks (``_order_batch``), one lane per spanning tree.
+
+    Each lane's |I| and |E| are bit-sliced counters: bit k of lane i's
+    count is bit i of the counter's k-th plane, and adding a mask is one
+    ripple-carry add over the planes. The planes then split the lanes into
+    one mask per count, and ``bit_count`` of (|I| = i) & (|E| = e) is the
+    number of trees with that monomial."""
+    full = (1 << lanes) - 1
+
+    def by_count(masks: Iterable[int]) -> dict[int, int]:
+        planes: list[int] = []
+        for carry in masks:
+            for k, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[k], carry = plane ^ carry, plane & carry
+            if carry:
+                planes.append(carry)
+        groups = {0: full}  # count -> the lanes with that count so far
+        for k, plane in enumerate(planes):
+            split = {}
+            for count, mask in groups.items():
+                on = mask & plane
+                if on:
+                    split[count | 1 << k] = on
+                if on != mask:
+                    split[count] = mask ^ on
+            groups = split
+        return groups
+
+    counts = {}
+    ext = by_count(external)
+    for i, imask in by_count(internal).items():
+        for e, emask in ext.items():
+            n = (imask & emask).bit_count()
+            if n:
+                counts[i, e] = n
     return BivariatePolynomial(counts)
 
 

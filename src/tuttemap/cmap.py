@@ -239,10 +239,20 @@ class CombinatorialMap:
         raise MapError(f"unknown edge {token!r}")
 
     def with_root(self, root) -> "CombinatorialMap":
-        """Same map rooted at the given half-edge (index, name, or None)."""
+        """Same map rooted at the given half-edge (index, name, or None).
+
+        The root does not change whether sigma and the pairing act
+        transitively, so the copy shares this map's checked parts and is
+        not built, or walked, again."""
         if root is not None and not isinstance(root, int):
             root = self.index(root)
-        return CombinatorialMap(self._sigma, self._names, root)
+        elif root is not None and not 0 <= root < len(self._sigma):
+            raise MapError(f"root {root} is outside the half-edge range")
+        m = CombinatorialMap.__new__(CombinatorialMap)
+        for slot in CombinatorialMap.__slots__:
+            setattr(m, slot, getattr(self, slot))
+        m._root = root
+        return m
 
     # -- validation -------------------------------------------------------
 

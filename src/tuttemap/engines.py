@@ -9,11 +9,16 @@ rerooting rules are needed). Agreement across routes on the same graph is
 the package's correctness argument, so the routes share no code beyond
 plumbing: the level sweep and the activity sum.
 
-The two tree routes apply a kernel from ``activity`` (``_order_kernel``
-or ``_tour_kernel``: a tree's flags to its active edge positions) to every
-tree of ``enumerate_spanning_trees``, looked up here as a module global,
-and sum with ``activity._activity_sum``. ``cross_check`` calls the same
-public evaluators as the command line.
+The two tree routes draw every tree from ``enumerate_spanning_trees``,
+looked up here as a module global. The embedding route applies
+``activity._tour_kernel`` (a tree's flags to its active edge positions) to
+each tree and sums with ``activity._activity_sum``. The order route takes
+the trees ``ORDER_CHUNK`` at a time and decides each chunk with one of two
+kernels: the bit-sliced ``activity._order_batch``, summed by
+``activity._lane_sum``, when the chunk holds at least
+``ORDER_BATCH_TREES_PER_EDGE`` trees per edge, and else the per-tree
+``activity._order_kernel``. ``cross_check`` calls the same public
+evaluators as the command line.
 
 Both deletion-contraction routes run as one iterative sweep (``_sweep``),
 one level per edge, over exact minor keys, so equal minors merge with no
@@ -34,7 +39,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .activity import _activity_sum, _order_kernel, _tour_kernel
+from .activity import (_activity_sum, _lane_sum, _order_batch, _order_kernel,
+                       _tour_kernel)
 from .cmap import CombinatorialMap, MapError, _cycle_labels, _rooted_minor
 from .graph import GraphError, Multigraph
 from .poly import X, Y, ZERO, BivariatePolynomial
@@ -56,6 +62,18 @@ __all__ = [
 # in-process on a 2-CPU VM with CPython 3.11, 19 edges took 20 s (19
 # parallel edges) to 26 s (a 19-edge path), 20 parallel edges 42 s.
 MAX_EXPANSION_EDGES = 19
+
+# The order route decides its trees in chunks. The batch kernel's time per
+# tree levels off at about 0.5 us from 2,048 to 4,096 trees a chunk (W10
+# and grid 4x4, in-process on a 2-CPU VM, CPython 3.11), against about
+# 10 us for the per-tree kernel; a larger chunk only holds more flags.
+ORDER_CHUNK = 4096
+# The batch kernel costs about |E|^2 big-int operations per chunk, the
+# per-tree kernel about |E| steps per tree. On K6, W10, grid 4x4, grid
+# 2x12, an 8-rung ladder and two theta graphs (15-48 edges) they broke even
+# at 2-3 trees per edge; at 4 the batch kernel took 0.6-0.8 of the
+# per-tree time, at 1 it took 1.5-2.4 times it, and on cycles 7-23 times.
+ORDER_BATCH_TREES_PER_EDGE = 4
 
 
 def _require_connected(graph: Multigraph) -> None:
@@ -229,10 +247,26 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
 def tutte_order_activities(graph: Multigraph,
                            order: Sequence | None = None) -> BivariatePolynomial:
     """Sum of x^i y^e over spanning trees, activities taken with respect to
-    a linear order on the edge ids (default: sorted ids)."""
+    a linear order on the edge ids (default: sorted ids). The trees are
+    decided a chunk at a time, each chunk by the kernel its size calls for
+    (see the module docstring)."""
     _require_connected(graph)
-    kernel = _order_kernel(graph, graph.edge_ids if order is None else order)
-    return _activity_sum(kernel(st.flags) for st in enumerate_spanning_trees(graph))
+    if order is None:
+        order = graph.edge_ids
+    kernel = _order_kernel(graph, order)
+    batch = None  # its plan holds |E|^2 entries: built on first use only
+    trees = enumerate_spanning_trees(graph)
+    total = ZERO
+    while True:
+        # range comes first, so zip draws no tree past a full chunk
+        chunk = [st.flags for _, st in zip(range(ORDER_CHUNK), trees)]
+        if not chunk:
+            return total
+        if len(chunk) < ORDER_BATCH_TREES_PER_EDGE * graph.edge_count:
+            total += _activity_sum(map(kernel, chunk))
+        else:
+            batch = batch or _order_batch(graph, order)
+            total += _lane_sum(*batch(chunk), len(chunk))
 
 
 def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:

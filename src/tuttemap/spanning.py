@@ -6,7 +6,11 @@ Trees are handled on flat int arrays. A graph is numbered once
 ``edge_ids`` and vertices are numbered by first appearance along those
 edges. A tree carries ``flags``, immutable bytes with a 1 at each of its
 edge positions, and ``_root_paths`` hangs it from vertex 0, giving each
-vertex the bitmask of the tree edges on its path to the root.
+vertex the bitmask of the tree edges on its path to the root. Only the
+per-tree order kernel (``activity._order_kernel``, for single trees and
+small chunks) and ``SpanningTree.fundamental_cycle``/``fundamental_cocycle``
+root a tree; the order route's batch kernel decides many trees from their
+flags without rooting any.
 
 ``_tree_flags`` is one iterative backtracking walk over the subsets of
 non-loop edges, the plain form of the backtracking of Gabow and Myers,

@@ -2,11 +2,14 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from tuttemap import (
+    BivariatePolynomial,
     GraphError,
     MapError,
     MotionNotCyclicError,
@@ -22,8 +25,8 @@ from tuttemap import (
     tutte_order_activities,
     tutte_subgraph_expansion,
 )
-from tuttemap import activity
-from tuttemap.activity import _erase_walk, _tour_kernel
+from tuttemap import activity, engines
+from tuttemap.activity import _erase_walk, _lane_sum, _order_batch, _order_kernel, _tour_kernel
 
 from helpers import (
     TORUS_TREE,
@@ -396,3 +399,96 @@ def test_both_activity_sums_match_the_expansion_oracle(case):
     assert tutte_order_activities(g, order).terms() == expected
     if m is not None:
         assert tutte_embedding_activities(m).terms() == expected
+
+
+def _lanes(masks: list, i: int) -> list:
+    """The edge positions whose mask holds lane i."""
+    return [p for p, mask in enumerate(masks) if mask >> i & 1]
+
+
+def _checked_batches(seen: list, chunks: list):
+    """A stand-in for ``_order_batch`` that requires every lane of every
+    chunk to hold the per-tree kernel's active positions for that tree,
+    and records each chunk's trees and size."""
+
+    def make(graph, order):
+        batch, kernel = _order_batch(graph, order), _order_kernel(graph, order)
+
+        def run(chunk):
+            internal, external = batch(chunk)
+            assert len(internal) == len(external) == graph.edge_count
+            assert all(m >> len(chunk) == 0 for m in internal + external)
+            for i, flags in enumerate(chunk):
+                want_internal, want_external = kernel(flags)
+                assert _lanes(internal, i) == sorted(want_internal)
+                assert _lanes(external, i) == sorted(want_external)
+            seen.extend(chunk)
+            chunks.append(len(chunk))
+            return internal, external
+
+        return run
+
+    return make
+
+
+@settings(max_examples=120)
+@given(ordered_and_embedded())
+def test_order_batch_matches_the_order_kernel_per_tree(case):
+    # each lane against the per-tree kernel, not only the sum, with chunk
+    # boundaries after every 1, 2 and 3 trees and in one whole chunk
+    g, order, _ = case
+    trees = [st.flags for st in enumerate_spanning_trees(g)]
+    expected = expansion_coeffs_oracle(g)
+    for size in (1, 2, 3, engines.ORDER_CHUNK):
+        seen, chunks = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engines, "ORDER_CHUNK", size)
+            mp.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", 0)
+            mp.setattr(engines, "_order_batch", _checked_batches(seen, chunks))
+            assert tutte_order_activities(g, order).terms() == expected
+        assert seen == trees
+        assert chunks == [min(size, len(trees) - k) for k in range(0, len(trees), size)]
+
+
+@pytest.mark.parametrize("loops", [0, 1, 3])
+def test_order_batch_on_a_single_vertex(monkeypatch, loops):
+    # no edge, or only loops: one tree, every loop externally active
+    g = Multigraph(["v"], {f"l{i}": ("v", "v") for i in range(loops)})
+    internal, external = _order_batch(g, g.edge_ids)([b"\0" * loops])
+    assert (internal, external) == ([0] * loops, [1] * loops)
+    want = BivariatePolynomial.monomial(0, loops)
+    assert _lane_sum(internal, external, 1) == want
+    seen, chunks = [], []
+    monkeypatch.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", 0)
+    monkeypatch.setattr(engines, "_order_batch", _checked_batches(seen, chunks))
+    assert tutte_order_activities(g) == want
+    assert chunks == [1]
+
+
+def test_order_route_chooses_its_kernel_per_chunk(monkeypatch):
+    # K4 has 16 trees and 6 edges: chunks of 10 and 6 trees, with the
+    # crossover at 1.5 trees per edge, send 10 >= 9 trees to the batch
+    # kernel and 6 < 9 to the per-tree kernel
+    g = Multigraph([1, 2, 3, 4], dict(enumerate(itertools.combinations([1, 2, 3, 4], 2))))
+    seen, chunks = [], []
+    monkeypatch.setattr(engines, "ORDER_CHUNK", 10)
+    monkeypatch.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", 1.5)
+    monkeypatch.setattr(engines, "_order_batch", _checked_batches(seen, chunks))
+    assert tutte_order_activities(g) == tutte_subgraph_expansion(g)
+    assert chunks == [10]
+    monkeypatch.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", 3)
+    chunks.clear()
+    assert tutte_order_activities(g) == tutte_subgraph_expansion(g)
+    assert chunks == []
+
+
+@settings(max_examples=100)
+@given(hs.integers(1, 70).flatmap(lambda lanes: hs.tuples(
+    hs.just(lanes),
+    hs.lists(hs.integers(0, (1 << lanes) - 1), max_size=20),
+    hs.lists(hs.integers(0, (1 << lanes) - 1), max_size=20))))
+def test_lane_sum_counts_every_lane(case):
+    lanes, internal, external = case
+    counts = Counter((len(_lanes(internal, i)), len(_lanes(external, i)))
+                     for i in range(lanes))
+    assert _lane_sum(internal, external, lanes) == BivariatePolynomial(counts)

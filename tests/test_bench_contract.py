@@ -45,9 +45,12 @@ K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 PETERSEN_EDGES = ([(i, (i + 1) % 5) for i in range(5)]
                   + [(i, i + 5) for i in range(5)]
                   + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+# the wheel W9 has 5,776 trees: more than one chunk of the order route
+W9_EDGES = [(i, i % 9 + 1) for i in range(1, 10)] + [(0, i) for i in range(1, 10)]
 
 
-@pytest.mark.parametrize("edges", [K4_EDGES, PETERSEN_EDGES], ids=["k4", "petersen"])
+@pytest.mark.parametrize("edges", [K4_EDGES, PETERSEN_EDGES, W9_EDGES],
+                         ids=["k4", "petersen", "w9"])
 @pytest.mark.parametrize("method", ["order", "embedding"])
 def test_tree_routes_draw_the_kirchhoff_count(capsys, monkeypatch, tmp_path,
                                               edges, method):
@@ -67,3 +70,5 @@ def test_tree_routes_draw_the_kirchhoff_count(capsys, monkeypatch, tmp_path,
     capsys.readouterr()
     want = kirchhoff_tree_count(Multigraph(verts, dict(enumerate(edges))))
     assert len(drawn) == want
+    if edges is W9_EDGES:
+        assert want > engines.ORDER_CHUNK

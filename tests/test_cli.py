@@ -563,11 +563,13 @@ def test_each_map_is_validated_once(capsys, monkeypatch, tmp_path, torus_file):
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert calls["validated"] == calls["built"] >= 1, argv
-    # the census prints from bare rotations, and euler only looks the root
-    # up: chi and genus do not depend on it
+    # the census prints from bare rotations, euler only looks the root up
+    # (chi and genus do not depend on it), and a new root copies the map
+    # without building it again
     for argv, built in ((("census", "--edges", "4"), 0),
                         (("census", "--edges", "4", "--format", "json"), 0),
-                        (("euler", "--map", torus_file, "--root", "e'"), 1)):
+                        (("euler", "--map", torus_file, "--root", "e'"), 1),
+                        (("activities", "--map", torus_file, "--root", "c"), 1)):
         calls.update(built=0, validated=0)
         code, _, _ = run(capsys, *argv)
         assert code == 0

@@ -403,6 +403,36 @@ def test_all_rotation_systems_counts():
         m.with_root(0).validate()
 
 
+def test_rotation_systems_and_new_roots_build_each_map_once(monkeypatch):
+    # embed builds and checks each rotation system once; with_root copies a
+    # checked map, so neither builds a map twice
+    built = []
+    init = CombinatorialMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CombinatorialMap, "__init__", counted)
+    from helpers import k4
+
+    systems = list(all_rotation_systems(k4()))
+    assert len(built) == len(systems) == 16
+    assert all(m.root is None for m in systems)
+    m = torus_map()
+    built.clear()
+    moved = m.with_root("c")
+    assert not built
+    assert moved.root == m.index("c") and moved.to_text() != m.to_text()
+    assert moved == CombinatorialMap(m._sigma, m.names, m.index("c"))
+    assert moved.with_root(None) == CombinatorialMap(m._sigma, m.names)
+    for bad, message in ((len(m._sigma), "outside the half-edge range"),
+                         (-1, "outside the half-edge range"),
+                         ("z", "unknown half-edge 'z'")):
+        with pytest.raises(MapError, match=message):
+            m.with_root(bad)
+
+
 def test_embed_k3_default():
     m = embed(k3())
     m.validate()
