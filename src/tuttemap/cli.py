@@ -2,9 +2,11 @@
 
 Exit status: 0 on success, 1 on any input problem (unreadable file, parse
 failure, violated precondition) or when a resource limit is reached (memory
-or Python's recursion depth runs out; no method recurses, so the depth is
-only guarded), 2 when an internal invariant breaks (a non-cyclic tour, or
-evaluators that should agree but do not).
+or Python's recursion depth runs out; no evaluator recurses, and ``check``'s
+isomorphism guard, which recurses once per vertex, runs only within the
+expansion's edge bound, so the depth is only guarded), 2 when an internal
+invariant breaks (a non-cyclic tour, or evaluators that should agree but do
+not).
 """
 
 from __future__ import annotations

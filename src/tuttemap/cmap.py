@@ -14,6 +14,7 @@ included, so every instance is a map and nothing downstream checks again.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterator, Mapping, Sequence
 
 from .graph import Multigraph
@@ -466,35 +467,24 @@ def _parse_cycles(text: str, what: str) -> dict[str, str]:
     """The permutation a record's cycles spell out, name -> image. Each
     name may appear once; ``from_permutations`` checks the rest."""
     cycles: list[list[str]] = []
-    depth = 0
-    current: list[str] = []
-    token = ""
-    for ch in text:
-        if ch == "(":
-            if depth:
+    current = None  # the names of the open cycle, None between cycles
+    for token in re.findall(r"[()]|[^\s()]+", text):
+        if token == "(":
+            if current is not None:
                 raise MapError(f"nested '(' in {what}")
-            depth = 1
             current = []
-            token = ""
-        elif ch == ")":
-            if not depth:
+        elif token == ")":
+            if current is None:
                 raise MapError(f"unbalanced ')' in {what}")
-            if token:
-                current.append(token)
-                token = ""
             if not current:
                 raise MapError(f"empty cycle in {what}")
             cycles.append(current)
-            depth = 0
-        elif ch.isspace():
-            if token:
-                current.append(token)
-                token = ""
+            current = None
+        elif current is None:
+            raise MapError(f"token outside parentheses in {what}: {token[0]!r}")
         else:
-            if not depth:
-                raise MapError(f"token outside parentheses in {what}: {ch!r}")
-            token += ch
-    if depth:
+            current.append(token)
+    if current is not None:
         raise MapError(f"unbalanced '(' in {what}")
     if not cycles:
         raise MapError(f"{what} record lists no cycles")

@@ -429,10 +429,16 @@ def cross_check(graph: Multigraph,
     and return their polynomials by method label: ``expansion``,
     ``delcon``, ``order[i]``, ``embedding[i]`` and ``recursive[i]``.
 
-    Each embedding's underlying graph must be isomorphic to ``graph``; a
-    mismatch is rejected up front.
+    The two graph routes run first, so a disconnected graph or one over the
+    expansion's bound is refused before the isomorphism guard, which
+    recurses once per vertex, sees it. Each embedding's underlying graph
+    must then be isomorphic to ``graph``; a mismatch is rejected before any
+    tree route runs.
     """
-    _require_connected(graph)
+    polys = {
+        "expansion": tutte_subgraph_expansion(graph),
+        "delcon": tutte_deletion_contraction(graph),
+    }
     embeddings = list(embeddings)
     orders = list(orders)
     for i, m in enumerate(embeddings):
@@ -440,11 +446,6 @@ def cross_check(graph: Multigraph,
             raise MapError(f"embedding #{i} must be a rooted map")
         if not graphs_isomorphic(graph, m.underlying_graph()):
             raise GraphError(f"embedding #{i} is not an embedding of this graph")
-
-    polys = {
-        "expansion": tutte_subgraph_expansion(graph),
-        "delcon": tutte_deletion_contraction(graph),
-    }
     for i, order in enumerate(orders):
         polys[f"order[{i}]"] = tutte_order_activities(graph, order)
     for i, m in enumerate(embeddings):

@@ -17,33 +17,6 @@ class GraphError(ValueError):
     """Bad graph input, or an edge operation whose precondition fails."""
 
 
-class _DisjointSets:
-    """Union-find over a fixed item set."""
-
-    __slots__ = ("_parent", "count")
-
-    def __init__(self, items: Iterable) -> None:
-        self._parent = {v: v for v in items}
-        self.count = len(self._parent)
-
-    def find(self, v):
-        parent = self._parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self._parent[rb] = ra
-        self.count -= 1
-        return True
-
-
 class Multigraph:
     """An undirected multigraph over opaque vertex and edge ids.
 
@@ -123,28 +96,29 @@ class Multigraph:
         return u == v
 
     def is_isthmus(self, e) -> bool:
-        """True iff removing e increases the number of components, that is,
-        iff no path of other edges joins its endpoints. One union-find pass
-        over the other edges, stopped as soon as the endpoints meet."""
-        u, v = self.endpoints(e)
-        if u == v:
+        """True iff e is not a loop and removing it increases the number of
+        components, that is, iff no path of other edges joins its endpoints."""
+        if self.is_loop(e):
             return False
-        dsu = _DisjointSets(self._vertices)
-        for f, (a, b) in self._edges.items():
-            if f != e and dsu.union(a, b) and dsu.find(u) == dsu.find(v):
-                return False
-        return True
+        others = [f for f in self._edges if f != e]
+        return self.component_count(others) > self.component_count()
 
     def component_count(self, edge_subset: Iterable | None = None) -> int:
         """Components of the spanning subgraph on the given edges (all
-        vertices always participate; None means every edge)."""
-        dsu = _DisjointSets(self._vertices)
-        ids = self._edges if edge_subset is None else edge_subset
-        for e in ids:
+        vertices always participate; None means every edge): union-find
+        with path halving."""
+        parent = {v: v for v in self._vertices}
+        count = len(parent)
+        for e in self._edges if edge_subset is None else edge_subset:
             u, v = self.endpoints(e)
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
             if u != v:
-                dsu.union(u, v)
-        return dsu.count
+                parent[u] = v
+                count -= 1
+        return count
 
     def is_connected(self) -> bool:
         return self.component_count() == 1

@@ -374,6 +374,16 @@ def test_expansion_refused_above_its_bound(capsys, tmp_path):
         f"y^{k}" if k > 1 else "y" for k in range(1, 30)) + "\n"
 
 
+def test_check_refuses_a_long_path_at_the_expansion_bound(capsys, tmp_path):
+    # the bound comes before the embedding guard, whose isomorphism test
+    # recurses once per vertex and would run out of depth on 1,201 vertices
+    graph = _long_graph(tmp_path, 1200, closed=False)
+    code, out, err = run(capsys, "check", "--trials", "1", "--graph", graph)
+    assert code == 1 and out == ""
+    assert f"bound is {MAX_EXPANSION_EDGES} edges" in err and "has 1200" in err
+    assert "resource limit" not in err
+
+
 def test_unrooted_map_needs_root_flag(capsys, tmp_path):
     path = tmp_path / "unrooted.map"
     path.write_text("sigma: (h)(h')\nalpha: (h h')\n")

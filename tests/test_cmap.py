@@ -370,13 +370,26 @@ def test_text_round_trip_random_names(case):
     assert again.canonical_form() == m.canonical_form()
 
 
+# each cycle-record diagnostic, exactly as the parser words it
+CYCLE_DIAGNOSTICS = (
+    ("(a (b))", "nested '(' in sigma"),
+    ("(a a'))", "unbalanced ')' in sigma"),
+    ("(a a')( \t)", "empty cycle in sigma"),
+    ("ab(c)", "token outside parentheses in sigma: 'a'"),
+    ("(a)bc", "token outside parentheses in sigma: 'b'"),
+    ("(a a'", "unbalanced '(' in sigma"),
+    (" \t ", "sigma record lists no cycles"),
+    ("(a a')(a b)", "half-edge 'a' appears twice in sigma"),
+)
+
+
 def test_parse_diagnostics():
-    with pytest.raises(MapError, match="appears twice in sigma"):
-        CombinatorialMap.from_text("sigma: (a a')(a b)\nalpha: (a a')(b b')\n")
+    for sigma, message in CYCLE_DIAGNOSTICS:
+        with pytest.raises(MapError) as info:
+            CombinatorialMap.from_text(f"sigma: {sigma}\nalpha: (a a')(b b')\n")
+        assert str(info.value) == message
     with pytest.raises(MapError, match="not a half-edge"):
         CombinatorialMap.from_text("sigma: (a z)\nalpha: (a a')\n")
-    with pytest.raises(MapError, match="unbalanced"):
-        CombinatorialMap.from_text("sigma: (a a'\nalpha: (a a')\n")
     with pytest.raises(MapError, match="sigma"):
         CombinatorialMap.from_text("alpha: (a a')\n")
     # the alpha record: repeats are caught in the parser, the rest by

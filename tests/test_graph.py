@@ -101,6 +101,8 @@ def test_unknown_edge_rejected():
     for op in (g.is_loop, g.is_isthmus, g.delete, g.contract, g.endpoints):
         with pytest.raises(GraphError, match="unknown edge"):
             op("zzz")
+    with pytest.raises(GraphError, match="unknown edge"):
+        g.component_count(["a", "zzz"])
 
 
 def test_minor_count_invariants():
