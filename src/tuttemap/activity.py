@@ -15,9 +15,10 @@ lists of the tree's internal- and external-active edge positions, built
 once per graph and order or per map and applied to each tree. Every
 per-tree route ends in ``_activity_sum``, the one place that counts
 x^|I| y^|E| over trees; the single-tree ``order_activities`` and
-``embedding_activities`` apply the same kernels to one tree. The order
-route also has a batch kernel over many trees (below), counted by
-``_lane_sum``.
+``embedding_activities`` apply the same kernels to one tree. Each route
+also has a batch kernel over many trees (below), counted by ``_lane_sum``;
+the two batch kernels share only the lane plumbing (``_planes``,
+``_reach``, ``_by_count``).
 
 The order kernel (``_order_kernel``) hangs the tree from vertex 0, giving
 each vertex the bitmask of its tree path to the root; an external edge's
@@ -49,9 +50,9 @@ Fact 2 takes every edge below p, whatever the tree, so the batch kernel
 contracts those edges once per p, for all chunks, and asks whether the
 tree edges above p join the classes of u and v (tree edges below p lie
 inside a class). Both facts are then one lane-wise reachability question
-(``_joined``) over the tree edges above the edge, with each edge present
+(``_reach``) over the tree edges above the edge, with each edge present
 in the lanes of its plane. ``_lane_sum`` counts x^|I| y^|E| over the
-lanes with bit-sliced counters, beside ``_activity_sum``.
+lanes with bit-sliced counters (``_by_count``), beside ``_activity_sum``.
 
 The tour kernel (``_scan``) reads both off one scan of the tour. The two
 half-edges of each tree edge nest there like parentheses (Bernardi, EJC 14
@@ -64,6 +65,49 @@ before it closes inside its span. The kernel needs only the rotation, the
 root and the edge position of each half-edge, so the map census runs it on
 bare first-visit rotations, where half-edge h lies on edge h >> 1;
 ``_tour_kernel`` runs it on a ``CombinatorialMap``.
+
+The batch tour kernel (``_tour_batch``) decides a chunk of trees on the
+same lanes and walks no tour. Let r be the root's vertex. A vertex lies
+below a tree edge p when p is on its tree path to r, and the branches of
+T - w are the components of T with vertex w removed, one behind each tree
+half-edge at w. For an external edge f with ends u and v, its first-reached
+end x is the end of the half-edge the tour reaches first, whose step ranks
+f. The kernel rests on three facts:
+
+1. Branches are the sides of a tree edge. For a tree edge p with ends a
+   and b, the branch of T - a behind p is b's side of T - p, since T - p
+   leaves a on the other one; and y lies below p iff it is on the side
+   without r. So one ``_reach`` sweep from b over the tree edges not at a
+   gives both branches behind p (the side it reaches, and the rest of the
+   lanes that hold p) and the vertices below p: |E| sweeps per chunk.
+2. Who comes first on a cycle. For a tree edge p on f's tree path, p
+   ranks before f iff x lies below p. The tour tours the part below p
+   between p's two steps. Exactly one of u, v lies below p. If x does, f
+   first steps inside p's span, after p opens. If not, the other end's
+   step falls inside the span and after x's, so x's step comes before p
+   opens. So f is active iff no p on its path has x below it, and p iff
+   every f of its cocycle (those whose path holds p) has x outside p's
+   subtree. A loop is its own cycle and in no cocycle: always externally
+   active.
+3. First-reached end. Let w be the median of r, u and v, the one vertex on
+   all three tree paths between them. The tour goes around w's rotation
+   from just after its parent half-edge to it (at the root: from the root
+   half-edge), and tours the branch behind a child half-edge right after
+   it. u and v lie in different branches of T - w, or one of them is w,
+   so the tour reaches u first iff the directions from w toward r, u and
+   v come in that cyclic order. The direction toward r is w's parent
+   half-edge, or at the root a slot just before the root half-edge; the
+   direction toward an end that is w is f's own half-edge there.
+
+One pass over each rotation decides fact 3 in every lane: a half-edge
+points toward y in the lanes where its branch holds y. With one "seen"
+mask per direction, the pass marks where u comes after r, v after u and r
+after v. Of three distinct slots in a cycle, exactly two of these hold iff
+the order is (r, u, v), else exactly one. w is the median in the lanes
+where no two directions share a half-edge. A lane is a spanning tree iff
+it holds |V| - 1 edges (``_by_count``) and r reaches every vertex (one
+``_reach``); the kernel raises ``MotionNotCyclicError`` otherwise, as
+``_scan`` does.
 
 The erase check (``_erase_walk``) tests the fact the tour order rests on:
 deleting an external edge, or contracting a tree edge, erases exactly that
@@ -81,7 +125,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cmap import CombinatorialMap, MapError, _splice
+from .cmap import CombinatorialMap, MapError, _cycle_labels, _splice
 from .graph import GraphError, Multigraph
 from .poly import BivariatePolynomial
 from .spanning import SpanningTree, _incidence, _root_paths
@@ -190,15 +234,20 @@ def _order_kernel(graph: Multigraph, order: Sequence):
 _LANE_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _joined(n: int, s: int, t: int, lanes: int, edges: list) -> int:
-    """The lanes of ``lanes`` in which a path of ``edges`` joins s to t, on
-    nodes 0..n-1. An edge (a, b, mask) is present in the lanes of its mask.
-    ``reach[w]`` holds the lanes in which s reaches w; each sweep over the
-    edges widens both ends of an edge by what either end reaches through
-    it, until a sweep changes nothing. A path of k edges is found within k
+def _planes(chunk: list, ne: int) -> list[int]:
+    """Each edge position's lane mask over a chunk of tree flags: bit i of
+    plane p is set iff tree i of the chunk holds edge p."""
+    buf = b"".join(reversed(chunk))  # tree i lands on bit i
+    return [int(buf[p::ne].translate(_LANE_DIGITS), 2) for p in range(ne)]
+
+
+def _reach(n: int, s: int, lanes: int, edges: list) -> list[int]:
+    """For each node 0..n-1, the lanes of ``lanes`` in which a path of
+    ``edges`` joins s to it. An edge (a, b, mask) is present in the lanes
+    of its mask. ``reach`` starts as ``lanes`` at s and 0 elsewhere; each
+    sweep over the edges widens both ends of an edge by what either end
+    reaches through it, until a sweep changes nothing. A path of k edges is found within k
     sweeps."""
-    if s == t:
-        return lanes
     reach = [0] * n
     reach[s] = lanes
     changed = True
@@ -210,7 +259,7 @@ def _joined(n: int, s: int, t: int, lanes: int, edges: list) -> int:
             if new & ~(ra & rb):
                 reach[a], reach[b] = ra | new, rb | new
                 changed = True
-    return reach[t]
+    return reach
 
 
 def _order_batch(graph: Multigraph, order: Sequence):
@@ -235,17 +284,16 @@ def _order_batch(graph: Multigraph, order: Sequence):
 
     def batch(chunk: list) -> tuple[list, list]:
         full = (1 << len(chunk)) - 1
-        buf = b"".join(reversed(chunk))  # tree i lands on bit i
-        planes = [int(buf[p::ne].translate(_LANE_DIGITS), 2) for p in range(ne)]
+        planes = _planes(chunk, ne)
         internal, external = [0] * ne, [0] * ne
         for p, u, v, cu, cv, above, merged in steps:
             tree = planes[p]
             if tree != full:
-                external[p] = _joined(nv, u, v, full ^ tree,
-                                      [(a, b, planes[q]) for a, b, q in above])
-            if tree:
-                internal[p] = tree ^ _joined(nv, cu, cv, tree,
-                                             [(a, b, planes[q]) for a, b, q in merged])
+                external[p] = _reach(nv, u, full ^ tree,
+                                     [(a, b, planes[q]) for a, b, q in above])[v]
+            if tree and cu != cv:  # else a lower edge closes p's cocycle
+                internal[p] = tree ^ _reach(nv, cu, tree,
+                                            [(a, b, planes[q]) for a, b, q in merged])[cv]
         return internal, external
 
     return batch
@@ -348,6 +396,82 @@ def _tour_kernel(m: CombinatorialMap):
     return _scan(m._sigma, _tour_root(m), _half_edge_positions(m))
 
 
+def _tour_batch(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
+    """The tour kernel (``_scan``) over many trees at once, with the
+    arguments of ``_scan``: a function from a chunk of tree flags to lane
+    masks by edge position, as ``_order_batch`` returns, decided by the
+    three facts of the module docstring. It raises ``MotionNotCyclicError``
+    if a lane marks no spanning tree."""
+    n = len(sigma)
+    vert, nv = _cycle_labels(sigma)  # vertices are the rotation's cycles
+    if not n:  # no edge: one vertex, whose one tree is empty
+        return lambda chunk: ([], [])
+    rv = vert[root]
+    rot: list = [None] * nv  # each rotation, the root's from the root half-edge
+    for h0 in (root, *range(n)):
+        if rot[vert[h0]] is None:
+            rot[vert[h0]] = cyc = [h0]
+            while sigma[cyc[-1]] != h0:
+                cyc.append(sigma[cyc[-1]])
+    swept = [h for h in range(0, n, 2) if vert[h] != vert[h ^ 1]]  # no loops
+    links = [(vert[h], vert[h ^ 1], he_pos[h]) for h in swept]
+    away = [[(a, b, p) for a, b, p in links if w not in (a, b)] for w in range(nv)]
+
+    def batch(chunk: list) -> tuple[list, list]:
+        full = (1 << len(chunk)) - 1
+        planes = _planes(chunk, n >> 1)
+        ok = _by_count(planes, full).get(nv - 1, 0)  # |V| - 1 edges, joined to r
+        for lanes in _reach(nv, rv, full, [(a, b, planes[p]) for a, b, p in links]):
+            ok &= lanes
+        if ok != full:
+            bad = full ^ ok
+            raise MotionNotCyclicError(
+                f"tree {(bad & -bad).bit_length() - 1} of the chunk is no spanning tree")
+        branch = [[0] * nv] * n  # fact 1; no branch lies behind a loop
+        below = {}  # by even half-edge: the lanes where y lies below its edge
+        edges = [[(a, b, planes[p]) for a, b, p in away_w] for away_w in away]
+        for h in swept:
+            plane = planes[he_pos[h]]
+            branch[h] = side = _reach(nv, vert[h ^ 1], plane, edges[vert[h]])
+            branch[h ^ 1] = [plane & ~y for y in side]  # the other side of T - p
+            below[h] = [plane & (y ^ side[rv]) for y in side]
+        late = dict.fromkeys(below, 0)  # lanes where a cocycle edge ranks first
+        external = [full ^ plane for plane in planes]  # a loop is always active
+        for f in below:
+            u, v = vert[f], vert[f ^ 1]
+            first = 0  # fact 3: the lanes where the tour reaches f first at u
+            for w in range(nv):
+                seen_r = full if w == rv else 0
+                seen_u = seen_v = 0
+                after = 0  # the parity of: u after r, v after u, r after v
+                clash = 0  # two directions share a half-edge: w is no median
+                for h in rot[w]:
+                    b = branch[h]
+                    dr, du, dv = b[rv], b[u], b[v]
+                    if h == f:
+                        du = full
+                    elif h == f ^ 1:
+                        dv = full
+                    after ^= du & seen_r ^ dv & seen_u ^ dr & seen_v
+                    clash |= dr & du | du & dv | dv & dr
+                    seen_r, seen_u, seen_v = seen_r | dr, seen_u | du, seen_v | dv
+                first |= full & ~(after | clash)
+            early = 0  # fact 2: the lanes where a tree edge ranks before f
+            for g, bg in below.items():
+                if g != f:
+                    du, dv = bg[u] & ~bg[v], bg[v] & ~bg[u]
+                    ahead = first & du | dv & ~first  # g ranks before f
+                    early |= ahead
+                    late[g] |= (du | dv) ^ ahead
+            external[he_pos[f]] &= ~early
+        internal = [0] * (n >> 1)
+        for g, mask in late.items():
+            internal[he_pos[g]] = planes[he_pos[g]] & ~mask
+        return internal, external
+
+    return batch
+
+
 def _activity_sum(pairs: Iterable) -> BivariatePolynomial:
     """Sum of x^|I| y^|E| over (internal-active, external-active) pairs,
     one pair per spanning tree, counted once per monomial."""
@@ -357,42 +481,42 @@ def _activity_sum(pairs: Iterable) -> BivariatePolynomial:
     return BivariatePolynomial(counts)
 
 
+def _by_count(masks: Iterable[int], full: int) -> dict[int, int]:
+    """The lanes of ``full`` split by how many of ``masks`` hold them, as
+    count -> lanes. Each lane's count is a bit-sliced counter: bit k of
+    lane i's count is bit i of the counter's k-th plane, and adding a mask
+    is one ripple-carry add over the planes, which then split the lanes."""
+    planes: list[int] = []
+    for carry in masks:
+        for k, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[k], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    groups = {0: full}  # count -> the lanes with that count so far
+    for k, plane in enumerate(planes):
+        split = {}
+        for count, mask in groups.items():
+            on = mask & plane
+            if on:
+                split[count | 1 << k] = on
+            if on != mask:
+                split[count] = mask ^ on
+        groups = split
+    return groups
+
+
 def _lane_sum(internal: Iterable[int], external: Iterable[int],
               lanes: int) -> BivariatePolynomial:
     """Sum of x^|I| y^|E| over the lanes 0..lanes-1 of a batch kernel's
-    masks (``_order_batch``), one lane per spanning tree.
-
-    Each lane's |I| and |E| are bit-sliced counters: bit k of lane i's
-    count is bit i of the counter's k-th plane, and adding a mask is one
-    ripple-carry add over the planes. The planes then split the lanes into
-    one mask per count, and ``bit_count`` of (|I| = i) & (|E| = e) is the
-    number of trees with that monomial."""
+    masks (``_order_batch``, ``_tour_batch``), one lane per spanning tree:
+    ``bit_count`` of (|I| = i) & (|E| = e) is the number of trees with that
+    monomial."""
     full = (1 << lanes) - 1
-
-    def by_count(masks: Iterable[int]) -> dict[int, int]:
-        planes: list[int] = []
-        for carry in masks:
-            for k, plane in enumerate(planes):
-                if not carry:
-                    break
-                planes[k], carry = plane ^ carry, plane & carry
-            if carry:
-                planes.append(carry)
-        groups = {0: full}  # count -> the lanes with that count so far
-        for k, plane in enumerate(planes):
-            split = {}
-            for count, mask in groups.items():
-                on = mask & plane
-                if on:
-                    split[count | 1 << k] = on
-                if on != mask:
-                    split[count] = mask ^ on
-            groups = split
-        return groups
-
     counts = {}
-    ext = by_count(external)
-    for i, imask in by_count(internal).items():
+    ext = _by_count(external, full)
+    for i, imask in _by_count(internal, full).items():
         for e, emask in ext.items():
             n = (imask & emask).bit_count()
             if n:

@@ -12,6 +12,7 @@ not).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -222,12 +223,19 @@ def _cmd_check(args) -> int:
     _require_connected(graph)
     emb = embed(graph)
     trials = range(1, args.trials + 1)
-    embeddings = [emb] + [_random_embedding(graph, rng) for _ in trials]
-    orders = [graph.edge_ids]
-    for _ in trials:
-        orders.append(list(graph.edge_ids))
-        rng.shuffle(orders[-1])
-    polys = cross_check(graph, embeddings, orders)
+
+    def orders():
+        yield graph.edge_ids
+        for _ in trials:
+            order = list(graph.edge_ids)
+            rng.shuffle(order)
+            yield order
+
+    # lazy, so a graph over the expansion's bound is refused before any
+    # random embedding is built; cross_check lists the embeddings before
+    # the orders, so the seeded draws keep their order
+    polys = cross_check(graph, itertools.chain(
+        [emb], (_random_embedding(graph, rng) for _ in trials)), orders())
     five = {m: polys[m if m in ("expansion", "delcon") else f"{m}[0]"]
             for m in METHODS}
     reference = five["expansion"]

@@ -75,10 +75,21 @@ def _cycle_labels(perm: Sequence[int]) -> tuple[list[int], int]:
 
 def _euler(sigma: Sequence[int]) -> int:
     """The Euler characteristic of the map with rotation ``sigma``:
-    rotation cycles (vertices) plus face cycles (h -> sigma(h ^ 1)) minus
-    edges."""
-    faces = [sigma[h ^ 1] for h in range(len(sigma))]
-    return _cycle_labels(sigma)[1] + _cycle_labels(faces)[1] - len(sigma) // 2
+    vertices (cycles of h -> sigma(h)) plus faces (cycles of
+    h -> sigma(h ^ 1)) minus edges. Each kind is counted in one pass, with
+    one visited mark per half-edge."""
+    n = len(sigma)
+    chi = -(n >> 1)
+    for face in (0, 1):
+        seen = bytearray(n)
+        for start in range(n):
+            if not seen[start]:
+                chi += 1
+                h = start
+                while not seen[h]:
+                    seen[h] = 1
+                    h = sigma[h ^ face]
+    return chi
 
 
 def _splice(sigma: Sequence[int], k: int, contract: bool) -> tuple[int, ...]:

@@ -7,17 +7,18 @@ embedding, and a deletion/contraction recursion carried out on the map
 itself (pivoting on the edge just before the root, the one place where
 rerooting rules are needed). Agreement across routes on the same graph is
 the package's correctness argument, so the routes share no code beyond
-plumbing: the level sweep and the activity sum.
+plumbing: the level sweep, the chunk loop and the activity sums.
 
 The two tree routes draw every tree from ``enumerate_spanning_trees``,
-looked up here as a module global. The embedding route applies
-``activity._tour_kernel`` (a tree's flags to its active edge positions) to
-each tree and sums with ``activity._activity_sum``. The order route takes
-the trees ``ORDER_CHUNK`` at a time and decides each chunk with one of two
-kernels: the bit-sliced ``activity._order_batch``, summed by
-``activity._lane_sum``, when the chunk holds at least
-``ORDER_BATCH_TREES_PER_EDGE`` trees per edge, and else the per-tree
-``activity._order_kernel``. ``cross_check`` calls the same public
+looked up here as a module global, through one chunk loop
+(``_tree_sum``). It takes the trees ``TREE_CHUNK`` at a time. A chunk
+that holds at least the route's crossover of trees per edge
+(``ORDER_BATCH_TREES_PER_EDGE``, ``EMBEDDING_BATCH_TREES_PER_EDGE``) goes
+to the route's bit-sliced batch kernel (``activity._order_batch``,
+``activity._tour_batch``), summed by ``activity._lane_sum``; a smaller one
+(a cycle, a path) goes tree by tree to its per-tree kernel
+(``activity._order_kernel``, ``activity._scan``), summed by
+``activity._activity_sum``. ``cross_check`` calls the same public
 evaluators as the command line.
 
 Both deletion-contraction routes run as one iterative sweep (``_sweep``),
@@ -39,8 +40,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .activity import (_activity_sum, _lane_sum, _order_batch, _order_kernel,
-                       _tour_kernel)
+from .activity import (_activity_sum, _half_edge_positions, _lane_sum, _order_batch,
+                       _order_kernel, _scan, _tour_batch, _tour_root)
 from .cmap import CombinatorialMap, MapError, _cycle_labels, _rooted_minor
 from .graph import GraphError, Multigraph
 from .poly import X, Y, ZERO, BivariatePolynomial
@@ -63,17 +64,24 @@ __all__ = [
 # parallel edges) to 26 s (a 19-edge path), 20 parallel edges 42 s.
 MAX_EXPANSION_EDGES = 19
 
-# The order route decides its trees in chunks. The batch kernel's time per
-# tree levels off at about 0.5 us from 2,048 to 4,096 trees a chunk (W10
-# and grid 4x4, in-process on a 2-CPU VM, CPython 3.11), against about
-# 10 us for the per-tree kernel; a larger chunk only holds more flags.
-ORDER_CHUNK = 4096
-# The batch kernel costs about |E|^2 big-int operations per chunk, the
+# The tree routes decide their trees in chunks. The order batch kernel's
+# time per tree levels off at about 0.5 us from 2,048 to 4,096 trees a
+# chunk (W10 and grid 4x4, in-process on a 2-CPU VM, CPython 3.11), against
+# about 10 us for the per-tree kernel; a larger chunk only holds more flags.
+TREE_CHUNK = 4096
+# The order batch kernel costs about |E|^2 big-int operations per chunk, the
 # per-tree kernel about |E| steps per tree. On K6, W10, grid 4x4, grid
 # 2x12, an 8-rung ladder and two theta graphs (15-48 edges) they broke even
 # at 2-3 trees per edge; at 4 the batch kernel took 0.6-0.8 of the
 # per-tree time, at 1 it took 1.5-2.4 times it, and on cycles 7-23 times.
 ORDER_BATCH_TREES_PER_EDGE = 4
+# The tour batch kernel costs |E| reachability sweeps and about 40|E|^2
+# big-int operations per chunk, _scan 2|E| tour steps per tree. A full
+# chunk took 0.11-0.18 of _scan's time on grid 4x4, W10 and K7. On those,
+# K5, K6, W6, grids 3x3 and 3x4, an 8-rung ladder, a theta graph and grid
+# 2x12 (10-34 edges) they broke even at 7-12 trees per edge; at 10 the
+# batch kernel took 0.5-1.2 of _scan's time, at 4 it took 1.1-2.7 times.
+EMBEDDING_BATCH_TREES_PER_EDGE = 10
 
 
 def _require_connected(graph: Multigraph) -> None:
@@ -244,36 +252,45 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
                   _graph_pivot, graph.edge_count, graph.vertex_count)
 
 
-def tutte_order_activities(graph: Multigraph,
-                           order: Sequence | None = None) -> BivariatePolynomial:
-    """Sum of x^i y^e over spanning trees, activities taken with respect to
-    a linear order on the edge ids (default: sorted ids). The trees are
-    decided a chunk at a time, each chunk by the kernel its size calls for
-    (see the module docstring)."""
-    _require_connected(graph)
-    if order is None:
-        order = graph.edge_ids
-    kernel = _order_kernel(graph, order)
-    batch = None  # its plan holds |E|^2 entries: built on first use only
+def _tree_sum(graph: Multigraph, kernel, make_batch,
+              per_edge: float) -> BivariatePolynomial:
+    """Sum of x^|I| y^|E| over the spanning trees of ``graph``, drawn from
+    ``enumerate_spanning_trees`` ``TREE_CHUNK`` at a time: a chunk of at
+    least ``per_edge`` trees per edge goes to the batch kernel that
+    ``make_batch()`` builds on first use, a smaller one tree by tree to
+    ``kernel``."""
+    batch = None
     trees = enumerate_spanning_trees(graph)
     total = ZERO
     while True:
         # range comes first, so zip draws no tree past a full chunk
-        chunk = [st.flags for _, st in zip(range(ORDER_CHUNK), trees)]
+        chunk = [st.flags for _, st in zip(range(TREE_CHUNK), trees)]
         if not chunk:
             return total
-        if len(chunk) < ORDER_BATCH_TREES_PER_EDGE * graph.edge_count:
+        if len(chunk) < per_edge * graph.edge_count:
             total += _activity_sum(map(kernel, chunk))
         else:
-            batch = batch or _order_batch(graph, order)
+            batch = batch or make_batch()
             total += _lane_sum(*batch(chunk), len(chunk))
+
+
+def tutte_order_activities(graph: Multigraph,
+                           order: Sequence | None = None) -> BivariatePolynomial:
+    """Sum of x^i y^e over spanning trees, activities taken with respect to
+    a linear order on the edge ids (default: sorted ids)."""
+    _require_connected(graph)
+    if order is None:
+        order = graph.edge_ids
+    # the batch plan holds |E|^2 entries: built on first use only
+    return _tree_sum(graph, _order_kernel(graph, order),
+                     lambda: _order_batch(graph, order), ORDER_BATCH_TREES_PER_EDGE)
 
 
 def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:
     """Sum of x^I y^E over spanning trees, activities from the rooted tour."""
-    kernel = _tour_kernel(m)
-    return _activity_sum(kernel(st.flags)
-                         for st in enumerate_spanning_trees(m.underlying_graph()))
+    tour = m._sigma, _tour_root(m), _half_edge_positions(m)
+    return _tree_sum(m.underlying_graph(), _scan(*tour), lambda: _tour_batch(*tour),
+                     EMBEDDING_BATCH_TREES_PER_EDGE)
 
 
 def _map_pivot(sigma: tuple) -> tuple:

@@ -26,7 +26,8 @@ from tuttemap import (
     tutte_subgraph_expansion,
 )
 from tuttemap import activity, engines
-from tuttemap.activity import _erase_walk, _lane_sum, _order_batch, _order_kernel, _tour_kernel
+from tuttemap.activity import (_erase_walk, _half_edge_positions, _lane_sum, _order_batch,
+                               _order_kernel, _tour_batch, _tour_kernel)
 
 from helpers import (
     TORUS_TREE,
@@ -339,10 +340,14 @@ def test_embedding_activities_match_definition_on_random_rooted_maps(case):
         assert (act.internal_active, act.external_active) == expected
 
 
+def _flags(m, edges) -> bytes:
+    """The flags of the given edge ids of ``m``."""
+    return bytes([e in edges for e in m.underlying_graph().edge_ids])
+
+
 def _scan(m, edges):
     """The tour kernel on the flags of the given edge ids of ``m``."""
-    ids = m.underlying_graph().edge_ids
-    return _tour_kernel(m)(bytes([e in edges for e in ids]))
+    return _tour_kernel(m)(_flags(m, edges))
 
 
 def test_tour_kernel_rejects_a_cycle_and_a_forest():
@@ -354,10 +359,10 @@ def test_tour_kernel_rejects_a_cycle_and_a_forest():
     # a triangle splits the planar tour in two
     triangle = embed(k3())
     with pytest.raises(MotionNotCyclicError, match="closed after"):
-        _scan(triangle, {"a", "b", "c"})
-    # a forest that leaves vertex 3 out never reaches its half-edges
+        _scan(triangle, {"aa'", "bb'", "cc'"})
+    # a forest that leaves a vertex out never reaches its half-edges
     with pytest.raises(MotionNotCyclicError, match="closed after"):
-        _scan(triangle, {"a"})
+        _scan(triangle, {"aa'"})
 
 
 def test_tour_kernel_raises_on_every_edge_set_but_a_spanning_tree():
@@ -406,17 +411,19 @@ def _lanes(masks: list, i: int) -> list:
     return [p for p, mask in enumerate(masks) if mask >> i & 1]
 
 
-def _checked_batches(seen: list, chunks: list):
-    """A stand-in for ``_order_batch`` that requires every lane of every
-    chunk to hold the per-tree kernel's active positions for that tree,
-    and records each chunk's trees and size."""
+def _checked_batches(seen: list, chunks: list, make_batch=_order_batch,
+                     make_kernel=_order_kernel):
+    """A stand-in for a batch kernel's builder (``_order_batch`` or
+    ``_tour_batch``) that requires every lane of every chunk to hold the
+    per-tree kernel's active positions for that tree, and records each
+    chunk's trees and size."""
 
-    def make(graph, order):
-        batch, kernel = _order_batch(graph, order), _order_kernel(graph, order)
+    def make(*args):
+        batch, kernel = make_batch(*args), make_kernel(*args)
 
         def run(chunk):
             internal, external = batch(chunk)
-            assert len(internal) == len(external) == graph.edge_count
+            assert len(internal) == len(external) == len(chunk[0])
             assert all(m >> len(chunk) == 0 for m in internal + external)
             for i, flags in enumerate(chunk):
                 want_internal, want_external = kernel(flags)
@@ -439,10 +446,10 @@ def test_order_batch_matches_the_order_kernel_per_tree(case):
     g, order, _ = case
     trees = [st.flags for st in enumerate_spanning_trees(g)]
     expected = expansion_coeffs_oracle(g)
-    for size in (1, 2, 3, engines.ORDER_CHUNK):
+    for size in (1, 2, 3, engines.TREE_CHUNK):
         seen, chunks = [], []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engines, "ORDER_CHUNK", size)
+            mp.setattr(engines, "TREE_CHUNK", size)
             mp.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", 0)
             mp.setattr(engines, "_order_batch", _checked_batches(seen, chunks))
             assert tutte_order_activities(g, order).terms() == expected
@@ -471,7 +478,7 @@ def test_order_route_chooses_its_kernel_per_chunk(monkeypatch):
     # kernel and 6 < 9 to the per-tree kernel
     g = Multigraph([1, 2, 3, 4], dict(enumerate(itertools.combinations([1, 2, 3, 4], 2))))
     seen, chunks = [], []
-    monkeypatch.setattr(engines, "ORDER_CHUNK", 10)
+    monkeypatch.setattr(engines, "TREE_CHUNK", 10)
     monkeypatch.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", 1.5)
     monkeypatch.setattr(engines, "_order_batch", _checked_batches(seen, chunks))
     assert tutte_order_activities(g) == tutte_subgraph_expansion(g)
@@ -480,6 +487,112 @@ def test_order_route_chooses_its_kernel_per_chunk(monkeypatch):
     chunks.clear()
     assert tutte_order_activities(g) == tutte_subgraph_expansion(g)
     assert chunks == []
+
+
+def _tour_args(m) -> tuple:
+    """The arguments of ``_scan`` and ``_tour_batch`` for a rooted map."""
+    return m._sigma, m.root, _half_edge_positions(m)
+
+
+def _checked_tours(seen: list, chunks: list):
+    return _checked_batches(seen, chunks, _tour_batch, activity._scan)
+
+
+@settings(max_examples=120)
+@given(ordered_and_embedded())
+def test_tour_batch_matches_the_tour_kernel_per_tree(case):
+    # each lane against _scan, under a random rotation system (any genus)
+    # and root, with chunk boundaries after every 1, 2 and 3 trees and in
+    # one whole chunk
+    g, _, m = case
+    if m is None:
+        return
+    trees = [st.flags for st in enumerate_spanning_trees(m.underlying_graph())]
+    expected = expansion_coeffs_oracle(g)
+    for size in (1, 2, 3, engines.TREE_CHUNK):
+        seen, chunks = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engines, "TREE_CHUNK", size)
+            mp.setattr(engines, "EMBEDDING_BATCH_TREES_PER_EDGE", 0)
+            mp.setattr(engines, "_tour_batch", _checked_tours(seen, chunks))
+            assert tutte_embedding_activities(m).terms() == expected
+        assert seen == trees
+        assert chunks == [min(size, len(trees) - k) for k in range(0, len(trees), size)]
+
+
+@pytest.mark.parametrize("loops", [0, 1, 3])
+def test_tour_batch_on_a_single_vertex(monkeypatch, loops):
+    # no edge (a bare rotation, since every map has an edge), or only
+    # loops: one tree, every loop externally active
+    if not loops:
+        assert _tour_batch((), 0, [])([b""]) == ([], [])
+        return
+    m = embed(Multigraph(["v"], {f"l{i}": ("v", "v") for i in range(loops)}))
+    internal, external = _tour_batch(*_tour_args(m))([b"\0" * loops])
+    assert (internal, external) == ([0] * loops, [1] * loops)
+    want = BivariatePolynomial.monomial(0, loops)
+    assert _lane_sum(internal, external, 1) == want
+    seen, chunks = [], []
+    monkeypatch.setattr(engines, "EMBEDDING_BATCH_TREES_PER_EDGE", 0)
+    monkeypatch.setattr(engines, "_tour_batch", _checked_tours(seen, chunks))
+    assert tutte_embedding_activities(m) == want
+    assert chunks == [1]
+
+
+def test_embedding_route_chooses_its_kernel_per_chunk(monkeypatch):
+    # as for the order route: K4's 16 trees in chunks of 10 and 6, with the
+    # crossover at 1.5 trees per edge, send 10 >= 9 trees to the batch
+    # kernel and 6 < 9 to _scan
+    g = Multigraph([1, 2, 3, 4], dict(enumerate(itertools.combinations([1, 2, 3, 4], 2))))
+    seen, chunks = [], []
+    monkeypatch.setattr(engines, "TREE_CHUNK", 10)
+    monkeypatch.setattr(engines, "EMBEDDING_BATCH_TREES_PER_EDGE", 1.5)
+    monkeypatch.setattr(engines, "_tour_batch", _checked_tours(seen, chunks))
+    assert tutte_embedding_activities(embed(g)) == tutte_subgraph_expansion(g)
+    assert chunks == [10]
+    monkeypatch.setattr(engines, "EMBEDDING_BATCH_TREES_PER_EDGE", 3)
+    chunks.clear()
+    assert tutte_embedding_activities(embed(g)) == tutte_subgraph_expansion(g)
+    assert chunks == []
+
+
+def test_tour_batch_rejects_a_cycle_and_a_forest():
+    # a triangle, or one edge and vertex 3 left out, in lane 1 of a chunk
+    triangle = embed(k3())
+    batch = _tour_batch(*_tour_args(triangle))
+    tree = _flags(triangle, {"aa'", "bb'"})
+    for wrong in ({"aa'", "bb'", "cc'"}, {"aa'"}):
+        with pytest.raises(MotionNotCyclicError, match="tree 1 of the chunk"):
+            batch([tree, _flags(triangle, wrong), tree])
+    # |V| - 1 edges that leave a vertex out: K4's triangle 0-1-2
+    g = Multigraph([1, 2, 3, 4], dict(enumerate(itertools.combinations([1, 2, 3, 4], 2))))
+    k4 = embed(g)
+    batch = _tour_batch(*_tour_args(k4))
+    star, triangle_012 = _flags(k4, {"00'", "11'", "22'"}), _flags(k4, {"00'", "11'", "33'"})
+    with pytest.raises(MotionNotCyclicError, match="tree 0 of the chunk"):
+        batch([triangle_012, star])
+
+
+def test_tour_batch_raises_on_every_edge_set_but_a_spanning_tree():
+    # each edge set of small maps in lane 1, beside a spanning tree in lane 0
+    checked = 0
+    for m in map_corpus(per_size=10, max_edges=5):
+        g = m.underlying_graph()
+        ids = g.edge_ids
+        batch = _tour_batch(*_tour_args(m))
+        tree = next(enumerate_spanning_trees(g)).flags
+        for r in range(len(ids) + 1):
+            for subset in itertools.combinations(ids, r):
+                chunk = [tree, _flags(m, set(subset))]
+                if is_spanning_tree_subset(g, subset):
+                    internal, external = batch(chunk)
+                    assert (_lanes(internal, 1), _lanes(external, 1)) == tuple(
+                        sorted(a) for a in _scan(m, set(subset)))
+                else:
+                    with pytest.raises(MotionNotCyclicError):
+                        batch(chunk)
+                    checked += 1
+    assert checked > 500
 
 
 @settings(max_examples=100)

@@ -71,4 +71,4 @@ def test_tree_routes_draw_the_kirchhoff_count(capsys, monkeypatch, tmp_path,
     want = kirchhoff_tree_count(Multigraph(verts, dict(enumerate(edges))))
     assert len(drawn) == want
     if edges is W9_EDGES:
-        assert want > engines.ORDER_CHUNK
+        assert want > engines.TREE_CHUNK

@@ -384,6 +384,18 @@ def test_check_refuses_a_long_path_at_the_expansion_bound(capsys, tmp_path):
     assert "resource limit" not in err
 
 
+def test_check_builds_no_random_embedding_over_the_expansion_bound(capsys, monkeypatch,
+                                                                   tmp_path):
+    # cross_check meets the bound before it lists the embeddings, so the
+    # default 20 trials build none of them
+    made = []
+    monkeypatch.setattr(cli, "_random_embedding", lambda *args: made.append(args))
+    graph = _long_graph(tmp_path, MAX_EXPANSION_EDGES + 1, closed=False)
+    code, out, err = run(capsys, "check", "--graph", graph)
+    assert code == 1 and out == ""
+    assert f"bound is {MAX_EXPANSION_EDGES} edges" in err and made == []
+
+
 def test_unrooted_map_needs_root_flag(capsys, tmp_path):
     path = tmp_path / "unrooted.map"
     path.write_text("sigma: (h)(h')\nalpha: (h h')\n")
