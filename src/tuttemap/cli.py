@@ -30,7 +30,7 @@ from .engines import (
     tutte_subgraph_expansion,
 )
 from .graph import Multigraph
-from .mapenum import census_texts, partition_function
+from .mapenum import census_document, partition_function
 from .poly import BivariatePolynomial
 from .spanning import enumerate_spanning_trees, kirchhoff_tree_count
 
@@ -177,19 +177,7 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    texts = census_texts(args.edges, args.genus, args.format)
-    if args.format == "text":
-        print(next(texts, ""))  # an empty census prints one empty line
-        for line in texts:
-            print(line)
-        return 0
-    # the count prints first, so the maps are held; json.dumps lays out the
-    # payload with one null standing for them (none for an empty census),
-    # and their texts, nested two levels in, take its place
-    maps = [m.replace("\n", "\n    ") for m in texts]
-    payload = json.dumps({"count": len(maps), "maps": [None] * bool(maps)},
-                         indent=2, sort_keys=True)
-    print(payload.replace("null", ",\n    ".join(maps)))
+    print(census_document(args.edges, args.genus, args.format))
     return 0
 
 
@@ -203,7 +191,6 @@ def _random_embedding(graph: Multigraph, rng: random.Random) -> CombinatorialMap
     at_vertex, partner = _graph_incidences(graph)
     for v in sorted(at_vertex, key=str):
         rng.shuffle(at_vertex[v])
-    # the partner keys are embed's half-edge names, in embed's order
     return embed(graph, rotations=at_vertex, root=rng.choice(list(partner)))
 
 
@@ -223,19 +210,11 @@ def _cmd_check(args) -> int:
     _require_connected(graph)
     emb = embed(graph)
     trials = range(1, args.trials + 1)
-
-    def orders():
-        yield graph.edge_ids
-        for _ in trials:
-            order = list(graph.edge_ids)
-            rng.shuffle(order)
-            yield order
-
-    # lazy, so a graph over the expansion's bound is refused before any
-    # random embedding is built; cross_check lists the embeddings before
-    # the orders, so the seeded draws keep their order
+    orders = [graph.edge_ids] + [rng.sample(graph.edge_ids, graph.edge_count)
+                                 for _ in trials]
+    # lazy, so a graph over the expansion's bound builds no random embedding
     polys = cross_check(graph, itertools.chain(
-        [emb], (_random_embedding(graph, rng) for _ in trials)), orders())
+        [emb], (_random_embedding(graph, rng) for _ in trials)), orders)
     five = {m: polys[m if m in ("expansion", "delcon") else f"{m}[0]"]
             for m in METHODS}
     reference = five["expansion"]

@@ -242,12 +242,17 @@ class CombinatorialMap:
         return h ^ 1
 
     def edge_index(self, token: str) -> int:
-        """Resolve an edge id, or the name of either of its half-edges."""
-        for k, eid in enumerate(self._edge_ids):
-            if eid == token:
-                return k
-        if token in self._index:
-            return self._index[token] >> 1
+        """Resolve an edge id, or the name of either of its half-edges. A
+        token that is both (an edge id and a half-edge of another edge) is
+        refused."""
+        h = self._index.get(token)
+        if token in self._edge_ids:
+            if h is not None:
+                raise MapError(f"edge token {token!r} is both an edge id and "
+                               "a half-edge name")
+            return self._edge_ids.index(token)
+        if h is not None:
+            return h >> 1
         raise MapError(f"unknown edge {token!r}")
 
     def with_root(self, root) -> "CombinatorialMap":
@@ -515,7 +520,9 @@ def _graph_incidences(graph: Multigraph) -> tuple[dict, dict]:
     """Half-edge names per vertex (edge-id order) and name -> partner name.
 
     Edge e contributes half-edges str(e) at its first endpoint and
-    str(e) + "'" at the second (both at the same vertex for a loop).
+    str(e) + "'" at the second (both at the same vertex for a loop). The
+    partner keys list every half-edge in that order, which ``embed`` takes
+    as its numbering.
     """
     at_vertex: dict = {v: [] for v in graph.vertices}
     partner: dict[str, str] = {}
@@ -561,9 +568,7 @@ def embed(graph: Multigraph, rotations: Mapping | None = None,
     for order in at_vertex.values():
         for a, b in zip(order, order[1:] + order[:1]):
             sigma_map[a] = b
-    names: list[str] = []
-    for e in graph.edge_ids:
-        names.extend((str(e), str(e) + "'"))
+    names = list(partner)
     index = {nm: i for i, nm in enumerate(names)}
     sigma = tuple(index[sigma_map[nm]] for nm in names)
     if root is None:

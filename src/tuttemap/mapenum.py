@@ -18,10 +18,10 @@ census filters genus on the rotation (``cmap._euler``), and
 cycle, and the tour kernel (``activity._scan``, a function from a tree's
 flags to its active edge positions) on sigma with half-edge h on edge
 h >> 1; ``activity._activity_sum`` counts the pairs it returns, as it does
-for the evaluators. ``census_texts`` prints each map from its rotation
-too: half-edge i is named h<i> and the root is h0, so only the sigma
-cycles differ from map to map. Only ``enumerate_rooted_maps`` builds
-``CombinatorialMap``s, and only for the rotations it keeps.
+for the evaluators. ``census_document`` lays out the printed census from
+the rotations too: half-edge i is named h<i> and the root is h0, so only
+the sigma cycles differ from map to map. Only ``enumerate_rooted_maps``
+builds ``CombinatorialMap``s, and only for the rotations it keeps.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .cmap import (CombinatorialMap, _cycle_labels, _cycles_text, _euler,
 from .poly import BivariatePolynomial
 from .spanning import _tree_flags
 
-__all__ = ["enumerate_rooted_maps", "census_texts", "partition_function",
+__all__ = ["enumerate_rooted_maps", "census_document", "partition_function",
            "MAX_CENSUS_EDGES"]
 
 # The census grows more than 10x per edge (8,162 maps at 5 edges, 110,410
@@ -103,30 +103,35 @@ def enumerate_rooted_maps(n: int,
     return tuple(CombinatorialMap(s, names, root=0) for s in sigmas)
 
 
-def census_texts(n: int, genus: int | None, form: str) -> Iterator[str]:
-    """Each census map as it prints, in census order, made from its
-    rotation with no map object: with form "text", the one-line text form
-    (``to_text("; ")``), and with "json", the JSON object text
-    (``json.dumps(to_json_obj(), indent=2, sort_keys=True)``). The alpha
-    and root parts are the same for every map with n edges, so they are
-    formatted once. The bounds are checked before this returns."""
+def census_document(n: int, genus: int | None, form: str) -> str:
+    """The census as ``census`` prints it, made from the rotations with no
+    map object. With form "text", one map per line in its one-line text
+    form (``to_text("; ")``); with "json", the ``{count, maps}`` object
+    that ``json.dumps(..., indent=2, sort_keys=True)`` would print, each
+    map as its ``to_json_obj()``. The alpha and root parts are the same for
+    every map with n edges, so they are formatted once."""
     sigmas = _census_sigmas(n, genus)
     names = [f"h{i}" for i in range(2 * n)]
     alpha = _named_cycles([h ^ 1 for h in range(2 * n)], names)
     if form == "text":
         tail = f"; alpha: {_cycles_text(alpha)}; root: h0"
-        return ("sigma: " + _cycles_text(_named_cycles(s, names)) + tail
-                for s in sigmas)
-    head, _, tail = json.dumps({"alpha": alpha, "root": "h0", "sigma": None},
-                               indent=2, sort_keys=True).partition("null")
-    # the sigma list sits one level in: cycles at 4 spaces, names at 6
-    quoted = {nm: "\n      " + json.dumps(nm) for nm in names}
+        return "\n".join("sigma: " + _cycles_text(_named_cycles(s, names)) + tail
+                         for s in sigmas)
+    # each map object is laid out at its depth in the maps list: keys at 6
+    # spaces, cycles at 8, names at 10
+    quoted = {nm: "\n          " + json.dumps(nm) for nm in names}
 
-    def sigma_json(cycles: list[list[str]]) -> str:
-        return "[" + ",".join("\n    [" + ",".join(quoted[nm] for nm in c)
-                              + "\n    ]" for c in cycles) + "\n  ]"
+    def cycles_json(cycles: list[list[str]]) -> str:
+        return "[" + ",".join("\n        [" + ",".join(quoted[nm] for nm in c)
+                              + "\n        ]" for c in cycles) + "\n      ]"
 
-    return (head + sigma_json(_named_cycles(s, names)) + tail for s in sigmas)
+    head = ('{\n      "alpha": ' + cycles_json(alpha)
+            + ',\n      "root": "h0",\n      "sigma": ')
+    maps = [head + cycles_json(_named_cycles(s, names)) + "\n    }"
+            for s in sigmas]
+    # one null stands for the maps (none for an empty census)
+    return json.dumps({"count": len(maps), "maps": [None] * bool(maps)},
+                      indent=2, sort_keys=True).replace("null", ",\n    ".join(maps))
 
 
 def partition_function(n: int, genus: int | None = None) -> BivariatePolynomial:

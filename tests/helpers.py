@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the package's own code paths: components
 are counted by BFS, spanning trees by raw subset enumeration, fundamental
-sets by the swap test, isomorphism by relabeling search, determinants by
-Bareiss elimination. Expected values in the tests are frozen from these.
+sets by the swap test, isomorphism by relabeling search (maps) or networkx
+(graphs), graph minors on bare edge dicts, determinants by Bareiss
+elimination. Expected values in the tests are frozen from these.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import random
 from collections import Counter
 
+import networkx as nx
 from hypothesis import strategies as st
 
 from tuttemap import CombinatorialMap, Multigraph, embed
@@ -259,6 +261,35 @@ def matrix_tree_count(g: Multigraph) -> int:
         lap[iv][iu] -= 1
     minor = [row[1:] for row in lap[1:]]
     return bareiss_det(minor)
+
+
+# -- graph minor and isomorphism oracles ---------------------------------------
+# A graph is an edge dict, id -> (u, v); only connected graphs with an edge
+# are compared, so no vertex is isolated and the edges name every vertex.
+
+
+def edge_dict(g: Multigraph) -> dict:
+    return {e: g.endpoints(e) for e in g.edge_ids}
+
+
+def delete_from(edges: dict, e) -> dict:
+    return {k: ends for k, ends in edges.items() if k != e}
+
+
+def contract_in(edges: dict, e) -> dict:
+    """Remove edge e and merge its second endpoint into its first."""
+    u, v = edges[e]
+    return {k: tuple(u if w == v else w for w in ends)
+            for k, ends in edges.items() if k != e}
+
+
+def nx_isomorphic(a: dict, b: dict) -> bool:
+    """Isomorphism of two edge dicts as networkx multigraphs, counting
+    loops and parallel edges."""
+    ga, gb = nx.MultiGraph(), nx.MultiGraph()
+    ga.add_edges_from(a.values())
+    gb.add_edges_from(b.values())
+    return nx.is_isomorphic(ga, gb)
 
 
 # -- map isomorphism oracles -----------------------------------------------

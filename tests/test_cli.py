@@ -280,6 +280,27 @@ def test_tour_rejects_a_repeated_tree_edge(capsys, torus_file, tree, token):
     assert code == 0
 
 
+# "ab" is the id of edge {a, b} and also a half-edge of edge {ab, c}
+AMBIGUOUS_MAP_TEXT = "sigma: (a ab b c)\nalpha: (a b)(ab c)\n"
+
+
+@pytest.mark.parametrize("argv", [("tour", "--root", "a", "--tree", "ab"),
+                                  ("minor", "--root", "ab", "--delete", "ab")],
+                         ids=["tour", "minor"])
+def test_ambiguous_edge_token_exits_1(capsys, tmp_path, argv):
+    path = tmp_path / "ambiguous.map"
+    path.write_text(AMBIGUOUS_MAP_TEXT)
+    code, out, err = run(capsys, argv[0], "--map", str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == ("error: edge token 'ab' is both an edge id and a "
+                   "half-edge name\n")
+    # the other edge's id and half-edge names still resolve
+    for token in ("abc", "c"):
+        code, out, _ = run(capsys, "minor", "--map", str(path), "--root", "a",
+                           "--delete", token)
+        assert (code, out) == (0, "sigma: (a b)\nalpha: (a b)\nroot: a\n")
+
+
 def test_tutte_root_is_checked_for_every_method(capsys, k3_file):
     for method in METHODS:
         code, out, err = run(capsys, "tutte", "--graph", k3_file,

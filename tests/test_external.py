@@ -1,0 +1,61 @@
+"""Checks against code outside the package: networkx's Tutte polynomial as
+an oracle for all five routes, and the standard library as the runtime's
+only dependency."""
+
+import ast
+import sys
+from pathlib import Path
+
+import networkx as nx
+import pytest
+import sympy
+
+import tuttemap
+from tuttemap import Multigraph, cross_check, embed
+
+X, Y = sympy.symbols("x y")
+
+
+def _multigraph_of(g: nx.Graph) -> Multigraph:
+    return Multigraph(g.nodes, {f"e{i}": uv for i, uv in enumerate(g.edges())})
+
+
+def _loop_pair_isthmus() -> nx.MultiGraph:
+    # a loop at 0, a parallel pair 0-1 and an isthmus 1-2
+    g = nx.MultiGraph()
+    g.add_edges_from([(0, 0), (0, 1), (0, 1), (1, 2)])
+    return g
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nx.complete_graph(4),
+    _loop_pair_isthmus,
+    lambda: nx.wheel_graph(6),
+    nx.petersen_graph,
+], ids=["K4", "loop-pair-isthmus", "W5", "Petersen"])
+def test_every_route_matches_networkx(make):
+    g = make()
+    expected = {m: int(c) for m, c in
+                sympy.Poly(nx.tutte_polynomial(g), X, Y).terms()}
+    graph = _multigraph_of(g)
+    polys = cross_check(graph, [embed(graph)], [graph.edge_ids])
+    assert sorted(polys) == ["delcon", "embedding[0]", "expansion", "order[0]",
+                             "recursive[0]"]
+    for label, poly in polys.items():
+        assert poly.terms() == expected, label
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted(Path(tuttemap.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
