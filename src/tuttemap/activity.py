@@ -64,7 +64,7 @@ is still open when it closes, and a tree edge iff no external edge opened
 before it closes inside its span. The kernel needs only the rotation, the
 root and the edge position of each half-edge, so the map census runs it on
 bare first-visit rotations, where half-edge h lies on edge h >> 1;
-``_tour_kernel`` runs it on a ``CombinatorialMap``.
+``_tour_args`` gives the three of a rooted ``CombinatorialMap``.
 
 The batch tour kernel (``_tour_batch``) decides a chunk of trees on the
 same lanes and walks no tour. Let r be the root's vertex. A vertex lies
@@ -299,17 +299,13 @@ def _order_batch(graph: Multigraph, order: Sequence):
     return batch
 
 
-def _half_edge_positions(m: CombinatorialMap) -> list[int]:
-    """The edge position, in the underlying graph, of each half-edge."""
-    index = {e: p for p, e in enumerate(m.underlying_graph().edge_ids)}
-    return [index[e] for e in m.edge_ids for _ in (0, 1)]
-
-
-def _tour_root(m: CombinatorialMap) -> int:
-    """The root of a rooted map, where its tours start."""
+def _tour_args(m: CombinatorialMap) -> tuple:
+    """A rooted map's rotation, root, and each half-edge's edge position in
+    its underlying graph, as ``_scan`` and ``_tour_batch`` take them."""
     if m.root is None:
         raise MapError("the tour order needs a rooted map")
-    return m.root
+    index = {e: p for p, e in enumerate(m.underlying_graph().edge_ids)}
+    return m._sigma, m.root, [index[e] for e in m.edge_ids for _ in (0, 1)]
 
 
 def _tour(sigma: Sequence[int], start: int, he_pos: list[int], flags) -> list[int]:
@@ -388,12 +384,6 @@ def _scan(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
         return internal, external
 
     return scan
-
-
-def _tour_kernel(m: CombinatorialMap):
-    """The tour kernel (``_scan``) of a rooted map, over the edge positions
-    of its underlying graph."""
-    return _scan(m._sigma, _tour_root(m), _half_edge_positions(m))
 
 
 def _tour_batch(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
@@ -528,8 +518,8 @@ def motion_function(m: CombinatorialMap, tree) -> TourOrder:
     """Tour the given spanning tree of a rooted map (see ``_tour``)."""
     graph = m.underlying_graph()
     st = _as_spanning_tree(graph, tree)
-    he_pos = _half_edge_positions(m)
-    seq = _tour(m._sigma, _tour_root(m), he_pos, st.flags)
+    sigma, root, he_pos = _tour_args(m)
+    seq = _tour(sigma, root, he_pos, st.flags)
     ranked = dict.fromkeys(he_pos[h] for h in seq)  # by earlier half-edge
     cycle = tuple(m.names[h] for h in seq)
     motion = dict(zip(cycle, cycle[1:] + cycle[:1]))
@@ -550,7 +540,7 @@ def embedding_activities(m: CombinatorialMap, tree) -> ActivitySummary:
     """Activities of one spanning tree w.r.t. the rooted tour order."""
     graph = m.underlying_graph()
     flags = _as_spanning_tree(graph, tree).flags
-    return _summary(graph, _tour_kernel(m)(flags))
+    return _summary(graph, _scan(*_tour_args(m))(flags))
 
 
 def order_activities(graph: Multigraph, order: Sequence, tree) -> ActivitySummary:
@@ -569,8 +559,7 @@ def _erase_walk(m: CombinatorialMap):
     from the first surviving half-edge, so the comparison is exact. A minor
     depends only on the edge and on whether the tree holds it, so each is
     spliced once per map, on first use, and kept for the later trees."""
-    sigma, root = m._sigma, _tour_root(m)
-    he_pos = _half_edge_positions(m)
+    sigma, root, he_pos = _tour_args(m)
     minors: dict = {}  # (k, contract) -> (spliced rotation, its he_pos)
 
     def walk(flags, edges: Iterable[int]) -> bool:

@@ -18,7 +18,7 @@ import random
 import sys
 from pathlib import Path
 
-from .activity import _activity_sum, _erase_walk, _tour_kernel, motion_function
+from .activity import _activity_sum, _erase_walk, _scan, _tour_args, motion_function
 from .cmap import CombinatorialMap, MapError, _graph_incidences, embed
 from .engines import (
     _require_connected,
@@ -125,7 +125,7 @@ def _cmd_activities(args) -> int:
     m = _load_map(args.map, args.root)
     graph = m.underlying_graph()
     ids = graph.edge_ids
-    kernel = _tour_kernel(m)
+    kernel = _scan(*_tour_args(m))
     trees = list(enumerate_spanning_trees(graph))
     pairs = [kernel(st.flags) for st in trees]
     lines = []

@@ -179,8 +179,8 @@ class CombinatorialMap:
             if nm in index:
                 raise MapError(f"duplicate half-edge name {nm!r}")
             index[nm] = i
-        if root is not None and not 0 <= root < n:
-            raise MapError(f"root {root} is outside the half-edge range")
+        if root is not None and not (isinstance(root, int) and 0 <= root < n):
+            raise MapError(f"root {root!r} is outside the half-edge range")
         edge_ids = []
         for k in range(n // 2):
             a, b = names[2 * k], names[2 * k + 1]
@@ -357,10 +357,9 @@ class CombinatorialMap:
     def _edge_arg(self, e) -> int:
         if isinstance(e, str):
             return self.edge_index(e)
-        k = int(e)
-        if not 0 <= k < self.edge_count:
-            raise MapError(f"edge number {k} is out of range")
-        return k
+        if not isinstance(e, int) or not 0 <= e < self.edge_count:
+            raise MapError(f"edge number {e!r} is out of range")
+        return e
 
     def delete_edge(self, e) -> "CombinatorialMap":
         """Remove a non-isthmus edge, keeping the rotation order of the

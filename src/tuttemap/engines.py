@@ -10,16 +10,16 @@ the package's correctness argument, so the routes share no code beyond
 plumbing: the level sweep, the chunk loop and the activity sums.
 
 The two tree routes draw every tree from ``enumerate_spanning_trees``,
-looked up here as a module global, through one chunk loop
-(``_tree_sum``). It takes the trees ``TREE_CHUNK`` at a time. A chunk
-that holds at least the route's crossover of trees per edge
-(``ORDER_BATCH_TREES_PER_EDGE``, ``EMBEDDING_BATCH_TREES_PER_EDGE``) goes
-to the route's bit-sliced batch kernel (``activity._order_batch``,
+looked up here as a module global, through one chunk loop (``_tree_sum``).
+It walks the trees once for all the routes it is given, of one family
+(``_order_route`` or ``_tour_route``), ``TREE_CHUNK`` trees at a time. A
+chunk that holds at least a route's crossover of trees per edge
+(``ORDER_BATCH_TREES_PER_EDGE``, ``EMBEDDING_BATCH_TREES_PER_EDGE``) goes to
+its bit-sliced batch kernel (``activity._order_batch``,
 ``activity._tour_batch``), summed by ``activity._lane_sum``; a smaller one
 (a cycle, a path) goes tree by tree to its per-tree kernel
 (``activity._order_kernel``, ``activity._scan``), summed by
-``activity._activity_sum``. ``cross_check`` calls the same public
-evaluators as the command line.
+``activity._activity_sum``.
 
 Both deletion-contraction routes run as one iterative sweep (``_sweep``),
 one level per edge, over exact minor keys, so equal minors merge with no
@@ -40,8 +40,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .activity import (_activity_sum, _half_edge_positions, _lane_sum, _order_batch,
-                       _order_kernel, _scan, _tour_batch, _tour_root)
+from .activity import (_activity_sum, _lane_sum, _order_batch, _order_kernel, _scan,
+                       _tour_args, _tour_batch)
 from .cmap import CombinatorialMap, MapError, _cycle_labels, _rooted_minor
 from .graph import GraphError, Multigraph
 from .poly import X, Y, ZERO, BivariatePolynomial
@@ -252,26 +252,37 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
                   _graph_pivot, graph.edge_count, graph.vertex_count)
 
 
-def _tree_sum(graph: Multigraph, kernel, make_batch,
-              per_edge: float) -> BivariatePolynomial:
-    """Sum of x^|I| y^|E| over the spanning trees of ``graph``, drawn from
-    ``enumerate_spanning_trees`` ``TREE_CHUNK`` at a time: a chunk of at
-    least ``per_edge`` trees per edge goes to the batch kernel that
-    ``make_batch()`` builds on first use, a smaller one tree by tree to
-    ``kernel``."""
-    batch = None
-    trees = enumerate_spanning_trees(graph)
-    total = ZERO
+def _order_route(graph: Multigraph, order: Sequence) -> tuple:
+    """An order route for ``_tree_sum``; its |E|^2 batch plan is built lazily."""
+    return (_order_kernel(graph, order), lambda: _order_batch(graph, order),
+            ORDER_BATCH_TREES_PER_EDGE)
+
+
+def _tour_route(m: CombinatorialMap) -> tuple:
+    """The tour route of a rooted map, for ``_tree_sum``."""
+    tour = _tour_args(m)
+    return _scan(*tour), lambda: _tour_batch(*tour), EMBEDDING_BATCH_TREES_PER_EDGE
+
+
+def _tree_sum(graph: Multigraph, routes: list) -> list[BivariatePolynomial]:
+    """Each route's sum of x^|I| y^|E| over the spanning trees of ``graph``,
+    all from one walk of ``enumerate_spanning_trees``, ``TREE_CHUNK`` trees
+    at a time. A route is (kernel, make_batch, per_edge): a chunk of at
+    least ``per_edge`` trees per edge goes to the kernel that ``make_batch()``
+    builds on first use, a smaller one tree by tree to ``kernel``."""
+    batches, totals = [None] * len(routes), [ZERO] * len(routes)
+    trees = enumerate_spanning_trees(graph) if routes else ()  # no route, no walk
     while True:
         # range comes first, so zip draws no tree past a full chunk
         chunk = [st.flags for _, st in zip(range(TREE_CHUNK), trees)]
         if not chunk:
-            return total
-        if len(chunk) < per_edge * graph.edge_count:
-            total += _activity_sum(map(kernel, chunk))
-        else:
-            batch = batch or make_batch()
-            total += _lane_sum(*batch(chunk), len(chunk))
+            return totals
+        for i, (kernel, make_batch, per_edge) in enumerate(routes):
+            if len(chunk) < per_edge * graph.edge_count:
+                totals[i] += _activity_sum(map(kernel, chunk))
+            else:
+                batches[i] = batches[i] or make_batch()
+                totals[i] += _lane_sum(*batches[i](chunk), len(chunk))
 
 
 def tutte_order_activities(graph: Multigraph,
@@ -281,16 +292,12 @@ def tutte_order_activities(graph: Multigraph,
     _require_connected(graph)
     if order is None:
         order = graph.edge_ids
-    # the batch plan holds |E|^2 entries: built on first use only
-    return _tree_sum(graph, _order_kernel(graph, order),
-                     lambda: _order_batch(graph, order), ORDER_BATCH_TREES_PER_EDGE)
+    return _tree_sum(graph, [_order_route(graph, order)])[0]
 
 
 def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:
     """Sum of x^I y^E over spanning trees, activities from the rooted tour."""
-    tour = m._sigma, _tour_root(m), _half_edge_positions(m)
-    return _tree_sum(m.underlying_graph(), _scan(*tour), lambda: _tour_batch(*tour),
-                     EMBEDDING_BATCH_TREES_PER_EDGE)
+    return _tree_sum(m.underlying_graph(), [_tour_route(m)])[0]
 
 
 def _map_pivot(sigma: tuple) -> tuple:
@@ -450,22 +457,29 @@ def cross_check(graph: Multigraph,
     expansion's bound is refused before the isomorphism guard, which
     recurses once per vertex, sees it. Each embedding's underlying graph
     must then be isomorphic to ``graph``; a mismatch is rejected before any
-    tree route runs.
+    tree route runs. Embeddings with one edge-labelled graph (edge ids and
+    numbered ends) share an isomorphism test and a walk of its trees, and
+    all orders share another walk: the families' agreement is the check.
     """
     polys = {
         "expansion": tutte_subgraph_expansion(graph),
         "delcon": tutte_deletion_contraction(graph),
     }
     embeddings = list(embeddings)
-    orders = list(orders)
+    groups: dict = {}  # an edge-labelled graph -> (it, its embeddings' indices)
     for i, m in enumerate(embeddings):
         if m.root is None:
             raise MapError(f"embedding #{i} must be a rooted map")
-        if not graphs_isomorphic(graph, m.underlying_graph()):
+        g = m.underlying_graph()
+        key = g.edge_ids, g._numbered_ends()
+        if key not in groups and not graphs_isomorphic(graph, g):
             raise GraphError(f"embedding #{i} is not an embedding of this graph")
-    for i, order in enumerate(orders):
-        polys[f"order[{i}]"] = tutte_order_activities(graph, order)
+        groups.setdefault(key, (g, []))[1].append(i)
+    sums = _tree_sum(graph, [_order_route(graph, order) for order in orders])
+    polys.update((f"order[{i}]", poly) for i, poly in enumerate(sums))
+    tours = {i: poly for g, indices in groups.values() for i, poly in
+             zip(indices, _tree_sum(g, [_tour_route(embeddings[j]) for j in indices]))}
     for i, m in enumerate(embeddings):
-        polys[f"embedding[{i}]"] = tutte_embedding_activities(m)
+        polys[f"embedding[{i}]"] = tours[i]
         polys[f"recursive[{i}]"] = tutte_recursive_map(m)
     return polys

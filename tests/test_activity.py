@@ -26,8 +26,8 @@ from tuttemap import (
     tutte_subgraph_expansion,
 )
 from tuttemap import activity, engines
-from tuttemap.activity import (_erase_walk, _half_edge_positions, _lane_sum, _order_batch,
-                               _order_kernel, _tour_batch, _tour_kernel)
+from tuttemap.activity import (_erase_walk, _lane_sum, _order_batch, _order_kernel,
+                               _tour_args, _tour_batch)
 
 from helpers import (
     TORUS_TREE,
@@ -347,7 +347,7 @@ def _flags(m, edges) -> bytes:
 
 def _scan(m, edges):
     """The tour kernel on the flags of the given edge ids of ``m``."""
-    return _tour_kernel(m)(_flags(m, edges))
+    return activity._scan(*_tour_args(m))(_flags(m, edges))
 
 
 def test_tour_kernel_rejects_a_cycle_and_a_forest():
@@ -487,11 +487,6 @@ def test_order_route_chooses_its_kernel_per_chunk(monkeypatch):
     chunks.clear()
     assert tutte_order_activities(g) == tutte_subgraph_expansion(g)
     assert chunks == []
-
-
-def _tour_args(m) -> tuple:
-    """The arguments of ``_scan`` and ``_tour_batch`` for a rooted map."""
-    return m._sigma, m.root, _half_edge_positions(m)
 
 
 def _checked_tours(seen: list, chunks: list):

@@ -525,6 +525,19 @@ def test_check_runs_recursive_on_random_embeddings(capsys, monkeypatch, tmp_path
     assert out.splitlines()[-1] == "1 check(s) failed"
 
 
+def test_check_walks_the_trees_once_per_route(capsys, monkeypatch, tmp_path):
+    # the 6 order rows share one walk, and the 6 embeddings, which all have
+    # the one edge-labelled graph, another
+    real, walks = engines.enumerate_spanning_trees, []
+    monkeypatch.setattr(engines, "enumerate_spanning_trees",
+                        lambda g: walks.append(g) or real(g))
+    path = tmp_path / "k4.g"
+    path.write_text(K4_TEXT)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "5")
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert len(walks) == 2
+
+
 def test_check_exits_2_on_a_broken_tour(capsys, monkeypatch, k3_file):
     def broken(sigma, start, he_pos, flags):
         raise activity.MotionNotCyclicError("the tour closed early")

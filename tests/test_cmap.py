@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tuttemap import CombinatorialMap, MapError, all_rotation_systems, embed
+from tuttemap import CombinatorialMap, MapError, all_rotation_systems, embed, erase_check
 from tuttemap.cmap import _named_cycles, _rooted, _rooted_minor, _splice
 
 from helpers import (
@@ -92,6 +92,20 @@ def test_validate_reaches_the_orbit_of_the_root(case):
 def test_unknown_root_rejected():
     with pytest.raises(MapError, match="root 'z'"):
         CombinatorialMap.from_text("sigma: (h)(h')\nalpha: (h h')\nroot: z\n")
+
+
+def test_edge_numbers_and_roots_must_be_ints():
+    # int() would truncate: 2.7 would name edge cc' and 1.9 edge bb'
+    m = torus_map()
+    for remove in (m.delete_edge, m.contract_edge):
+        with pytest.raises(MapError, match="edge number 2.7 is out of range"):
+            remove(2.7)
+    tree = ["aa'", "dd'", "ee'"]
+    assert erase_check(m, tree, 1)
+    with pytest.raises(MapError, match="edge number 1.9 is out of range"):
+        erase_check(m, tree, 1.9)
+    with pytest.raises(MapError, match="root 0.5 is outside the half-edge range"):
+        CombinatorialMap((1, 0), ("a", "b"), 0.5)
 
 
 def test_underlying_graph_torus_map():

@@ -17,9 +17,11 @@ from tuttemap import (
     embed,
     embedding_activities,
     enumerate_spanning_trees,
+    erase_check,
     graph_certificate,
     graphs_isomorphic,
     kirchhoff_tree_count,
+    motion_function,
     order_activities,
     tutte_deletion_contraction,
     tutte_embedding_activities,
@@ -46,6 +48,7 @@ from helpers import (
     ordered_and_embedded,
     random_connected_multigraphs,
     random_rooted_map,
+    relabel_map,
     subgraph_components,
 )
 
@@ -114,8 +117,12 @@ def test_disconnected_rejected_by_every_evaluator():
 
 def test_map_evaluators_reject_unrooted():
     m = torus_map().with_root(None)
-    with pytest.raises(MapError, match="root"):
-        tutte_embedding_activities(m)
+    tree = next(enumerate_spanning_trees(m.underlying_graph()))
+    # every tour of a map starts from the one root check
+    for tour in (tutte_embedding_activities, lambda m: motion_function(m, tree),
+                 lambda m: embedding_activities(m, tree), lambda m: erase_check(m, tree, 0)):
+        with pytest.raises(MapError, match="the tour order needs a rooted map"):
+            tour(m)
     with pytest.raises(MapError, match="root"):
         tutte_recursive_map(m)
 
@@ -554,6 +561,37 @@ def test_cross_check_single_edge():
 def test_cross_check_rejects_wrong_embedding():
     with pytest.raises(GraphError, match="not an embedding"):
         cross_check(k3(), [embed(k4())])
+    # after good embeddings that share one isomorphism test, the foreign
+    # one is still named by its own index
+    good = embed(k3())
+    with pytest.raises(GraphError, match="embedding #2 is not an embedding"):
+        cross_check(k3(), [good, good.with_root(1), embed(k4()), good])
+
+
+def test_cross_check_walks_once_per_route_family_and_labelled_graph(monkeypatch):
+    # the order rows share one walk; m's two rows share another, with one
+    # isomorphism test; the relabelled copy has other edge ids, so its own
+    real_walk, real_iso = engines.enumerate_spanning_trees, engines.graphs_isomorphic
+    walks, tests = [], []
+    monkeypatch.setattr(engines, "enumerate_spanning_trees",
+                        lambda g: walks.append(g) or real_walk(g))
+    monkeypatch.setattr(engines, "graphs_isomorphic",
+                        lambda g1, g2: tests.append(g2) or real_iso(g1, g2))
+    m = torus_map()
+    g = m.underlying_graph()
+    polys = cross_check(g, [m, relabel_map(m, random.Random(5)), m], [g.edge_ids])
+    assert list(polys) == ["expansion", "delcon", "order[0]"] + [
+        f"{route}[{i}]" for i in range(3) for route in ("embedding", "recursive")]
+    assert len(set(polys.values())) == 1
+    assert len(walks) == 3 and len(tests) == 2
+    # two bowties on the same edge ids, with c and d swapped: isomorphic,
+    # but with other trees, so a walk each (and none for no order)
+    ends = {"a": (0, 1), "b": (1, 2), "c": (2, 0), "d": (2, 3), "e": (3, 4), "f": (4, 2)}
+    bowtie = Multigraph(range(5), ends)
+    swapped = Multigraph(range(5), {**ends, "c": ends["d"], "d": ends["c"]})
+    walks.clear()
+    polys = cross_check(bowtie, [embed(bowtie), embed(swapped), embed(bowtie)])
+    assert len(set(polys.values())) == 1 and len(walks) == 2
 
 
 def test_per_tree_tables_expose_monomials():
