@@ -394,8 +394,6 @@ def _tour_batch(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
     if a lane marks no spanning tree."""
     n = len(sigma)
     vert, nv = _cycle_labels(sigma)  # vertices are the rotation's cycles
-    if not n:  # no edge: one vertex, whose one tree is empty
-        return lambda chunk: ([], [])
     rv = vert[root]
     rot: list = [None] * nv  # each rotation, the root's from the root half-edge
     for h0 in (root, *range(n)):

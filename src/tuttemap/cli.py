@@ -60,7 +60,7 @@ def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(text)
 
 
 def _cmd_tutte(args) -> int:

@@ -179,7 +179,8 @@ class CombinatorialMap:
             if nm in index:
                 raise MapError(f"duplicate half-edge name {nm!r}")
             index[nm] = i
-        if root is not None and not (isinstance(root, int) and 0 <= root < n):
+        if root is not None and (isinstance(root, bool)
+                                 or not (isinstance(root, int) and 0 <= root < n)):
             raise MapError(f"root {root!r} is outside the half-edge range")
         edge_ids = []
         for k in range(n // 2):
@@ -263,7 +264,7 @@ class CombinatorialMap:
         not built, or walked, again."""
         if root is not None and not isinstance(root, int):
             root = self.index(root)
-        elif root is not None and not 0 <= root < len(self._sigma):
+        elif root is not None and (isinstance(root, bool) or not 0 <= root < len(self._sigma)):
             raise MapError(f"root {root} is outside the half-edge range")
         m = CombinatorialMap.__new__(CombinatorialMap)
         for slot in CombinatorialMap.__slots__:
@@ -357,7 +358,7 @@ class CombinatorialMap:
     def _edge_arg(self, e) -> int:
         if isinstance(e, str):
             return self.edge_index(e)
-        if not isinstance(e, int) or not 0 <= e < self.edge_count:
+        if isinstance(e, bool) or not isinstance(e, int) or not 0 <= e < self.edge_count:
             raise MapError(f"edge number {e!r} is out of range")
         return e
 

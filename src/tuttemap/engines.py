@@ -156,10 +156,11 @@ def _sweep(start, pivot, levels: int, vertices: int) -> BivariatePolynomial:
     connected graph or map with ``levels`` edges and ``vertices`` vertices.
 
     Each level maps a state to its weight, with T = sum of weight *
-    T(state) over the level. ``pivot(state)`` removes one edge and returns
-    (minor, dx, dy) triples: the minor gains the weight times x^dx y^dy.
-    Equal keys merge with no further check. After ``levels`` levels one
-    empty state is left, holding T.
+    T(state) over the level. ``pivot(state)`` removes one edge and lists
+    (minor, dx, dy), the minor gaining the weight times x^dx y^dy: one
+    (minor, 0, 1) for a loop, one (minor, 1, 0) for an isthmus, else the
+    deletion and the contraction with (0, 0). Equal keys merge with no
+    further check. After ``levels`` levels one empty state holds T.
 
     A weight is one int (Kronecker substitution): the coefficient of
     x^i y^j sits in slot i * (levels - vertices + 2) + j, as y-degrees stay
@@ -300,11 +301,11 @@ def tutte_embedding_activities(m: CombinatorialMap) -> BivariatePolynomial:
     return _tree_sum(m.underlying_graph(), [_tour_route(m)])[0]
 
 
-def _map_pivot(sigma: tuple) -> tuple:
-    """One pivot step on a rotation in first-visit labelling (root 0,
-    partner h ^ 1): the case, the pivot edge k, and (minor, dx, dy) triples
-    with each minor relabelled from its root by one walk
-    (``_rooted_minor``). Both reroot rules land there: a root on a loop
+def _map_pivot(sigma: tuple) -> list:
+    """``_sweep``'s pivot on a rotation in first-visit labelling (root 0,
+    partner h ^ 1): its edge k = sigma.index(0) >> 1 carries the half-edge
+    just before the root, and each minor is relabelled from its root by one
+    walk (``_rooted_minor``). Both reroot rules land there: a root on a loop
     moves to sigma(0), a root alone at a leaf to sigma(1), and in this
     labelling either is half-edge 2, which the splice renumbers 0. The
     pivot carries the root (k == 0) in those cases only."""
@@ -314,11 +315,11 @@ def _map_pivot(sigma: tuple) -> tuple:
     while h != hstar and h != partner:  # around the root's vertex
         h = sigma[h]
     if h == partner:  # a loop
-        return "loop", k, [(_rooted_minor(sigma, k, False), 0, 1)]
+        return [(_rooted_minor(sigma, k, False), 0, 1)]
     if hstar == 0 or sigma[partner] == partner:
         # an isthmus with a leaf end: deleting it would leave the other
         # half-edges connected, so the test below would miss it
-        return "isthmus", k, [(_rooted_minor(sigma, k, True), 1, 0)]
+        return [(_rooted_minor(sigma, k, True), 1, 0)]
     if k == 0:
         raise RuntimeError(
             "ordinary pivot unexpectedly contains the root; map recursion is broken"
@@ -326,19 +327,15 @@ def _map_pivot(sigma: tuple) -> tuple:
     deleted = _rooted_minor(sigma, k, False)
     contracted = _rooted_minor(sigma, k, True)
     if len(deleted) < len(sigma) - 2:  # the deletion is disconnected
-        return "isthmus", k, [(contracted, 1, 0)]
-    return "ordinary", k, [(contracted, 0, 0), (deleted, 0, 0)]
+        return [(contracted, 1, 0)]
+    return [(contracted, 0, 0), (deleted, 0, 0)]
 
 
 def tutte_recursive_map(m: CombinatorialMap) -> BivariatePolynomial:
-    """Deletion/contraction performed on the rooted map itself.
-
-    The pivot is always the edge carrying the half-edge just before the
-    root in its rotation. The root only ever sits on the pivot when that
-    pivot is an isthmus (root is a rotation fixed point) or a loop (root is
-    the pivot's partner), and each case moves the root to the uniquely
-    determined surviving half-edge. Activities are never consulted, so
-    agreement with the activity sum is a genuine check.
+    """Deletion/contraction performed on the rooted map itself: ``_sweep``
+    with ``_map_pivot``, whose pivot is the edge carrying the half-edge just
+    before the root. Activities are never consulted, so agreement with the
+    activity sum is a genuine check.
 
     Each minor is one flat rotation tuple in first-visit labelling from its
     root (``canonical_form``). A rooted map has no nontrivial automorphism
@@ -348,8 +345,7 @@ def tutte_recursive_map(m: CombinatorialMap) -> BivariatePolynomial:
     start is the map's ``canonical_form``, which needs a root.
     """
     start = m.canonical_form()
-    return _sweep(start, lambda sigma: _map_pivot(sigma)[2], m.edge_count,
-                  _cycle_labels(start)[1])
+    return _sweep(start, _map_pivot, m.edge_count, _cycle_labels(start)[1])
 
 
 # -- multigraph certificates and isomorphism --------------------------------

@@ -222,8 +222,11 @@ def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
 def kirchhoff_tree_count(graph: Multigraph) -> int:
     """The number of spanning trees by Kirchhoff's matrix-tree theorem: the
     determinant of the Laplacian with the first row and column struck out,
-    computed exactly by fraction-free (Bareiss) elimination. Loops add
-    nothing to the Laplacian; each parallel edge counts."""
+    by fraction-free (Bareiss) elimination with no row swap. Loops add
+    nothing; each parallel edge counts. The minor is positive semidefinite,
+    so each pivot is a leading principal minor, and the first zero one is a
+    zero diagonal entry of a semidefinite Schur complement, whose column is
+    then zero: the determinant is 0 and the graph disconnected."""
     index = {v: i for i, v in enumerate(graph.vertices)}
     n = len(index) - 1
     lap = [[0] * (n + 1) for _ in range(n + 1)]
@@ -235,17 +238,13 @@ def kirchhoff_tree_count(graph: Multigraph) -> int:
             lap[u][v] -= 1
             lap[v][u] -= 1
     a = [row[1:] for row in lap[1:]]
-    sign, prev = 1, 1
+    prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
         pivot = a[k][k]
+        if not pivot:
+            return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
         prev = pivot
-    return sign * prev if n else 1
+    return prev

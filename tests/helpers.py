@@ -173,14 +173,10 @@ def is_spanning_tree_subset(g: Multigraph, subset) -> bool:
 
 
 def brute_force_trees(g: Multigraph) -> list[frozenset]:
-    """Every spanning tree, found by scanning all edge subsets."""
-    ids = g.edge_ids
-    out = []
-    for r in range(len(ids) + 1):
-        for subset in itertools.combinations(ids, r):
-            if is_spanning_tree_subset(g, subset):
-                out.append(frozenset(subset))
-    return out
+    """Every spanning tree, found by scanning all edge subsets of the one
+    size a tree has, |V| - 1."""
+    subsets = itertools.combinations(g.edge_ids, g.vertex_count - 1)
+    return [frozenset(s) for s in subsets if is_spanning_tree_subset(g, s)]
 
 
 def swap_cycle_oracle(g: Multigraph, tree: frozenset, e) -> frozenset:

@@ -69,6 +69,21 @@ def test_tutte_json(capsys, k3_file):
     assert poly == BivariatePolynomial.parse("x^2 + x + y")
 
 
+def test_tutte_all_disagreement_exits_2(capsys, monkeypatch, k3_file):
+    # a route that disagrees breaks the invariant: exit 2, no message
+    monkeypatch.setattr(cli, "tutte_recursive_map",
+                        lambda m: BivariatePolynomial.parse("x"))
+    code, out, err = run(capsys, "tutte", "--graph", k3_file, "--method", "all")
+    assert (code, err) == (2, "")
+    assert out.endswith("recursive: x\nagreement: NO\n")
+    code, out, err = run(capsys, "tutte", "--graph", k3_file, "--method", "all",
+                         "--format", "json")
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    assert payload["agreement"] is False
+    assert payload["polynomials"]["recursive"] == BivariatePolynomial.parse("x").json_terms()
+
+
 def test_tour_torus_map(capsys, torus_file):
     code, out, _ = run(capsys, "tour", "--map", torus_file,
                        "--tree", "aa',bb',dd'")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tuttemap import CombinatorialMap, MapError, all_rotation_systems, embed, erase_check
+from tuttemap import (CombinatorialMap, MapError, Multigraph, all_rotation_systems, embed,
+                      erase_check)
 from tuttemap.cmap import _named_cycles, _rooted, _rooted_minor, _splice
 
 from helpers import (
@@ -106,6 +107,47 @@ def test_edge_numbers_and_roots_must_be_ints():
         erase_check(m, tree, 1.9)
     with pytest.raises(MapError, match="root 0.5 is outside the half-edge range"):
         CombinatorialMap((1, 0), ("a", "b"), 0.5)
+    # bool is an int subclass: True would name edge bb' and root b
+    for flag in (True, False):
+        for remove in (m.delete_edge, m.contract_edge):
+            with pytest.raises(MapError, match=f"edge number {flag} is out of range"):
+                remove(flag)
+        with pytest.raises(MapError, match=f"edge number {flag} is out of range"):
+            erase_check(m, tree, flag)
+        with pytest.raises(MapError, match=f"root {flag} is outside the half-edge range"):
+            CombinatorialMap((1, 0), ("a", "b"), flag)
+        with pytest.raises(MapError, match=f"root {flag} is outside the half-edge range"):
+            m.with_root(flag)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CombinatorialMap((0,), ("a",)), "a map needs an even number of half-edges"),
+    (lambda: CombinatorialMap((1, 0), ("a", "b", "c")), "2 half-edges but 3 names"),
+    (lambda: CombinatorialMap((0, 0), ("a", "b")),
+     "sigma is not a permutation of the half-edges"),
+    (lambda: CombinatorialMap((1, 0), ("a,", "b")),
+     "half-edge name 'a,' contains reserved characters"),
+    (lambda: CombinatorialMap((1, 0), ("a", "a")), "duplicate half-edge name 'a'"),
+    (lambda: CombinatorialMap((1, 2, 3, 0), ("a", "bc", "ab", "c")),
+     "two edges would print as 'abc'; rename the half-edges"),
+    (lambda: CombinatorialMap.from_permutations({}, {"a": "c", "b": "a"}),
+     "alpha image 'c' of 'a' is not a half-edge"),
+    (lambda: CombinatorialMap.from_permutations({"z": "a"}, {"a": "b", "b": "a"}),
+     "sigma moves unknown half-edge 'z'"),
+    (lambda: CombinatorialMap.from_permutations({"a": "b", "b": "b"}, {"a": "b", "b": "a"}),
+     "sigma maps two half-edges to 'b'"),
+    (lambda: embed(Multigraph(["v"], {})), "an embedding needs at least one edge"),
+    (lambda: embed(Multigraph([1, 2], {"a": (1, 2)}), {3: ["a"]}),
+     "rotation given for unknown vertex 3"),
+    (lambda: embed(Multigraph([1, 2], {"a": (1, 2), "b": (1, 2)}), {1: ["a", "a"]}),
+     "rotation at vertex 1 must permute ['a', 'b']"),
+    (lambda: embed(Multigraph([1, 2], {"a": (1, 2), "a'": (1, 2)})),
+     "edge id \"a'\" yields a clashing half-edge name; rename it"),
+])
+def test_map_constructors_refuse_what_is_not_a_map(build, message):
+    with pytest.raises(MapError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_underlying_graph_torus_map():

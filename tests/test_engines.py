@@ -191,14 +191,16 @@ def _watched_pivots(monkeypatch, m):
     map on half-edges h0, h1, ... and the case suffixed "-base" on a
     one-edge minor."""
     events = []
+    cases = {(0, 1): "loop", (1, 0): "isthmus", (0, 0): "ordinary"}
 
     def watch(sigma):
-        case, k, minors = _map_pivot(sigma)
+        minors = _map_pivot(sigma)
+        case = cases[minors[0][1:]]
         mm = CombinatorialMap(sigma, tuple(f"h{i}" for i in range(len(sigma))), 0)
         base = "-base" if mm.edge_count == 1 else ""
-        events.append((mm, mm.edge_ids[k], case + base,
+        events.append((mm, mm.edge_ids[sigma.index(0) >> 1], case + base,
                        m.edge_count - mm.edge_count + 1))
-        return case, k, minors
+        return minors
 
     monkeypatch.setattr(engines, "_map_pivot", watch)
     return tutte_recursive_map(m), events
@@ -566,6 +568,12 @@ def test_cross_check_rejects_wrong_embedding():
     good = embed(k3())
     with pytest.raises(GraphError, match="embedding #2 is not an embedding"):
         cross_check(k3(), [good, good.with_root(1), embed(k4()), good])
+
+
+def test_cross_check_rejects_an_unrooted_embedding():
+    g = k3()
+    with pytest.raises(MapError, match="^embedding #1 must be a rooted map$"):
+        cross_check(g, [embed(g), embed(g).with_root(None)])
 
 
 def test_cross_check_walks_once_per_route_family_and_labelled_graph(monkeypatch):

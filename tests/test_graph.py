@@ -17,6 +17,18 @@ from helpers import (
 )
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    ([], {}, "a multigraph needs at least one vertex"),
+    ([1, 2], [("a", (1, 2)), ("a", (2, 1))], "duplicate edge id 'a'"),
+    ([1, 2], {"a": (1, 3)}, "edge 'a' endpoint 3 is not a vertex"),
+    ([1, 2], {"a": (3, 1)}, "edge 'a' endpoint 3 is not a vertex"),
+])
+def test_multigraph_refuses_bad_parts(vertices, edges, message):
+    with pytest.raises(GraphError) as info:
+        Multigraph(vertices, edges)
+    assert str(info.value) == message
+
+
 def test_component_count_examples():
     g = k3()
     assert g.component_count([]) == 3

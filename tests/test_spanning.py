@@ -223,6 +223,25 @@ def test_tree_count_matches_kirchhoff():
     assert kirchhoff_tree_count(cycle) == 300
 
 
+def test_kirchhoff_matches_brute_force_on_every_small_multigraph():
+    # Bareiss with no row swap: each pivot is a leading principal minor of
+    # the semidefinite reduced Laplacian, so a zero one ends the count
+    for g in connected_multigraphs(5, 7):
+        assert kirchhoff_tree_count(g) == len(brute_force_trees(g))
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    ([1, 2, 3], {"a": (1, 3)}),  # vertex 2 is isolated: the very first pivot is 0
+    ([1, 2, 3], {"l": (2, 2), "a": (1, 3)}),  # vertex 2 has only a loop
+    ([1, 2, 3], {"a": (1, 2), "l": (3, 3), "m": (3, 3)}),  # the last, only loops
+    ([1, 2, 3, 4], {"a": (1, 2), "b": (3, 4)}),  # pivots 1, 1, then 0
+])
+def test_kirchhoff_is_zero_on_disconnected_graphs(vertices, edges):
+    g = Multigraph(vertices, edges)
+    assert not g.is_connected()
+    assert kirchhoff_tree_count(g) == 0 == len(brute_force_trees(g))
+
+
 def test_streams_restart_independently():
     g = k4()
     s1 = enumerate_spanning_trees(g)
