@@ -16,9 +16,9 @@ once per graph and order or per map and applied to each tree. Every
 per-tree route ends in ``_activity_sum``, the one place that counts
 x^|I| y^|E| over trees; the single-tree ``order_activities`` and
 ``embedding_activities`` apply the same kernels to one tree. Each route
-also has a batch kernel over many trees (below), counted by ``_lane_sum``;
-the two batch kernels share only the lane plumbing (``_planes``,
-``_reach``, ``_by_count``).
+also has a batch kernel over many trees (below), a function from a
+chunk's planes (``_planes``) and lane mask ``full`` to lane masks, counted
+by ``_lane_sum``; the two share only ``_reach`` and ``_by_count``.
 
 The order kernel (``_order_kernel``) hangs the tree from vertex 0, giving
 each vertex the bitmask of its tree path to the root; an external edge's
@@ -112,11 +112,11 @@ it holds |V| - 1 edges (``_by_count``) and r reaches every vertex (one
 The erase check (``_erase_walk``) tests the fact the tour order rests on:
 deleting an external edge, or contracting a tree edge, erases exactly that
 edge's two half-edges from the tour (Bernardi, EJC 15 (2008) R109). It
-tours each tree once with ``_tour``, then for each edge tours the minor
-with the same flags from the first surviving half-edge. A minor is the
-flat rotation with the edge spliced out (``cmap._splice``); it depends only
-on the edge and on whether the tree holds it, so a map splices each edge at
-most twice, however many trees it checks.
+tours each tree once with ``_tour``. The minor without an edge is the
+rotation with that edge bypassed (``cmap._bypass``, the rule of the
+``recursive`` route's minors), and each step of the tour less the edge,
+cyclically, must be a tour step of the minor under the same flags. A map
+bypasses each edge at most twice, however many trees it checks.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cmap import CombinatorialMap, MapError, _cycle_labels, _splice
+from .cmap import CombinatorialMap, MapError, _bypass, _cycle_labels
 from .graph import GraphError, Multigraph
 from .poly import BivariatePolynomial
 from .spanning import SpanningTree, _incidence, _root_paths
@@ -191,24 +191,23 @@ def _as_spanning_tree(graph: Multigraph, tree) -> SpanningTree:
     return SpanningTree(graph, ids)
 
 
-def _ranked(graph: Multigraph, order: Sequence) -> list[int]:
-    """The edge positions in rank order. ``order`` must list every edge id
-    exactly once, smallest first."""
+def _order_args(graph: Multigraph, order: Sequence) -> tuple:
+    """The numbered ends, vertex count and edge positions in rank order that
+    ``_order_kernel`` and ``_order_batch`` take. ``order`` must list every
+    edge id exactly once, smallest first."""
     order = list(order)
     if len(order) != graph.edge_count or set(order) != set(graph.edge_ids):
         raise GraphError("order must list every edge id exactly once")
     index = {e: p for p, e in enumerate(graph.edge_ids)}
-    return [index[e] for e in order]
+    return graph._numbered_ends(), graph.vertex_count, [index[e] for e in order]
 
 
-def _order_kernel(graph: Multigraph, order: Sequence):
-    """The order kernel of ``graph`` under ``order``: a function from the
-    flags of a tree to its internal- and external-active edge positions,
-    each edge decided from its definition in rank order (see the module
-    docstring)."""
-    ranked = _ranked(graph, order)
-    ends = graph._numbered_ends()
-    inc = _incidence(ends, graph.vertex_count)
+def _order_kernel(ends: list, nv: int, ranked: list[int]):
+    """The order kernel of ``_order_args``' graph and order: a function
+    from the flags of a tree to its internal- and external-active edge
+    positions, each edge decided from its definition in rank order (see
+    the module docstring)."""
+    inc = _incidence(ends, nv)
 
     def kernel(flags) -> tuple[list, list]:
         paths = _root_paths(inc, flags)
@@ -262,16 +261,13 @@ def _reach(n: int, s: int, lanes: int, edges: list) -> list[int]:
     return reach
 
 
-def _order_batch(graph: Multigraph, order: Sequence):
-    """The order kernel over many trees at once: a function from a list of
-    tree flags (a chunk) to two lists, by edge position, of lane masks. Bit
+def _order_batch(ends: list, nv: int, ranked: list[int]):
+    """The order kernel over many trees at once: a function from a chunk's
+    planes and lane mask to two lists, by edge position, of lane masks. Bit
     i of ``internal[p]`` (of ``external[p]``) is set iff edge p is
     internally (externally) active in tree i of the chunk. Each edge is
     decided from the two connectivity facts of the module docstring, with
     the edges ranked below it contracted once here, for every chunk."""
-    ranked = _ranked(graph, order)
-    ends = graph._numbered_ends()
-    nv, ne = graph.vertex_count, len(ends)
     cls = list(range(nv))  # each vertex's class once the lower edges contract
     steps = []
     for r, p in enumerate(ranked):
@@ -282,10 +278,8 @@ def _order_batch(graph: Multigraph, order: Sequence):
         steps.append((p, u, v, cu, cv, above, merged))
         cls = [cv if c == cu else c for c in cls]
 
-    def batch(chunk: list) -> tuple[list, list]:
-        full = (1 << len(chunk)) - 1
-        planes = _planes(chunk, ne)
-        internal, external = [0] * ne, [0] * ne
+    def batch(planes: list, full: int) -> tuple[list, list]:
+        internal, external = [0] * len(planes), [0] * len(planes)
         for p, u, v, cu, cv, above, merged in steps:
             tree = planes[p]
             if tree != full:
@@ -388,8 +382,8 @@ def _scan(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
 
 def _tour_batch(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
     """The tour kernel (``_scan``) over many trees at once, with the
-    arguments of ``_scan``: a function from a chunk of tree flags to lane
-    masks by edge position, as ``_order_batch`` returns, decided by the
+    arguments of ``_scan``: a function from a chunk's planes and lane mask
+    to lane masks by edge position, as ``_order_batch``'s, decided by the
     three facts of the module docstring. It raises ``MotionNotCyclicError``
     if a lane marks no spanning tree."""
     n = len(sigma)
@@ -405,9 +399,7 @@ def _tour_batch(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
     links = [(vert[h], vert[h ^ 1], he_pos[h]) for h in swept]
     away = [[(a, b, p) for a, b, p in links if w not in (a, b)] for w in range(nv)]
 
-    def batch(chunk: list) -> tuple[list, list]:
-        full = (1 << len(chunk)) - 1
-        planes = _planes(chunk, n >> 1)
+    def batch(planes: list, full: int) -> tuple[list, list]:
         ok = _by_count(planes, full).get(nv - 1, 0)  # |V| - 1 edges, joined to r
         for lanes in _reach(nv, rv, full, [(a, b, planes[p]) for a, b, p in links]):
             ok &= lanes
@@ -496,12 +488,11 @@ def _by_count(masks: Iterable[int], full: int) -> dict[int, int]:
 
 
 def _lane_sum(internal: Iterable[int], external: Iterable[int],
-              lanes: int) -> BivariatePolynomial:
-    """Sum of x^|I| y^|E| over the lanes 0..lanes-1 of a batch kernel's
+              full: int) -> BivariatePolynomial:
+    """Sum of x^|I| y^|E| over the lanes of ``full`` in a batch kernel's
     masks (``_order_batch``, ``_tour_batch``), one lane per spanning tree:
     ``bit_count`` of (|I| = i) & (|E| = e) is the number of trees with that
     monomial."""
-    full = (1 << lanes) - 1
     counts = {}
     ext = _by_count(external, full)
     for i, imask in _by_count(internal, full).items():
@@ -545,7 +536,7 @@ def order_activities(graph: Multigraph, order: Sequence, tree) -> ActivitySummar
     """Classical activities w.r.t. a total order on the edge ids (given as
     the full edge list, smallest first)."""
     flags = _as_spanning_tree(graph, tree).flags
-    return _summary(graph, _order_kernel(graph, order)(flags))
+    return _summary(graph, _order_kernel(*_order_args(graph, order))(flags))
 
 
 def _erase_walk(m: CombinatorialMap):
@@ -553,12 +544,12 @@ def _erase_walk(m: CombinatorialMap):
     and some edge numbers to whether, for each edge k, the tree's tour with
     half-edges 2k and 2k+1 erased is the tour of the minor without k (k
     deleted if external, contracted if a tree edge) under the rest of the
-    tree. The tree is toured once; each minor is a spliced rotation, toured
-    from the first surviving half-edge, so the comparison is exact. A minor
-    depends only on the edge and on whether the tree holds it, so each is
-    spliced once per map, on first use, and kept for the later trees."""
+    tree. The tree is toured once; the erased tour is the minor's iff each
+    of its steps, cyclically, is a tour step of the bypassed rotation
+    (``_bypass``). A minor depends only on the edge and on whether the tree
+    holds it, so each is made once per map, on first use, and kept."""
     sigma, root, he_pos = _tour_args(m)
-    minors: dict = {}  # (k, contract) -> (spliced rotation, its he_pos)
+    minors: dict = {}  # (k, contract) -> the bypassed rotation
 
     def walk(flags, edges: Iterable[int]) -> bool:
         seq = _tour(sigma, root, he_pos, flags)
@@ -566,11 +557,11 @@ def _erase_walk(m: CombinatorialMap):
             key = k, flags[he_pos[2 * k]]
             minor = minors.get(key)
             if minor is None:
-                minor = minors[key] = (_splice(sigma, *key),
-                                       he_pos[:2 * k] + he_pos[2 * k + 2:])
-            kept = [h - 2 if h > 2 * k else h for h in seq if h >> 1 != k]
-            if kept and _tour(minor[0], kept[0], minor[1], flags) != kept:
-                return False
+                minor = minors[key] = _bypass(sigma, *key)
+            kept = [h for h in seq if h >> 1 != k]
+            for h, nxt in zip(kept, kept[1:] + kept[:1]):
+                if (minor[h ^ 1] if flags[he_pos[h]] else minor[h]) != nxt:
+                    return False
         return True
 
     return walk

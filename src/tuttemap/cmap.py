@@ -9,6 +9,9 @@ user-facing names are carried alongside for parsing and display.
 
 The ``CombinatorialMap`` constructor checks all of this, transitivity
 included, so every instance is a map and nothing downstream checks again.
+
+Every minor skips its edge by one rule, ``_bypass``: map minors
+(``_splice``), the ``recursive`` route's and the tour erase check's.
 """
 
 from __future__ import annotations
@@ -92,17 +95,25 @@ def _euler(sigma: Sequence[int]) -> int:
     return chi
 
 
+def _bypass(sigma: Sequence[int], k: int, contract: bool) -> list[int]:
+    """The rotation, labels kept, with each half-edge whose image t lies on
+    edge k (half-edges 2k, 2k+1) pointed past it: a deletion skips t through
+    sigma[t], a contraction goes on through sigma[t ^ 1], around the other
+    endpoint."""
+    out = list(sigma)
+    for t in (2 * k, 2 * k + 1):
+        p = sigma.index(t)
+        if p >> 1 != k:
+            while t >> 1 == k:
+                t = sigma[t ^ 1] if contract else sigma[t]
+            out[p] = t
+    return out
+
+
 def _splice(sigma: Sequence[int], k: int, contract: bool) -> tuple[int, ...]:
-    """The rotation with edge k (half-edges 2k, 2k+1) removed and later
-    half-edges renumbered down by two. Where a rotation reaches a removed
-    half-edge t, a deletion skips it through sigma[t]; a contraction goes on
-    through sigma[t ^ 1], around the other endpoint."""
-    out = []
-    for s in sigma[:2 * k] + sigma[2 * k + 2:]:
-        while s >> 1 == k:
-            s = sigma[s ^ 1] if contract else sigma[s]
-        out.append(s - 2 if s > 2 * k else s)
-    return tuple(out)
+    """``_bypass`` less edge k, later half-edges renumbered down by two."""
+    return tuple([s - 2 if s > 2 * k else s
+                  for h, s in enumerate(_bypass(sigma, k, contract)) if h >> 1 != k])
 
 
 def _rooted(sigma: Sequence[int], root: int) -> tuple[int, ...]:
@@ -130,20 +141,12 @@ def _rooted(sigma: Sequence[int], root: int) -> tuple[int, ...]:
 def _rooted_minor(sigma: tuple[int, ...], k: int,
                   contract: bool) -> tuple[int, ...]:
     """``_rooted(_splice(sigma, k, contract), 0)`` in one walk over the old
-    labels, from half-edge 0, or from 2 when k == 0 (the splice renumbers
-    either to 0). Only the half-edges whose image lies on edge k change:
-    each is pointed past the edge as ``_splice`` skips, and the walk never
-    reaches 2k or 2k + 1. A one-edge map leaves ()."""
+    labels of ``_bypass(sigma, k, contract)``, from half-edge 0, or from 2
+    when k == 0 (the splice renumbers either to 0). The walk never reaches
+    2k or 2k + 1. A one-edge map leaves ()."""
     if len(sigma) == 2:
         return ()
-    sig = list(sigma)
-    for t in (2 * k, 2 * k + 1):
-        p = sigma.index(t)
-        if p >> 1 != k:
-            while t >> 1 == k:
-                t = sigma[t ^ 1] if contract else sigma[t]
-            sig[p] = t
-    return _rooted(sig, 2 if k == 0 else 0)
+    return _rooted(_bypass(sigma, k, contract), 2 if k == 0 else 0)
 
 
 class CombinatorialMap:

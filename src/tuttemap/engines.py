@@ -19,7 +19,8 @@ its bit-sliced batch kernel (``activity._order_batch``,
 ``activity._tour_batch``), summed by ``activity._lane_sum``; a smaller one
 (a cycle, a path) goes tree by tree to its per-tree kernel
 (``activity._order_kernel``, ``activity._scan``), summed by
-``activity._activity_sum``.
+``activity._activity_sum``. Each chunk's planes (``activity._planes``) are
+built once, here, and every batch route of the walk reads them.
 
 Both deletion-contraction routes run as one iterative sweep (``_sweep``),
 one level per edge, over exact minor keys, so equal minors merge with no
@@ -40,8 +41,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .activity import (_activity_sum, _lane_sum, _order_batch, _order_kernel, _scan,
-                       _tour_args, _tour_batch)
+from .activity import (_activity_sum, _lane_sum, _order_args, _order_batch, _order_kernel,
+                       _planes, _scan, _tour_args, _tour_batch)
 from .cmap import CombinatorialMap, MapError, _cycle_labels, _rooted_minor
 from .graph import GraphError, Multigraph
 from .poly import X, Y, ZERO, BivariatePolynomial
@@ -255,8 +256,8 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
 
 def _order_route(graph: Multigraph, order: Sequence) -> tuple:
     """An order route for ``_tree_sum``; its |E|^2 batch plan is built lazily."""
-    return (_order_kernel(graph, order), lambda: _order_batch(graph, order),
-            ORDER_BATCH_TREES_PER_EDGE)
+    args = _order_args(graph, order)
+    return _order_kernel(*args), lambda: _order_batch(*args), ORDER_BATCH_TREES_PER_EDGE
 
 
 def _tour_route(m: CombinatorialMap) -> tuple:
@@ -270,7 +271,8 @@ def _tree_sum(graph: Multigraph, routes: list) -> list[BivariatePolynomial]:
     all from one walk of ``enumerate_spanning_trees``, ``TREE_CHUNK`` trees
     at a time. A route is (kernel, make_batch, per_edge): a chunk of at
     least ``per_edge`` trees per edge goes to the kernel that ``make_batch()``
-    builds on first use, a smaller one tree by tree to ``kernel``."""
+    builds on first use, a smaller one tree by tree to ``kernel``. A chunk's
+    planes and lane mask are built once, when a route first batches it."""
     batches, totals = [None] * len(routes), [ZERO] * len(routes)
     trees = enumerate_spanning_trees(graph) if routes else ()  # no route, no walk
     while True:
@@ -278,12 +280,15 @@ def _tree_sum(graph: Multigraph, routes: list) -> list[BivariatePolynomial]:
         chunk = [st.flags for _, st in zip(range(TREE_CHUNK), trees)]
         if not chunk:
             return totals
+        planes = None
         for i, (kernel, make_batch, per_edge) in enumerate(routes):
             if len(chunk) < per_edge * graph.edge_count:
                 totals[i] += _activity_sum(map(kernel, chunk))
             else:
+                if planes is None:
+                    planes, full = _planes(chunk, graph.edge_count), (1 << len(chunk)) - 1
                 batches[i] = batches[i] or make_batch()
-                totals[i] += _lane_sum(*batches[i](chunk), len(chunk))
+                totals[i] += _lane_sum(*batches[i](planes, full), full)
 
 
 def tutte_order_activities(graph: Multigraph,

@@ -16,6 +16,7 @@ from tuttemap import (
     MotionNotCyclicError,
     Multigraph,
     SpanningTree,
+    cross_check,
     embed,
     embedding_activities,
     enumerate_spanning_trees,
@@ -27,8 +28,8 @@ from tuttemap import (
     tutte_subgraph_expansion,
 )
 from tuttemap import activity, engines
-from tuttemap.activity import (_erase_walk, _lane_sum, _order_batch, _order_kernel,
-                               _tour_args, _tour_batch)
+from tuttemap.activity import (_erase_walk, _lane_sum, _order_args, _order_batch,
+                               _order_kernel, _planes, _tour_args, _tour_batch)
 
 from helpers import (
     TORUS_TREE,
@@ -150,23 +151,23 @@ def test_erase_check_random_maps():
 
 def test_erase_walk_splices_each_minor_once(monkeypatch):
     # a minor depends only on the edge and on whether the tree holds it, so
-    # the walk splices each (edge, contract) pair once, however many trees
-    real = activity._splice
-    spliced = []
+    # the walk bypasses each (edge, contract) pair once, however many trees
+    real = activity._bypass
+    bypassed = []
 
     def counting(sigma, k, contract):
-        spliced.append((k, bool(contract)))
+        bypassed.append((k, bool(contract)))
         return real(sigma, k, contract)
 
-    monkeypatch.setattr(activity, "_splice", counting)
+    monkeypatch.setattr(activity, "_bypass", counting)
     rng = random.Random(62)
     for _ in range(10):
         m = random_rooted_map(rng, rng.randint(3, 6))
-        spliced.clear()
+        bypassed.clear()
         walk = _erase_walk(m)
         trees = list(enumerate_spanning_trees(m.underlying_graph()))
         assert all(walk(st.flags, range(m.edge_count)) for st in trees)
-        assert len(spliced) == len(set(spliced)) <= 2 * m.edge_count
+        assert len(bypassed) == len(set(bypassed)) <= 2 * m.edge_count
 
 
 def test_erase_check_rejects_unknown_edges():
@@ -227,7 +228,7 @@ def test_order_activities_single_loop():
     assert act.external_active == frozenset({"l"})
 
 
-def test_partial_order_rejected():
+def test_partial_order_rejected(monkeypatch):
     g = k3()
     st = SpanningTree(g, ["a", "b"])
     with pytest.raises(GraphError, match="every edge"):
@@ -238,6 +239,15 @@ def test_partial_order_rejected():
         tutte_order_activities(g, ["a", "b"])
     with pytest.raises(GraphError, match="every edge"):
         tutte_order_activities(g, ["a", "b", "c", "c"])
+    with pytest.raises(GraphError, match="every edge"):
+        order_activities(g, ["a", "b", "z"], st)
+    # cross_check refuses the order as it sets the route up, before a walk
+    walked = []
+    monkeypatch.setattr(engines, "enumerate_spanning_trees",
+                        lambda graph: walked.append(graph) or iter(()))
+    with pytest.raises(GraphError, match="^order must list every edge id exactly once$"):
+        cross_check(g, orders=[["a", "b"]])
+    assert walked == []
 
 
 def test_k3_embedding_monomial_multiset():
@@ -412,19 +422,27 @@ def _lanes(masks: list, i: int) -> list:
     return [p for p, mask in enumerate(masks) if mask >> i & 1]
 
 
+def _batched(batch, chunk: list) -> tuple[list, list]:
+    """A batch kernel applied to a chunk of tree flags, on the planes and
+    lane mask that ``engines._tree_sum`` builds for it."""
+    return batch(_planes(chunk, len(chunk[0])), (1 << len(chunk)) - 1)
+
+
 def _checked_batches(seen: list, chunks: list, make_batch=_order_batch,
                      make_kernel=_order_kernel):
     """A stand-in for a batch kernel's builder (``_order_batch`` or
     ``_tour_batch``) that requires every lane of every chunk to hold the
     per-tree kernel's active positions for that tree, and records each
-    chunk's trees and size."""
+    chunk's trees, read back from its planes, and size."""
 
     def make(*args):
         batch, kernel = make_batch(*args), make_kernel(*args)
 
-        def run(chunk):
-            internal, external = batch(chunk)
-            assert len(internal) == len(external) == len(chunk[0])
+        def run(planes, full):
+            internal, external = batch(planes, full)
+            chunk = [bytes(plane >> i & 1 for plane in planes)
+                     for i in range(full.bit_length())]
+            assert len(internal) == len(external) == len(planes)
             assert all(m >> len(chunk) == 0 for m in internal + external)
             for i, flags in enumerate(chunk):
                 want_internal, want_external = kernel(flags)
@@ -462,7 +480,8 @@ def test_order_batch_matches_the_order_kernel_per_tree(case):
 def test_order_batch_on_a_single_vertex(monkeypatch, loops):
     # no edge, or only loops: one tree, every loop externally active
     g = Multigraph(["v"], {f"l{i}": ("v", "v") for i in range(loops)})
-    internal, external = _order_batch(g, g.edge_ids)([b"\0" * loops])
+    batch = _order_batch(*_order_args(g, g.edge_ids))
+    internal, external = _batched(batch, [b"\0" * loops])
     assert (internal, external) == ([0] * loops, [1] * loops)
     want = BivariatePolynomial.monomial(0, loops)
     assert _lane_sum(internal, external, 1) == want
@@ -528,7 +547,7 @@ def test_tour_batch_on_a_single_vertex(monkeypatch, loops):
             CombinatorialMap((), ())
         return
     m = embed(Multigraph(["v"], {f"l{i}": ("v", "v") for i in range(loops)}))
-    internal, external = _tour_batch(*_tour_args(m))([b"\0" * loops])
+    internal, external = _batched(_tour_batch(*_tour_args(m)), [b"\0" * loops])
     assert (internal, external) == ([0] * loops, [1] * loops)
     want = BivariatePolynomial.monomial(0, loops)
     assert _lane_sum(internal, external, 1) == want
@@ -563,14 +582,14 @@ def test_tour_batch_rejects_a_cycle_and_a_forest():
     tree = _flags(triangle, {"aa'", "bb'"})
     for wrong in ({"aa'", "bb'", "cc'"}, {"aa'"}):
         with pytest.raises(MotionNotCyclicError, match="tree 1 of the chunk"):
-            batch([tree, _flags(triangle, wrong), tree])
+            _batched(batch, [tree, _flags(triangle, wrong), tree])
     # |V| - 1 edges that leave a vertex out: K4's triangle 0-1-2
     g = Multigraph([1, 2, 3, 4], dict(enumerate(itertools.combinations([1, 2, 3, 4], 2))))
     k4 = embed(g)
     batch = _tour_batch(*_tour_args(k4))
     star, triangle_012 = _flags(k4, {"00'", "11'", "22'"}), _flags(k4, {"00'", "11'", "33'"})
     with pytest.raises(MotionNotCyclicError, match="tree 0 of the chunk"):
-        batch([triangle_012, star])
+        _batched(batch, [triangle_012, star])
 
 
 def test_tour_batch_raises_on_every_edge_set_but_a_spanning_tree():
@@ -585,12 +604,12 @@ def test_tour_batch_raises_on_every_edge_set_but_a_spanning_tree():
             for subset in itertools.combinations(ids, r):
                 chunk = [tree, _flags(m, set(subset))]
                 if is_spanning_tree_subset(g, subset):
-                    internal, external = batch(chunk)
+                    internal, external = _batched(batch, chunk)
                     assert (_lanes(internal, 1), _lanes(external, 1)) == tuple(
                         sorted(a) for a in _scan(m, set(subset)))
                 else:
                     with pytest.raises(MotionNotCyclicError):
-                        batch(chunk)
+                        _batched(batch, chunk)
                     checked += 1
     assert checked > 500
 
@@ -604,4 +623,4 @@ def test_lane_sum_counts_every_lane(case):
     lanes, internal, external = case
     counts = Counter((len(_lanes(internal, i)), len(_lanes(external, i)))
                      for i in range(lanes))
-    assert _lane_sum(internal, external, lanes) == BivariatePolynomial(counts)
+    assert _lane_sum(internal, external, (1 << lanes) - 1) == BivariatePolynomial(counts)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttemap import BivariatePolynomial, CombinatorialMap, enumerate_rooted_maps
-from tuttemap import activity, cli, engines
+from tuttemap import activity, cli, cmap, engines
 from tuttemap.cli import METHODS, main
 from tuttemap.engines import MAX_EXPANSION_EDGES
 
@@ -469,6 +469,10 @@ def test_disconnected_graph_names_connectivity(capsys, tmp_path, method):
 K4_TEXT = "v 1\nv 2\nv 3\nv 4\n" + "".join(
     f"e {e} {u} {v}\n" for e, u, v in
     (("a", 1, 2), ("b", 1, 3), ("c", 1, 4), ("d", 2, 3), ("e", 2, 4), ("f", 3, 4)))
+K6_TEXT = "".join(f"v {v}\n" for v in range(6)) + "".join(
+    f"e {u}{v} {u} {v}\n" for u in range(6) for v in range(u + 1, 6))
+W9_TEXT = "".join(f"v {v}\n" for v in range(10)) + "".join(
+    f"e r{i} {i} {i % 9 + 1}\ne s{i} 0 {i}\n" for i in range(1, 10))
 # two parallel edges, a triangle through them and a loop
 LOOPY_TEXT = "v 1\nv 2\nv 3\ne a 1 2\ne b 1 2\ne c 2 3\ne d 3 1\ne l 1 1\n"
 
@@ -564,18 +568,20 @@ def test_check_exits_2_on_a_broken_tour(capsys, monkeypatch, k3_file):
 
 
 def test_check_fails_the_erase_row_on_a_mirrored_minor(capsys, monkeypatch, tmp_path):
-    # a splice that inverts the minor's rotation leaves every evaluator
-    # alone, so the erase row is the only one that can see it
-    real = activity._splice
+    # a bypass that inverts the erase check's minor rotation, on the
+    # half-edges off edge k, leaves every evaluator alone (they bypass
+    # through cmap), so the erase row is the only one that can see it
+    real = activity._bypass
 
     def mirrored(sigma, k, contract):
         minor = real(sigma, k, contract)
-        inverse = [0] * len(minor)
+        inverse = list(minor)
         for h, s in enumerate(minor):
-            inverse[s] = h
-        return tuple(inverse)
+            if h >> 1 != k:
+                inverse[s] = h
+        return inverse
 
-    monkeypatch.setattr(activity, "_splice", mirrored)
+    monkeypatch.setattr(activity, "_bypass", mirrored)
     path = tmp_path / "k4.g"
     path.write_text(K4_TEXT)
     code, out, _ = run(capsys, "check", "--graph", str(path))
@@ -585,9 +591,45 @@ def test_check_fails_the_erase_row_on_a_mirrored_minor(capsys, monkeypatch, tmp_
     assert out.splitlines()[-1] == "1 check(s) failed"
 
 
+def test_check_fails_when_contraction_skips_like_deletion(capsys, monkeypatch, tmp_path):
+    # the erase row checks the one skip rule that the recursive route's
+    # minors use, so a contraction that skips like a deletion fails both
+    # the erase row and the rows that read the recursive route
+    real = cmap._bypass
+
+    def deleting(sigma, k, contract):
+        return real(sigma, k, False)
+
+    monkeypatch.setattr(cmap, "_bypass", deleting)
+    monkeypatch.setattr(activity, "_bypass", deleting)
+    path = tmp_path / "k6.g"
+    path.write_text(K6_TEXT)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
+    assert code == 2
+    assert [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: five evaluator methods agree",
+        "FAIL: minor tours equal the original tour with two half-edges erased",
+        "FAIL: embedding independence over 2 random rooted embeddings"]
+    assert out.splitlines()[-1] == "3 check(s) failed"
+
+
+def test_check_builds_planes_once_per_chunk(capsys, monkeypatch, tmp_path):
+    # W9's 5,776 trees make 2 chunks; the 21 orders share one walk and the
+    # 21 embeddings (one edge-labelled graph) another, and each walk builds
+    # each chunk's planes once for all its batch routes
+    real, built = engines._planes, []
+    monkeypatch.setattr(engines, "_planes",
+                        lambda chunk, ne: built.append(len(chunk)) or real(chunk, ne))
+    path = tmp_path / "w9.g"
+    path.write_text(W9_TEXT)
+    code, out, _ = run(capsys, "check", "--graph", str(path))
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert built == [4096, 1680] * 2
+
+
 def test_check_builds_no_minor_maps_and_no_tour_orders(capsys, monkeypatch, tmp_path):
-    # the erase row splices flat rotations: it never builds a minor map
-    # object or a name-keyed tour order
+    # the erase row bypasses edges in the flat rotation: it never builds a
+    # minor map object or a name-keyed tour order
     def refuse(*args, **kwargs):
         raise AssertionError("check must not call this")
 

@@ -602,6 +602,22 @@ def test_cross_check_walks_once_per_route_family_and_labelled_graph(monkeypatch)
     assert len(set(polys.values())) == 1 and len(walks) == 2
 
 
+def test_cross_check_builds_planes_once_per_chunk_and_walk(monkeypatch):
+    # W9's 5,776 trees make 2 chunks, each over every route's crossover:
+    # the 3 orders share one walk and the 3 embeddings of one labelled
+    # graph another, and each walk builds a chunk's planes once
+    real, built = engines._planes, []
+    monkeypatch.setattr(engines, "_planes",
+                        lambda chunk, ne: built.append(len(chunk)) or real(chunk, ne))
+    verts, edges = _wheel(9)
+    g = Multigraph(verts, dict(enumerate(edges)))
+    rng = random.Random(87)
+    orders = [rng.sample(g.edge_ids, g.edge_count) for _ in range(3)]
+    polys = cross_check(g, [embed(g, root=r) for r in ("0", "5", "9'")], orders)
+    assert len(set(polys.values())) == 1
+    assert built == [4096, 1680] * 2
+
+
 def test_per_tree_tables_expose_monomials():
     def table(graph, activities):
         out = {}
