@@ -110,13 +110,15 @@ it holds |V| - 1 edges (``_by_count``) and r reaches every vertex (one
 ``_scan`` does.
 
 The erase check (``_erase_walk``) tests the fact the tour order rests on:
-deleting an external edge, or contracting a tree edge, erases exactly that
-edge's two half-edges from the tour (Bernardi, EJC 15 (2008) R109). It
-tours each tree once with ``_tour``. The minor without an edge is the
-rotation with that edge bypassed (``cmap._bypass``, the rule of the
-``recursive`` route's minors), and each step of the tour less the edge,
-cyclically, must be a tour step of the minor under the same flags. A map
-bypasses each edge at most twice, however many trees it checks.
+deleting an external edge k, or contracting a tree edge k, erases exactly
+k's two half-edges from the tour (Bernardi, EJC 15 (2008) R109). The minor
+is the rotation with k bypassed (``cmap._bypass``, the rule of the
+``recursive`` route's minors). Each tour step reads one rotation entry, a
+tour reads each entry once, and ``_bypass`` changes only the entries whose
+image lies on k, skipping past k by the tour's own rule at k. So once a
+tree's tour steps against the rotation, whether its tour less k is the
+minor's depends only on k and on whether the tree holds k: the check tests
+each tree's tour, and each of a map's at most 2|E| minors on one tree.
 """
 
 from __future__ import annotations
@@ -544,24 +546,32 @@ def _erase_walk(m: CombinatorialMap):
     and some edge numbers to whether, for each edge k, the tree's tour with
     half-edges 2k and 2k+1 erased is the tour of the minor without k (k
     deleted if external, contracted if a tree edge) under the rest of the
-    tree. The tree is toured once; the erased tour is the minor's iff each
-    of its steps, cyclically, is a tour step of the bypassed rotation
-    (``_bypass``). A minor depends only on the edge and on whether the tree
-    holds it, so each is made once per map, on first use, and kept."""
+    tree, the rotation with k bypassed (``_bypass``). ``steps`` asks if
+    each step of a sequence, cyclically, is a tour step: out of h, to the
+    rotation's entry at h ^ 1 if h's edge is in the tree, else at h (at h
+    xor h's 0/1 flag).
+
+    Once a tree's tour steps against ``sigma``, its tour less k reads every
+    entry off k once. Where sigma's image there is off k, it is the next
+    step; where it lies on k, the tour goes on past k by its rule at k, the
+    rule ``_bypass`` skips by, and ``_bypass`` changes no other entry. So
+    the verdict for k depends only on (k, contract): each such key is
+    tested on the first tree that has it and kept once it passes, and a
+    key that fails fails again on every later tree that has it."""
     sigma, root, he_pos = _tour_args(m)
-    minors: dict = {}  # (k, contract) -> the bypassed rotation
+    passed: set = set()  # (k, contract) keys whose minor matched its tour
+
+    def steps(seq: list, rot: Sequence[int], flags) -> bool:
+        return all(rot[h ^ flags[he_pos[h]]] == t for h, t in zip(seq, seq[1:] + seq[:1]))
 
     def walk(flags, edges: Iterable[int]) -> bool:
         seq = _tour(sigma, root, he_pos, flags)
-        for k in edges:
-            key = k, flags[he_pos[2 * k]]
-            minor = minors.get(key)
-            if minor is None:
-                minor = minors[key] = _bypass(sigma, *key)
-            kept = [h for h in seq if h >> 1 != k]
-            for h, nxt in zip(kept, kept[1:] + kept[:1]):
-                if (minor[h ^ 1] if flags[he_pos[h]] else minor[h]) != nxt:
-                    return False
+        if not steps(seq, sigma, flags):
+            return False
+        for key in {(k, flags[he_pos[2 * k]]) for k in edges} - passed:
+            if not steps([h for h in seq if h >> 1 != key[0]], _bypass(sigma, *key), flags):
+                return False
+            passed.add(key)
         return True
 
     return walk

@@ -222,20 +222,20 @@ def _cmd_check(args) -> int:
            all(v == reference for v in five.values()),
            " / ".join(f"{k}={v}" for k, v in five.items()))
 
-    trees = list(enumerate_spanning_trees(emb.underlying_graph()))
+    # the walk tours each tree and raises MotionNotCyclicError unless the
+    # tour is one cycle; a list, not a short-circuiting all(), so that every
+    # tree is toured before the tour row claims it, and the trees stream
+    # through the walk unkept, their count being len(erased)
+    walk = _erase_walk(emb)
+    erased = [walk(st.flags, range(emb.edge_count))
+              for st in enumerate_spanning_trees(emb.underlying_graph())]
     # the Kirchhoff count shares no code with the enumeration it checks
     t11, kirchhoff = reference.evaluate(1, 1), kirchhoff_tree_count(graph)
     report("T(1,1) equals the spanning tree count",
-           t11 == kirchhoff == len(trees),
-           f"T(1,1)={t11}, Kirchhoff={kirchhoff}, trees={len(trees)}")
+           t11 == kirchhoff == len(erased),
+           f"T(1,1)={t11}, Kirchhoff={kirchhoff}, trees={len(erased)}")
     report("T(2,2) equals 2^|E|",
            reference.evaluate(2, 2) == 2 ** graph.edge_count)
-
-    # the walk first tours its tree and raises MotionNotCyclicError unless
-    # the tour is one cycle; a list, not a short-circuiting all(), so that
-    # every tree is toured before the tour row claims it
-    walk = _erase_walk(emb)
-    erased = [walk(st.flags, range(emb.edge_count)) for st in trees]
     report("every tree tour is a single cycle", True)
     report("minor tours equal the original tour with two half-edges erased",
            all(erased))

@@ -17,7 +17,7 @@ from collections import Counter
 import networkx as nx
 from hypothesis import strategies as st
 
-from tuttemap import CombinatorialMap, Multigraph, embed
+from tuttemap import CombinatorialMap, Multigraph, activity, embed
 from tuttemap.cmap import _graph_incidences
 
 # -- worked-example fixtures -------------------------------------------------
@@ -131,6 +131,28 @@ def cyclic_equal(a, b) -> bool:
         return False
     i = b.index(a[0])
     return b[i:] + b[:i] == a
+
+
+def uncached_erase_walk(m: CombinatorialMap):
+    """The erase check with nothing kept between trees or edges: for every
+    (tree, edge k) it bypasses k afresh and steps the whole tour less k
+    against that minor. Unlike the oracles here it reads the package's
+    ``_tour_args``, ``_tour`` and ``_bypass``, looked up at call time, so a
+    patched ``_bypass`` reaches both it and ``activity._erase_walk``; it is
+    the reference for the shared walk's verdicts, not for the erase fact."""
+    sigma, root, he_pos = activity._tour_args(m)
+
+    def walk(flags, edges) -> bool:
+        seq = activity._tour(sigma, root, he_pos, flags)
+        for k in edges:
+            minor = activity._bypass(sigma, k, flags[he_pos[2 * k]])
+            kept = [h for h in seq if h >> 1 != k]
+            for h, nxt in zip(kept, kept[1:] + kept[:1]):
+                if (minor[h ^ 1] if flags[he_pos[h]] else minor[h]) != nxt:
+                    return False
+        return True
+
+    return walk
 
 
 # -- graph oracles ------------------------------------------------------------

@@ -19,6 +19,7 @@ from tuttemap import (
     cross_check,
     embed,
     embedding_activities,
+    enumerate_rooted_maps,
     enumerate_spanning_trees,
     erase_check,
     motion_function,
@@ -47,6 +48,7 @@ from helpers import (
     single_loop_map,
     swap_cocycle_oracle,
     swap_cycle_oracle,
+    uncached_erase_walk,
 )
 
 
@@ -168,6 +170,52 @@ def test_erase_walk_splices_each_minor_once(monkeypatch):
         trees = list(enumerate_spanning_trees(m.underlying_graph()))
         assert all(walk(st.flags, range(m.edge_count)) for st in trees)
         assert len(bypassed) == len(set(bypassed)) <= 2 * m.edge_count
+
+
+def _swapped(real):
+    def bypass(sigma, k, contract):
+        minor = real(sigma, k, contract)
+        off = [h for h in range(len(minor)) if h >> 1 != k]
+        if off:  # a one-edge map has no entry off k
+            a, b = off[0], off[-1]
+            minor[a], minor[b] = minor[b], minor[a]
+        return minor
+    return bypass
+
+
+def _deleting(real):
+    return lambda sigma, k, contract: real(sigma, k, False)
+
+
+def _mirrored(real):
+    def bypass(sigma, k, contract):
+        minor = real(sigma, k, contract)
+        inverse = list(minor)
+        for h, s in enumerate(minor):
+            if h >> 1 != k:
+                inverse[s] = h
+        return inverse
+    return bypass
+
+
+@pytest.mark.parametrize("fault", [None, _swapped, _deleting, _mirrored],
+                         ids=["intact", "swapped", "deleting", "mirrored"])
+def test_erase_walk_matches_the_uncached_walk_tree_by_tree(monkeypatch, fault):
+    # the shared walk decides each (edge, contract) key once per map; its
+    # verdict on every tree of every rooted map with at most 4 edges must
+    # be the uncached walk's, with _bypass intact and under three faults
+    if fault is not None:
+        monkeypatch.setattr(activity, "_bypass", fault(activity._bypass))
+    verdicts = Counter()
+    for n in range(1, 5):
+        for m in enumerate_rooted_maps(n):
+            shared, reference = _erase_walk(m), uncached_erase_walk(m)
+            for st in enumerate_spanning_trees(m.underlying_graph()):
+                ok = shared(st.flags, range(n))
+                assert ok == reference(st.flags, range(n))
+                verdicts[ok] += 1
+    assert sum(verdicts.values()) > 1000
+    assert verdicts[False] == 0 if fault is None else verdicts[False] > 0
 
 
 def test_erase_check_rejects_unknown_edges():

@@ -613,6 +613,47 @@ def test_check_fails_when_contraction_skips_like_deletion(capsys, monkeypatch, t
     assert out.splitlines()[-1] == "3 check(s) failed"
 
 
+def test_check_fails_the_erase_row_on_a_tour_that_drifts_on_some_trees(
+        capsys, monkeypatch, tmp_path):
+    # a tour fault on some trees only: the erase row steps every tree's
+    # tour against the rotation, so keys passed on sound trees hide nothing
+    real = activity._tour
+
+    def drifting(sigma, start, he_pos, flags):
+        seq = real(sigma, start, he_pos, flags)
+        if sum(flags[:len(flags) // 2]) % 2:
+            seq[1], seq[2] = seq[2], seq[1]
+        return seq
+
+    monkeypatch.setattr(activity, "_tour", drifting)
+    path = tmp_path / "w9.g"
+    path.write_text(W9_TEXT)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "1")
+    assert code == 2
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: minor tours equal the original tour with two half-edges erased"]
+
+
+def test_check_reads_each_minor_once(capsys, monkeypatch, tmp_path):
+    # W9 has 18 edges: at most 2|E| = 36 minors, each read at most 2|E|
+    # times, however many of its 5,776 trees the erase row walks
+    real, reads, made = activity._bypass, [0], []
+
+    class Counted(list):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return super().__getitem__(i)
+
+    monkeypatch.setattr(activity, "_bypass",
+                        lambda sigma, k, contract: made.append(k) or
+                        Counted(real(sigma, k, contract)))
+    path = tmp_path / "w9.g"
+    path.write_text(W9_TEXT)
+    code, out, _ = run(capsys, "check", "--graph", str(path))
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert 0 < len(made) <= 36 and 0 < reads[0] <= 36 ** 2
+
+
 def test_check_builds_planes_once_per_chunk(capsys, monkeypatch, tmp_path):
     # W9's 5,776 trees make 2 chunks; the 21 orders share one walk and the
     # 21 embeddings (one edge-labelled graph) another, and each walk builds
