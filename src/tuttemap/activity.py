@@ -124,8 +124,7 @@ each tree's tour, and each of a map's at most 2|E| minors on one tree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cmap import CombinatorialMap, MapError, _bypass, _cycle_labels
 from .graph import GraphError, Multigraph
@@ -151,8 +150,7 @@ class MotionNotCyclicError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class TourOrder:
+class TourOrder(NamedTuple):
     """The tour of one spanning tree: successor map, the cycle anchored at
     the root, and the induced ranks on half-edges and edges."""
 
@@ -170,8 +168,7 @@ class TourOrder:
         return tuple(sorted(self.edge_rank, key=self.edge_rank.__getitem__))
 
 
-@dataclass(frozen=True)
-class ActivitySummary:
+class ActivitySummary(NamedTuple):
     """Active edge sets of one spanning tree."""
 
     internal_active: frozenset

@@ -32,7 +32,7 @@ from .engines import (
 from .graph import Multigraph
 from .mapenum import census_document, partition_function
 from .poly import BivariatePolynomial
-from .spanning import enumerate_spanning_trees, kirchhoff_tree_count
+from .spanning import _tree_flags, enumerate_spanning_trees, kirchhoff_tree_count
 
 DEFAULT_SEED = 1729
 
@@ -126,7 +126,9 @@ def _cmd_activities(args) -> int:
     graph = m.underlying_graph()
     ids = graph.edge_ids
     kernel = _scan(*_tour_args(m))
-    trees = list(enumerate_spanning_trees(graph))
+    # descending flags list the trees in lexicographic order of their
+    # sorted edge-id sets, whatever order the enumerator yields them in
+    trees = sorted(enumerate_spanning_trees(graph), key=lambda st: st.flags, reverse=True)
     pairs = [kernel(st.flags) for st in trees]
     lines = []
     rows = []
@@ -225,11 +227,14 @@ def _cmd_check(args) -> int:
     # the walk tours each tree and raises MotionNotCyclicError unless the
     # tour is one cycle; a list, not a short-circuiting all(), so that every
     # tree is toured before the tour row claims it, and the trees stream
-    # through the walk unkept, their count being len(erased)
-    walk = _erase_walk(emb)
-    erased = [walk(st.flags, range(emb.edge_count))
-              for st in enumerate_spanning_trees(emb.underlying_graph())]
-    # the Kirchhoff count shares no code with the enumeration it checks
+    # through the walk unkept, their count being len(erased). The trees
+    # come from the backtracking walk, which no tree route uses: a fault in
+    # the routes' frontier DAG fails the five-way row, one in the walk the
+    # T(1,1) row
+    walk, g = _erase_walk(emb), emb.underlying_graph()
+    erased = [walk(flags, range(emb.edge_count))
+              for flags in _tree_flags(g.vertex_count, g._numbered_ends())]
+    # the Kirchhoff count shares no code with the enumerations it checks
     t11, kirchhoff = reference.evaluate(1, 1), kirchhoff_tree_count(graph)
     report("T(1,1) equals the spanning tree count",
            t11 == kirchhoff == len(erased),

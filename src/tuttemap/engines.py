@@ -7,12 +7,16 @@ embedding, and a deletion/contraction recursion carried out on the map
 itself (pivoting on the edge just before the root, the one place where
 rerooting rules are needed). Agreement across routes on the same graph is
 the package's correctness argument, so the routes share no code beyond
-plumbing: the level sweep, the chunk loop and the activity sums.
+plumbing: the level sweep, the chunk loop, the activity sums and one
+edge order.
 
 The two tree routes draw every tree from ``enumerate_spanning_trees``,
 looked up here as a module global, through one chunk loop (``_tree_sum``).
-It walks the trees once for all the routes it is given, of one family
-(``_order_route`` or ``_tour_route``), ``TREE_CHUNK`` trees at a time. A
+The enumerator reads the trees off the graph's frontier DAG, whose levels
+follow ``spanning._pivot_order``, delcon's pivot order: the tree routes
+and delcon share that order, and nothing else. The chunk loop draws the
+trees once for all the routes it is given, of one family (``_order_route``
+or ``_tour_route``), ``TREE_CHUNK`` trees at a time. A
 chunk that holds at least a route's crossover of trees per edge
 (``ORDER_BATCH_TREES_PER_EDGE``, ``EMBEDDING_BATCH_TREES_PER_EDGE``) goes to
 its bit-sliced batch kernel (``activity._order_batch``,
@@ -20,7 +24,7 @@ its bit-sliced batch kernel (``activity._order_batch``,
 (a cycle, a path) goes tree by tree to its per-tree kernel
 (``activity._order_kernel``, ``activity._scan``), summed by
 ``activity._activity_sum``. Each chunk's planes (``activity._planes``) are
-built once, here, and every batch route of the walk reads them.
+built once, here, and every batch route of the draw reads them.
 
 Both deletion-contraction routes run as one iterative sweep (``_sweep``),
 one level per edge, over exact minor keys, so equal minors merge with no
@@ -46,7 +50,7 @@ from .activity import (_activity_sum, _lane_sum, _order_args, _order_batch, _ord
 from .cmap import CombinatorialMap, MapError, _cycle_labels, _rooted_minor
 from .graph import GraphError, Multigraph
 from .poly import X, Y, ZERO, BivariatePolynomial
-from .spanning import enumerate_spanning_trees
+from .spanning import TREE_CHUNK, _pivot_order, enumerate_spanning_trees
 
 __all__ = [
     "tutte_subgraph_expansion",
@@ -65,11 +69,6 @@ __all__ = [
 # parallel edges) to 26 s (a 19-edge path), 20 parallel edges 42 s.
 MAX_EXPANSION_EDGES = 19
 
-# The tree routes decide their trees in chunks. The order batch kernel's
-# time per tree levels off at about 0.5 us from 2,048 to 4,096 trees a
-# chunk (W10 and grid 4x4, in-process on a 2-CPU VM, CPython 3.11), against
-# about 10 us for the per-tree kernel; a larger chunk only holds more flags.
-TREE_CHUNK = 4096
 # The order batch kernel costs about |E|^2 big-int operations per chunk, the
 # per-tree kernel about |E| steps per tree. On K6, W10, grid 4x4, grid
 # 2x12, an 8-rung ladder and two theta graphs (15-48 edges) they broke even
@@ -193,49 +192,13 @@ def _sweep(start, pivot, levels: int, vertices: int) -> BivariatePolynomial:
     return BivariatePolynomial(terms)
 
 
-def _pivot_order(graph: Multigraph) -> list:
-    """delcon's pivot order, as positions into ``graph.edge_ids``: a greedy
-    min-frontier vertex elimination.
-
-    The frontier holds the vertices that the eliminated ones have reached
-    but that are not yet eliminated themselves. The first vertex is one
-    with the fewest neighbours; after it, the next is always the frontier
-    vertex whose elimination adds the fewest new vertices to the frontier,
-    ties going to the most neighbours already in the frontier and then to
-    the lowest number (``_numbered_ends``, so ties never compare labels).
-    Edges follow sorted by (earlier elimination position, later position),
-    a loop at its own vertex and parallel edges in id order, so each
-    vertex's remaining edges are pivoted together and the sweep's states
-    vary only in how the frontier has merged.
-    """
-    ends = graph._numbered_ends()
-    nbrs = [set() for _ in range(max(map(max, ends), default=0) + 1)]
-    for u, v in ends:
-        if u != v:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-    start = min(range(len(nbrs)), key=lambda v: (len(nbrs[v]), v))
-    frontier, reached = {start}, {start}
-    rank = [0] * len(nbrs)
-    for step in range(len(nbrs)):
-        v = min(frontier, key=lambda v: (len(nbrs[v] - reached),
-                                         -len(nbrs[v] & frontier), v))
-        rank[v] = step
-        fresh = nbrs[v] - reached
-        frontier.remove(v)
-        frontier |= fresh
-        reached |= fresh
-    keys = [(rank[u], rank[v]) if rank[u] <= rank[v] else (rank[v], rank[u])
-            for u, v in ends]
-    return sorted(range(len(ends)), key=keys.__getitem__)
-
-
 def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
     """Loop/isthmus deletion-contraction, as one iterative sweep over
     edge-labelled minors.
 
     The pivots follow one order chosen from the graph, a greedy
-    min-frontier vertex elimination (``_pivot_order``); T does not depend
+    min-frontier vertex elimination (``spanning._pivot_order``, which also
+    orders the levels of the tree routes' frontier DAG); T does not depend
     on the order, only the sweep's cost does. A minor is encoded by its
     *shape*: the endpoints of its remaining edges, in pivot order, as one
     flat tuple with vertices renamed by first appearance. Deletion of a
@@ -268,13 +231,13 @@ def _tour_route(m: CombinatorialMap) -> tuple:
 
 def _tree_sum(graph: Multigraph, routes: list) -> list[BivariatePolynomial]:
     """Each route's sum of x^|I| y^|E| over the spanning trees of ``graph``,
-    all from one walk of ``enumerate_spanning_trees``, ``TREE_CHUNK`` trees
+    all from one draw of ``enumerate_spanning_trees``, ``TREE_CHUNK`` trees
     at a time. A route is (kernel, make_batch, per_edge): a chunk of at
     least ``per_edge`` trees per edge goes to the kernel that ``make_batch()``
     builds on first use, a smaller one tree by tree to ``kernel``. A chunk's
     planes and lane mask are built once, when a route first batches it."""
     batches, totals = [None] * len(routes), [ZERO] * len(routes)
-    trees = enumerate_spanning_trees(graph) if routes else ()  # no route, no walk
+    trees = enumerate_spanning_trees(graph) if routes else ()  # no route, no DAG
     while True:
         # range comes first, so zip draws no tree past a full chunk
         chunk = [st.flags for _, st in zip(range(TREE_CHUNK), trees)]
@@ -459,8 +422,8 @@ def cross_check(graph: Multigraph,
     recurses once per vertex, sees it. Each embedding's underlying graph
     must then be isomorphic to ``graph``; a mismatch is rejected before any
     tree route runs. Embeddings with one edge-labelled graph (edge ids and
-    numbered ends) share an isomorphism test and a walk of its trees, and
-    all orders share another walk: the families' agreement is the check.
+    numbered ends) share an isomorphism test and a draw of its trees, and
+    all orders share another draw: the families' agreement is the check.
     """
     polys = {
         "expansion": tutte_subgraph_expansion(graph),

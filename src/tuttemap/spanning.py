@@ -12,18 +12,26 @@ small chunks) and ``SpanningTree.fundamental_cycle``/``fundamental_cocycle``
 root a tree; the order route's batch kernel decides many trees from their
 flags without rooting any.
 
+``enumerate_spanning_trees`` reads the trees off the graph's frontier DAG
+(Sekine, Imai and Tani, ISAAC 1995), whose levels follow ``_pivot_order``,
+the min-frontier order that delcon pivots in. The DAG has no dead branch,
+and each node's bit-planes are built once, bottom-up, for all the trees
+below it; they become flag bytes one block of at most ``TREE_CHUNK`` trees
+at a time. The trees come in lexicographic order along ``_pivot_order``.
+
 ``_tree_flags`` is one iterative backtracking walk over the subsets of
 non-loop edges, the plain form of the backtracking of Gabow and Myers,
 SIAM J. Comput. 7 (1978), without their bridge test: an edge is taken only
 when it joins two components of a union-find kept in int lists, and
 backtracking undoes the last union, so no state is copied and the walk
-adds no Python frame per edge. It needs only the vertex count and the
-endpoints of each edge position, so callers that number a graph
-themselves (the map census) run it with no ``Multigraph``. The walk flags
-its edges as it unions them and yields a copy of those flags per tree;
-``enumerate_spanning_trees`` puts each copy into a ``SpanningTree``.
-``kirchhoff_tree_count`` counts the same trees by the matrix-tree theorem,
-sharing no code with the walk.
+adds no Python frame per edge. It yields the trees' flags in
+lexicographic order of the sorted edge-id sets. It needs only the vertex
+count and the endpoints of each edge position, so callers that number a
+graph themselves (the map census) run it with no ``Multigraph``; on the
+census's many tiny maps it beats building a DAG per map. ``check`` walks
+its erase row's trees with it, so that one enumeration the tree routes do
+not use counts them. ``kirchhoff_tree_count`` counts the same trees by the
+matrix-tree theorem, sharing no code with either enumeration.
 """
 
 from __future__ import annotations
@@ -33,6 +41,14 @@ from typing import Iterable, Iterator, Sequence
 from .graph import GraphError, Multigraph
 
 __all__ = ["SpanningTree", "enumerate_spanning_trees", "kirchhoff_tree_count"]
+
+# The tree routes decide their trees in chunks of this size, and the
+# frontier DAG makes flags in blocks of at most this size. The order batch
+# kernel's time per tree levels off at about 0.5 us from 2,048 to 4,096
+# trees a chunk (W10 and grid 4x4, in-process on a 2-CPU VM, CPython 3.11),
+# against about 10 us for the per-tree kernel; a larger chunk only holds
+# more flags.
+TREE_CHUNK = 4096
 
 
 def _incidence(ends: list, nv: int) -> list[list[tuple[int, int]]]:
@@ -208,15 +224,121 @@ def _tree_flags(nv: int, ends: Sequence[tuple[int, int]]) -> Iterator[bytes]:
         flags[pool[j - 1]] = 0
 
 
+def _pivot_order(graph: Multigraph) -> list:
+    """A frontier order of the edges, as positions into ``graph.edge_ids``:
+    a greedy min-frontier vertex elimination. It is delcon's pivot order
+    and the level order of ``enumerate_spanning_trees``' frontier DAG, so
+    delcon and the tree routes share it.
+
+    The frontier holds the vertices that the eliminated ones have reached
+    but that are not yet eliminated themselves. The first vertex is one
+    with the fewest neighbours; after it, the next is always the frontier
+    vertex whose elimination adds the fewest new vertices to the frontier,
+    ties going to the most neighbours already in the frontier and then to
+    the lowest number (``_numbered_ends``, so ties never compare labels).
+    Edges follow sorted by (earlier elimination position, later position),
+    a loop at its own vertex and parallel edges in id order, so each
+    vertex's remaining edges are taken together and a level's states
+    vary only in how the frontier has merged. The graph must be connected.
+    """
+    ends = graph._numbered_ends()
+    nbrs = [set() for _ in range(max(map(max, ends), default=0) + 1)]
+    for u, v in ends:
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    start = min(range(len(nbrs)), key=lambda v: (len(nbrs[v]), v))
+    frontier, reached = {start}, {start}
+    rank = [0] * len(nbrs)
+    for step in range(len(nbrs)):
+        v = min(frontier, key=lambda v: (len(nbrs[v] - reached),
+                                         -len(nbrs[v] & frontier), v))
+        rank[v] = step
+        fresh = nbrs[v] - reached
+        frontier.remove(v)
+        frontier |= fresh
+        reached |= fresh
+    keys = [(rank[u], rank[v]) if rank[u] <= rank[v] else (rank[v], rank[u])
+            for u, v in ends]
+    return sorted(range(len(ends)), key=keys.__getitem__)
+
+
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
-    """Yield every spanning tree exactly once, in lexicographic order of the
-    sorted edge-id sets: the walk of ``_tree_flags`` over the graph's
-    numbered edges, each flags value put into a ``SpanningTree``."""
-    new = SpanningTree.__new__
-    for flags in _tree_flags(graph.vertex_count, graph._numbered_ends()):
-        st = new(SpanningTree)  # spanning by construction: no re-validation
-        st.parent, st.flags, st._internal = graph, flags, None
-        yield st
+    """Yield every spanning tree exactly once, read off the graph's frontier
+    DAG in lexicographic order along ``_pivot_order``: tree A comes before
+    tree B when A takes the first edge of that order on which they differ.
+    Sorting the flags in descending order gives the lexicographic order of
+    the sorted edge-id sets, which is ``_tree_flags``' order. A disconnected
+    graph raises ``GraphError``.
+
+    Level i of the DAG decides the i-th edge of ``_pivot_order`` (Sekine,
+    Imai and Tani, ISAAC 1995; Knuth, TAOCP 4A, 7.1.4). A node is the
+    partition of the frontier, the vertices with an edge decided and one
+    still to come, into the components of the edges taken. Taking the edge
+    is refused when it closes a cycle, so a loop is never taken; a vertex
+    leaves after its last edge, and a component left with no frontier
+    vertex must be the only one, at the end. So the paths to the end are
+    exactly the spanning trees. Every path below a node carries the same
+    edge bits, so a node of at most ``TREE_CHUNK`` trees gets its planes
+    (``activity._planes``' lane masks) once, bottom-up: its hi child's
+    lanes, then its lo child's shifted past them, with its own edge on the
+    hi lanes. Only the level below and the blocks, the small nodes under a
+    larger one, keep their planes, so memory holds the DAG, the blocks'
+    planes and one block's flags. A walk down the larger nodes reaches the blocks in order, hi
+    before lo, and each block becomes flag bytes with one strided slice
+    assignment per edge position. Blocks are not packed into fuller chunks:
+    each held 987 to 4,052 trees on the ``trees`` benchmark graphs, grids
+    4x4 and 4x5, K7 and K8.
+    """
+    if not graph.is_connected():
+        raise GraphError("spanning trees need a connected graph")
+    ends = graph._numbered_ends()
+    pool = _pivot_order(graph)
+    last = {w: i for i, p in enumerate(pool) for w in ends[p]}
+    layers, level = [], {frozenset(): 0}  # each node's [hi, lo]; -1 is "no node"
+    for i, p in enumerate(pool):
+        nxt, nodes = {}, []
+        for state in level:  # the frontier's components, as vertex sets
+            cu, cv = (next((c for c in state if w in c), frozenset([w])) for w in ends[p])
+            # hi takes the edge unless it closes a cycle, lo leaves it; then
+            # the leaving vertices go, and a component left with no frontier
+            # vertex must be the only one
+            nodes.append([-1 if not part or frozenset() in kept and len(part) > 1
+                          else nxt.setdefault(kept, len(nxt))
+                          for part in (cu != cv and state - {cu, cv} | {cu | cv}, state | {cu, cv})
+                          for kept in [part and frozenset(
+                              frozenset(w for w in c if last[w] > i) for c in part)]])
+        layers.append(nodes)
+        level = nxt
+    # bottom-up, each node as (trees, planes) if it has at most TREE_CHUNK
+    # trees, else (trees, None, hi, lo); no plane of a node with no tree is read
+    below = [(1, []), (0, [])]  # the end, with one tree, and "no node"
+    for i in reversed(range(len(pool))):
+        nodes = []
+        for hi, lo in layers[i]:
+            (ch, hp, *_), (cl, lp, *_) = below[hi], below[lo]
+            nodes.append((ch + cl, None, below[hi], below[lo]) if ch + cl > TREE_CHUNK
+                         else (ch + cl, [(1 << ch) - 1, *(  # a child with no tree adds no lane
+                             [a | b << ch for a, b in zip(hp, lp)] if ch and cl else hp if ch else lp)]))
+        below = nodes + [(0, [])]
+    ne = len(ends)
+    stack = [(0, below[0], bytes(ne))]  # (level, node, the flags of the edges taken above)
+    while stack:  # down the larger nodes, hi before lo, to the blocks
+        i, (c, planes, *kids), taken = stack.pop()
+        if kids:
+            p = pool[i]
+            stack += [(i + 1, kids[1], taken), (i + 1, kids[0], taken[:p] + b"\1" + taken[p + 1:])]
+        elif c:
+            flat = bytearray(taken * c)  # tree j of the block is row c - 1 - j
+            for p, plane in zip(pool[i:], planes):
+                flat[p::ne] = format(plane, f"0{c}b").encode().translate(_FLAG_BYTES)
+            for r in reversed(range(c)):
+                st = SpanningTree.__new__(SpanningTree)  # spanning by construction
+                st.parent, st.flags, st._internal = graph, bytes(flat[r * ne:r * ne + ne]), None
+                yield st
 
 
 def kirchhoff_tree_count(graph: Multigraph) -> int:

@@ -254,7 +254,8 @@ def test_order_activities_k3():
     g = k3()
     order = ["a", "b", "c"]
     monomials = []
-    for st in enumerate_spanning_trees(g):
+    # descending flags: the lexicographic order of the sorted edge ids
+    for st in sorted(enumerate_spanning_trees(g), key=lambda st: st.flags, reverse=True):
         act = order_activities(g, order, st)
         monomials.append((act.internal_count, act.external_count))
     # trees {a,b}, {a,c}, {b,c} contribute x^2, x, y in that order

@@ -557,6 +557,39 @@ def test_check_walks_the_trees_once_per_route(capsys, monkeypatch, tmp_path):
     assert len(walks) == 2
 
 
+def test_check_sees_the_dag_repeat_a_tree(capsys, monkeypatch, tmp_path):
+    # the tree routes' enumerator repeats its first tree in place of its
+    # last: the count still matches Kirchhoff, the sums do not
+    real = engines.enumerate_spanning_trees
+
+    def repeating(g):
+        trees = list(real(g))
+        return iter(trees[:-1] + trees[:1])
+
+    monkeypatch.setattr(engines, "enumerate_spanning_trees", repeating)
+    path = tmp_path / "k4.g"
+    path.write_text(K4_TEXT)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
+    assert code == 2
+    assert [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: five evaluator methods agree",
+        "FAIL: embedding independence over 2 random rooted embeddings"]
+    assert "order=2 x^3 + 3 x^2 + 2 x" in out
+
+
+def test_check_counts_the_walks_trees(capsys, monkeypatch, tmp_path):
+    # the erase row's own walk drops its last tree: only the T(1,1) row,
+    # which counts that walk, can see it
+    real = cli._tree_flags
+    monkeypatch.setattr(cli, "_tree_flags", lambda nv, ends: list(real(nv, ends))[:-1])
+    path = tmp_path / "k4.g"
+    path.write_text(K4_TEXT)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
+    assert code == 2
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: T(1,1) equals the spanning tree count (T(1,1)=16, Kirchhoff=16, trees=15)"]
+
+
 def test_check_exits_2_on_a_broken_tour(capsys, monkeypatch, k3_file):
     def broken(sigma, start, he_pos, flags):
         raise activity.MotionNotCyclicError("the tour closed early")

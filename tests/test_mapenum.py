@@ -157,13 +157,15 @@ def test_flat_genus_matches_map_genus(n):
 
 def test_flat_tree_walk_matches_the_enumerator():
     # the census numbers edge k as half-edges 2k, 2k+1 and vertices as
-    # rotation cycles; matched through edge ids, it finds the same trees
+    # rotation cycles; matched through edge ids, it finds the same trees, in
+    # the enumerator's descending flags order
     for m in enumerate_rooted_maps(4):
         ids = m.edge_ids
         flat = [frozenset(ids[k] for k, f in enumerate(flags) if f)
                 for flags in _tree_flags(*_census_ends(m._sigma))]
-        graph = m.underlying_graph()
-        assert flat == [st.internal_edges for st in enumerate_spanning_trees(graph)]
+        trees = enumerate_spanning_trees(m.underlying_graph())
+        assert flat == [st.internal_edges for st in
+                        sorted(trees, key=lambda st: st.flags, reverse=True)]
         assert len(set(flat)) == len(flat)
 
 

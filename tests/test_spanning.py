@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from tuttemap import (
     GraphError,
@@ -10,7 +11,13 @@ from tuttemap import (
     SpanningTree,
     enumerate_spanning_trees,
     kirchhoff_tree_count,
+    spanning,
+    tutte_deletion_contraction,
+    tutte_embedding_activities,
+    tutte_order_activities,
 )
+from tuttemap.cmap import embed
+from tuttemap.spanning import _pivot_order, _tree_flags
 
 from helpers import (
     brute_force_trees,
@@ -20,17 +27,40 @@ from helpers import (
     k3,
     k4,
     matrix_tree_count,
+    random_connected_multigraphs,
     swap_cocycle_oracle,
     swap_cycle_oracle,
 )
 
 
+def walk_trees(g: Multigraph) -> list[frozenset]:
+    """The edge-id sets of ``_tree_flags``' trees, in the walk's order."""
+    return [frozenset(e for e, f in zip(g.edge_ids, flags) if f)
+            for flags in _tree_flags(g.vertex_count, g._numbered_ends())]
+
+
+def in_pivot_order(g: Multigraph, trees: list[SpanningTree]) -> bool:
+    """Whether the trees come in lexicographic order along _pivot_order:
+    each tree's pivot ranks, sorted, increase strictly from tree to tree."""
+    rank = {p: r for r, p in enumerate(_pivot_order(g))}
+    keys = [sorted(rank[p] for p in t.positions) for t in trees]
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def by_flags(g: Multigraph) -> list[SpanningTree]:
+    """The enumerator's trees with their flags in descending order, which is
+    the lexicographic order of their sorted edge-id sets."""
+    return sorted(enumerate_spanning_trees(g), key=lambda t: t.flags, reverse=True)
+
+
 def test_k3_has_three_trees():
-    trees = list(enumerate_spanning_trees(k3()))
+    trees = by_flags(k3())
     assert len(trees) == 3
     assert [sorted(t.internal_edges) for t in trees] == [
         ["a", "b"], ["a", "c"], ["b", "c"],
     ]
+    # the walk yields them in that order
+    assert [sorted(t) for t in walk_trees(k3())] == [["a", "b"], ["a", "c"], ["b", "c"]]
 
 
 def test_tree_input_yields_itself():
@@ -59,13 +89,16 @@ def test_enumeration_matches_subset_oracle():
         g = Multigraph(range(nv), edges)
         if not g.is_connected():
             continue
-        got = [t.internal_edges for t in enumerate_spanning_trees(g)]
+        trees = list(enumerate_spanning_trees(g))
+        got = [t.internal_edges for t in trees]
         assert sorted(map(sorted, got)) == sorted(
             map(sorted, brute_force_trees(g))
         )
-        # deterministic lexicographic order, no duplicates
-        assert got == sorted(got, key=lambda s: sorted(s))
         assert len(set(got)) == len(got)
+        assert in_pivot_order(g, trees)
+        # the walk's is lexicographic in the sorted edge ids, with the same trees
+        walk = walk_trees(g)
+        assert walk == sorted(walk, key=sorted) == [t.internal_edges for t in by_flags(g)]
 
 
 def test_yielded_trees_own_their_data():
@@ -80,8 +113,8 @@ def test_yielded_trees_own_their_data():
         if g.is_connected():
             graphs.append(g)
     for g in graphs:
-        trees = list(enumerate_spanning_trees(g))  # the walk is over before any read
-        expected = sorted(brute_force_trees(g), key=sorted)  # the walk's order
+        trees = by_flags(g)  # the enumeration is over before any read
+        expected = sorted(brute_force_trees(g), key=sorted)  # descending flags' order
         assert len(trees) == len(expected)
         for t, want in zip(trees, expected):
             assert isinstance(t.flags, bytes)
@@ -249,3 +282,61 @@ def test_streams_restart_independently():
     s2 = enumerate_spanning_trees(g)
     assert next(s2).internal_edges == first.internal_edges
     assert len(list(s2)) == 15  # the 16 trees of K4 minus the one consumed
+
+
+@settings(max_examples=200)
+@given(random_connected_multigraphs())
+@example(Multigraph(["v"], {}))
+@example(Multigraph(["v"], {"l0": ("v", "v"), "l1": ("v", "v")}))
+def test_frontier_dag_gives_the_walks_trees(g):
+    # loops, parallel edges, int and str ids, one-vertex graphs; blocks of
+    # at most 1 or 3 trees send the walk down the DAG's larger nodes
+    walk = sorted(_tree_flags(g.vertex_count, g._numbered_ends()))
+    assert len(walk) == kirchhoff_tree_count(g)
+    for chunk in (spanning.TREE_CHUNK, 1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spanning, "TREE_CHUNK", chunk)
+            trees = list(enumerate_spanning_trees(g))
+        assert sorted(t.flags for t in trees) == walk
+        assert in_pivot_order(g, trees)
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    ([1, 2], {}),
+    ([1, 2], {"l": (1, 1), "m": (2, 2)}),
+    ([1, 2, 3], {"a": (1, 2)}),
+    ([1, 2, 3, 4], {"a": (1, 2), "b": (3, 4), "c": (4, 4)}),
+])
+def test_both_enumerations_refuse_a_disconnected_graph(vertices, edges):
+    g = Multigraph(vertices, edges)
+    for trees in (enumerate_spanning_trees(g),
+                  _tree_flags(g.vertex_count, g._numbered_ends())):
+        with pytest.raises(GraphError, match="^spanning trees need a connected graph$"):
+            list(trees)
+
+
+def wheel(rim: int) -> Multigraph:
+    edges = {f"r{i}": (i, i % rim + 1) for i in range(1, rim + 1)}
+    edges.update({f"s{i}": (0, i) for i in range(1, rim + 1)})
+    return Multigraph(range(rim + 1), edges)
+
+
+@pytest.mark.parametrize("chunk", [spanning.TREE_CHUNK, 64])
+def test_frontier_dag_on_w10_in_blocks(monkeypatch, chunk):
+    # W10's 15,125 trees make 4 chunks of the tree routes; blocks of at
+    # most 64 trees put at least 237 blocks under the DAG's larger nodes
+    g = wheel(10)
+    monkeypatch.setattr(spanning, "TREE_CHUNK", chunk)
+    walk = walk_trees(g)
+    assert len(walk) == 15125
+    assert in_pivot_order(g, list(enumerate_spanning_trees(g)))
+    assert [t.internal_edges for t in by_flags(g)] == walk
+
+
+def test_k6_polynomials_do_not_depend_on_the_block_size(monkeypatch):
+    k6 = Multigraph(range(6), {f"{u}{v}": (u, v) for u in range(6) for v in range(u + 1, 6)})
+    emb = embed(k6)
+    want = tutte_deletion_contraction(k6)
+    assert tutte_order_activities(k6) == tutte_embedding_activities(emb) == want
+    monkeypatch.setattr(spanning, "TREE_CHUNK", 64)
+    assert tutte_order_activities(k6) == tutte_embedding_activities(emb) == want
