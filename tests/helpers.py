@@ -390,6 +390,61 @@ def random_rooted_map(rng: random.Random, n_edges: int) -> CombinatorialMap:
             return make_map(tuple(perm))
 
 
+def _matchings(points: list):
+    """Every perfect matching of an even-length list, as lists of pairs."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for k, other in enumerate(rest):
+        for matching in _matchings(rest[:k] + rest[k + 1:]):
+            yield [(first, other)] + matching
+
+
+def tour_word_sums(n_edges: int) -> dict[int, Counter]:
+    """The activity sum over the rooted maps with n edges, by genus, read
+    off their tour words with no rotation (Bernardi, EJC 14 (2007) R9): a
+    word pairs its 2n steps, the tree pairs nested, the external pairs any
+    way. Half-edge h is step h, so the faces are the cycles of
+    phi(h) = (h if h is on a tree step else its partner) + 1 mod 2n, and a
+    word with k tree pairs has k + 1 vertices. A tree pair (a, b) is active
+    unless an external pair (c, d) has c < a < d < b; an external pair
+    (c, d) is active unless the innermost tree pair around c closes
+    before d. Returns {genus: Counter((|I|, |E|) -> count)}."""
+    size = 2 * n_edges
+    sums: dict[int, Counter] = {}
+    for pairs in _matchings(list(range(size))):
+        partner = {}
+        for a, b in pairs:
+            partner[a], partner[b] = b, a
+        for kinds in itertools.product((True, False), repeat=n_edges):
+            tree = [p for p, t in zip(pairs, kinds) if t]
+            if any(a < c < b < d for a, b in tree for c, d in tree):
+                continue  # tree steps must nest
+            external = [p for p, t in zip(pairs, kinds) if not t]
+            on_tree = {h for pair in tree for h in pair}
+            phi = [((h if h in on_tree else partner[h]) + 1) % size
+                   for h in range(size)]
+            faces, seen = 0, set()
+            for start in range(size):
+                if start not in seen:
+                    faces += 1
+                    h = start
+                    while h not in seen:
+                        seen.add(h)
+                        h = phi[h]
+            chi = len(tree) + 1 - n_edges + faces
+            internal = sum(not any(c < a < d < b for c, d in external)
+                           for a, b in tree)
+            active = 0
+            for c, d in external:
+                around = [b for a, b in tree if a < c < b]
+                active += not around or d < min(around)
+            counts = sums.setdefault((2 - chi) // 2, Counter())
+            counts[internal, active] += 1
+    return sums
+
+
 def map_corpus(seed: int = 20546, per_size: int = 120,
                max_edges: int = 6) -> list[CombinatorialMap]:
     """At least 500 distinct valid rooted maps with <= max_edges edges:

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttemap import BivariatePolynomial, CombinatorialMap, enumerate_rooted_maps
-from tuttemap import activity, cli, cmap, engines
+from tuttemap import activity, cli, cmap, engines, mapenum
 from tuttemap.cli import METHODS, main
 from tuttemap.engines import MAX_EXPANSION_EDGES
+from tuttemap.mapenum import MAX_CENSUS_EDGES, MAX_WORD_STATES
 
 from helpers import (ALPHA_DIAGNOSTICS, SINGLE_ISTHMUS_TEXT, SINGLE_LOOP_TEXT,
                      TORUS_MAP_TEXT)
@@ -182,6 +183,48 @@ def test_zpoly_json(capsys):
     assert code == 0
     z = BivariatePolynomial.from_json_terms(json.loads(out)["z"])
     assert z.evaluate(1, 1) == 10
+
+
+@pytest.mark.parametrize("genus, z11", [(None, 5_318_742), (0, 613_470)])
+def test_zpoly_sums_past_the_census_bound(capsys, genus, z11):
+    # the tour-word transfer has a state budget, not the census's edge bound
+    argv = ["zpoly", "--edges", "7", "--format", "json"]
+    if genus is not None:
+        argv += ["--genus", str(genus)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert BivariatePolynomial.from_json_terms(json.loads(out)["z"]).evaluate(1, 1) == z11
+
+
+def test_zpoly_over_the_state_budget_is_an_input_error(capsys):
+    code, out, err = run(capsys, "zpoly", "--edges", "10")
+    assert (code, out) == (1, "")
+    budget = f"error: state budget is {MAX_WORD_STATES} per word position; 10 edges need "
+    assert err.startswith(budget)
+    assert int(err[len(budget):]) > MAX_WORD_STATES
+    assert "invariant" not in err
+
+
+def test_zpoly_keeps_the_census_bound_for_a_genus(capsys):
+    code, out, err = run(capsys, "zpoly", "--edges", str(MAX_CENSUS_EDGES + 1),
+                         "--genus", "1")
+    assert (code, out) == (1, "")
+    assert err == (f"error: census bound is {MAX_CENSUS_EDGES} edges"
+                   " (the census grows more than 10x per edge)\n")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (("--edges", "0"), "a map census needs at least one edge"),
+    (("--edges", "0", "--genus", "0"), "a map census needs at least one edge"),
+    (("--edges", "2", "--genus", "-1"), "genus cannot be negative"),
+])
+def test_zpoly_checks_its_input_before_any_work(capsys, monkeypatch, bad, message):
+    def refuse(*args):
+        raise AssertionError("zpoly started a sum on bad input")
+
+    monkeypatch.setattr(mapenum, "_rooted_sigmas", refuse)
+    monkeypatch.setattr(mapenum, "_word_sum", refuse)
+    assert run(capsys, "zpoly", *bad) == (1, "", f"error: {message}\n")
 
 
 def _json_terms(terms) -> list:

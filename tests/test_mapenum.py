@@ -16,10 +16,12 @@ from tuttemap import (
     tutte_embedding_activities,
 )
 from tuttemap.cmap import _euler
-from tuttemap.mapenum import MAX_CENSUS_EDGES, _census_ends, _census_sigmas
+from tuttemap.mapenum import (MAX_CENSUS_EDGES, _census_ends, _census_sigmas,
+                               _census_sum)
 from tuttemap.spanning import _tree_flags
 
-from helpers import all_rooted_sigmas, brute_force_trees, make_map, rooted_iso_oracle
+from helpers import (all_rooted_sigmas, brute_force_trees, make_map, rooted_iso_oracle,
+                     tour_word_sums)
 
 P = BivariatePolynomial.parse
 
@@ -129,6 +131,25 @@ def test_partition_function_matches_per_map_sum():
             assert partition_function(n, genus) == total
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_word_transfer_matches_the_census_sum(n):
+    # all genera and genus 0 come from the tour words; the census sum over
+    # the rotations, which genus g >= 1 still uses, is their reference
+    for genus in (None, 0):
+        assert partition_function(n, genus) == _census_sum(n, genus)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tour_words_match_every_genus(n):
+    # the word oracle counts faces on the words themselves, with no rotation
+    # walk, and sorts them by genus
+    sums = {g: BivariatePolynomial(c) for g, c in tour_word_sums(n).items()}
+    for genus in (0, 1, 2):
+        assert partition_function(n, genus) == sums.get(genus, P("0"))
+    assert partition_function(n) == sum(sums.values(), start=P("0"))
+    assert sorted(sums) == sorted(GENUS_COUNTS[n])
+
+
 def _face_count(sigma) -> int:
     """The cycles of h -> sigma(h ^ 1), counted apart from cmap."""
     seen: set = set()
@@ -229,18 +250,18 @@ def _baxter(k: int) -> int:
                for j in range(1, k + 1)) // (c(k + 1, 1) * c(k + 1, 2))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_planar_linear_coefficients_are_baxter_numbers(n):
     # over rooted planar maps the coefficient of x counts plane bipolar
     # orientations, A001181(n - 1) (Baxter, Ann. Comb. 5 (2001)); the
     # single isthmus gives 1 at n = 1, and duality gives y the same count
-    assert [_baxter(k) for k in range(1, 6)] == [1, 2, 6, 22, 92]
+    assert [_baxter(k) for k in range(1, 8)] == [1, 2, 6, 22, 92, 422, 2074]
     terms = partition_function(n, genus=0).terms()
     want = 1 if n == 1 else _baxter(n - 1)
     assert terms.get((1, 0), 0) == terms.get((0, 1), 0) == want
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_z11_matches_closed_forms(n):
     # planar: C_n * C_{n+1} tree-rooted maps (Mullin 1967), and duality
     # swaps the two activities, so the planar sum is symmetric in x and y
@@ -256,3 +277,5 @@ def test_z11_matches_closed_forms(n):
         for k in range(n + 1)
     )
     assert partition_function(n).evaluate(1, 1) == everything
+    if n == 7:
+        assert (planar.evaluate(1, 1), everything) == (613_470, 5_318_742)
