@@ -14,10 +14,10 @@ flags without rooting any.
 
 ``enumerate_spanning_trees`` reads the trees off the graph's frontier DAG
 (Sekine, Imai and Tani, ISAAC 1995), whose levels follow ``_pivot_order``,
-the min-frontier order that delcon pivots in. The DAG has no dead branch,
-and each node's bit-planes are built once, bottom-up, for all the trees
-below it; they become flag bytes one block of at most ``TREE_CHUNK`` trees
-at a time. The trees come in lexicographic order along ``_pivot_order``.
+the min-frontier order that delcon pivots in; a node labels the frontier's
+vertices by component. Each node's bit-planes are built once, bottom-up,
+and each block of at most ``TREE_CHUNK`` trees becomes one buffer of flag
+bytes, a slice per tree, in lexicographic order along ``_pivot_order``.
 
 ``_tree_flags`` is one iterative backtracking walk over the subsets of
 non-loop edges, the plain form of the backtracking of Gabow and Myers,
@@ -266,6 +266,16 @@ def _pivot_order(graph: Multigraph) -> list:
 _FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
+def _next_node(part: list, keep: list, gone: list, nxt: dict) -> int:
+    """The node in ``nxt`` for ``part``, the slots' component labels once an
+    edge is decided: the labels at ``keep`` renumbered by first appearance;
+    -1 if a component has slots only in ``gone`` and is not the only one."""
+    kept, first = [part[k] for k in keep], {}
+    if gone and len(set(part)) > 1 and not {part[k] for k in gone} <= set(kept):
+        return -1
+    return nxt.setdefault(tuple([first.setdefault(c, len(first)) for c in kept]), len(nxt))
+
+
 def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
     """Yield every spanning tree exactly once, read off the graph's frontier
     DAG in lexicographic order along ``_pivot_order``: tree A comes before
@@ -275,69 +285,74 @@ def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
     graph raises ``GraphError``.
 
     Level i of the DAG decides the i-th edge of ``_pivot_order`` (Sekine,
-    Imai and Tani, ISAAC 1995; Knuth, TAOCP 4A, 7.1.4). A node is the
-    partition of the frontier, the vertices with an edge decided and one
-    still to come, into the components of the edges taken. Taking the edge
-    is refused when it closes a cycle, so a loop is never taken; a vertex
-    leaves after its last edge, and a component left with no frontier
-    vertex must be the only one, at the end. So the paths to the end are
-    exactly the spanning trees. Every path below a node carries the same
-    edge bits, so a node of at most ``TREE_CHUNK`` trees gets its planes
-    (``activity._planes``' lane masks) once, bottom-up: its hi child's
-    lanes, then its lo child's shifted past them, with its own edge on the
-    hi lanes. Only the level below and the blocks, the small nodes under a
-    larger one, keep their planes, so memory holds the DAG, the blocks'
-    planes and one block's flags. A walk down the larger nodes reaches the blocks in order, hi
-    before lo, and each block becomes flag bytes with one strided slice
-    assignment per edge position. Blocks are not packed into fuller chunks:
-    each held 987 to 4,052 trees on the ``trees`` benchmark graphs, grids
-    4x4 and 4x5, K7 and K8.
+    Imai and Tani, ISAAC 1995; Knuth, TAOCP 4A, 7.1.4). A node is a tuple
+    of component labels over the level's frontier slots, the vertices with
+    an edge decided and one still to come; each level works out once which
+    slots the edge's ends hold, which vertices enter and which leave.
+    Taking the edge is refused when it closes a cycle, and a component left
+    with no frontier vertex must be the only one (``_next_node``), so the
+    paths to the end are exactly the spanning trees. A node of at most
+    ``TREE_CHUNK`` trees gets its planes (``activity._planes``' lane masks)
+    once, bottom-up: its hi child's lanes, then its lo child's shifted past
+    them, its own edge on the hi lanes. Listed from the last level up, a
+    one-child node's planes extend its child's list unless another node
+    has, so a path costs linear time. A walk down the larger nodes, hi
+    before lo, reaches the blocks, the small nodes under them; each becomes
+    one immutable buffer of flag bytes, filled by one strided slice per
+    edge position, and each tree's flags are one slice of it. Blocks are
+    not packed into fuller chunks: each held 987 to 4,052 trees on the
+    ``trees`` benchmark graphs, grids 4x4 and 4x5, K7 and K8.
     """
     if not graph.is_connected():
         raise GraphError("spanning trees need a connected graph")
     ends = graph._numbered_ends()
     pool = _pivot_order(graph)
+    n = len(pool)
     last = {w: i for i, p in enumerate(pool) for w in ends[p]}
-    layers, level = [], {frozenset(): 0}  # each node's [hi, lo]; -1 is "no node"
-    for i, p in enumerate(pool):
+    front, layers, level = [], [], {(): 0}  # slot vertices; each node's [hi, lo], -1 no node
+    for i, (u, v) in enumerate(map(ends.__getitem__, pool)):
+        slots = front + [w for w in {u: 0, v: 0} if w not in front]
+        fresh = tuple(range(len(front), len(slots)))  # past every label in use
+        su, sv = slots.index(u), slots.index(v)
+        keep = [k for k, w in enumerate(slots) if last[w] > i]
+        gone = [k for k in {su: 0, sv: 0} if last[slots[k]] == i]  # only ends leave
+        front = [slots[k] for k in keep]
         nxt, nodes = {}, []
-        for state in level:  # the frontier's components, as vertex sets
-            cu, cv = (next((c for c in state if w in c), frozenset([w])) for w in ends[p])
-            # hi takes the edge unless it closes a cycle, lo leaves it; then
-            # the leaving vertices go, and a component left with no frontier
-            # vertex must be the only one
-            nodes.append([-1 if not part or frozenset() in kept and len(part) > 1
-                          else nxt.setdefault(kept, len(nxt))
-                          for part in (cu != cv and state - {cu, cv} | {cu | cv}, state | {cu, cv})
-                          for kept in [part and frozenset(
-                              frozenset(w for w in c if last[w] > i) for c in part)]])
+        for state in level:
+            lo = state + fresh  # lo leaves the edge; hi takes it unless it closes a cycle
+            a, b = lo[su], lo[sv]
+            nodes.append([_next_node([a if c == b else c for c in lo], keep, gone, nxt)
+                          if a != b else -1, _next_node(lo, keep, gone, nxt)])
         layers.append(nodes)
         level = nxt
     # bottom-up, each node as (trees, planes) if it has at most TREE_CHUNK
     # trees, else (trees, None, hi, lo); no plane of a node with no tree is read
     below = [(1, []), (0, [])]  # the end, with one tree, and "no node"
-    for i in reversed(range(len(pool))):
-        nodes = []
+    for i in reversed(range(n)):
+        d, nodes = n - 1 - i, []  # d planes below level i
         for hi, lo in layers[i]:
             (ch, hp, *_), (cl, lp, *_) = below[hi], below[lo]
-            nodes.append((ch + cl, None, below[hi], below[lo]) if ch + cl > TREE_CHUNK
-                         else (ch + cl, [(1 << ch) - 1, *(  # a child with no tree adds no lane
-                             [a | b << ch for a, b in zip(hp, lp)] if ch and cl else hp if ch else lp)]))
+            if ch + cl <= TREE_CHUNK:  # one child: its list, shared unless extended
+                planes = [a | b << ch for a, b in zip(hp[:d], lp)] if ch and cl else hp if ch else lp
+                planes = planes if len(planes) == d else planes[:d]
+                planes.append((1 << ch) - 1)  # a child with no tree adds no lane
+            nodes.append((ch + cl, planes) if ch + cl <= TREE_CHUNK else (ch + cl, None, below[hi], below[lo]))
         below = nodes + [(0, [])]
-    ne = len(ends)
-    stack = [(0, below[0], bytes(ne))]  # (level, node, the flags of the edges taken above)
+    new = SpanningTree.__new__
+    stack = [(0, below[0], bytes(n))]  # (level, node, the flags of the edges taken above)
     while stack:  # down the larger nodes, hi before lo, to the blocks
         i, (c, planes, *kids), taken = stack.pop()
         if kids:
             p = pool[i]
             stack += [(i + 1, kids[1], taken), (i + 1, kids[0], taken[:p] + b"\1" + taken[p + 1:])]
         elif c:
-            flat = bytearray(taken * c)  # tree j of the block is row c - 1 - j
-            for p, plane in zip(pool[i:], planes):
-                flat[p::ne] = format(plane, f"0{c}b").encode().translate(_FLAG_BYTES)
-            for r in reversed(range(c)):
-                st = SpanningTree.__new__(SpanningTree)  # spanning by construction
-                st.parent, st.flags, st._internal = graph, bytes(flat[r * ne:r * ne + ne]), None
+            flat, lanes = bytearray(taken * c), f"0{c}b"  # tree j of the block is row c - 1 - j
+            for p, plane in zip(pool[i:], reversed(planes[:n - i])):
+                flat[p::n] = format(plane, lanes).encode().translate(_FLAG_BYTES)
+            flat = bytes(flat)
+            for r in range(c * n - n, -1, -n or -1):  # no edge: one tree, r = 0
+                st = new(SpanningTree)  # spanning by construction
+                st.parent, st.flags, st._internal = graph, flat[r:r + n], None
                 yield st
 
 

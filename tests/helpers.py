@@ -281,6 +281,44 @@ def matrix_tree_count(g: Multigraph) -> int:
     return bareiss_det(minor)
 
 
+def proper_colourings(g: Multigraph, q: int) -> int:
+    """The number of proper colourings of g's vertices with q colours, by
+    backtracking over the vertices in breadth-first order; it reads only
+    the vertex list and each edge's endpoints. A loop joins a vertex to
+    itself, so it makes the count 0. Parallel edges forbid one pair of
+    colours just as a single edge does, so the count sees them once. For a
+    connected g this is the chromatic polynomial, (-1)^(|V|-1) q T(1-q, 0)
+    (Tutte, Canad. J. Math. 6 (1954))."""
+    adj: dict = {v: set() for v in g.vertices}
+    for e in g.edge_ids:
+        u, v = g.endpoints(e)
+        if u == v:
+            return 0
+        adj[u].add(v)
+        adj[v].add(u)
+    order: list = []
+    for root in adj:
+        if root not in order:
+            order.append(root)
+            for v in order:  # the list grows as the search reaches new vertices
+                order += [w for w in adj[v] if w not in order]
+    colour: dict = {}
+
+    def extend(i: int) -> int:
+        if i == len(order):
+            return 1
+        v, total = order[i], 0
+        used = {colour[w] for w in adj[v] if w in colour}
+        for c in range(q):
+            if c not in used:
+                colour[v] = c
+                total += extend(i + 1)
+        colour.pop(v, None)
+        return total
+
+    return extend(0)
+
+
 # -- graph minor and isomorphism oracles ---------------------------------------
 # A graph is an edge dict, id -> (u, v); only connected graphs with an edge
 # are compared, so no vertex is isolated and the edges name every vertex.

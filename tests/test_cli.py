@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuttemap import BivariatePolynomial, CombinatorialMap, enumerate_rooted_maps
-from tuttemap import activity, cli, cmap, engines, mapenum
+from tuttemap import activity, cli, cmap, engines, mapenum, spanning
 from tuttemap.cli import METHODS, main
 from tuttemap.engines import MAX_EXPANSION_EDGES
 from tuttemap.mapenum import MAX_CENSUS_EDGES, MAX_WORD_STATES
@@ -631,6 +631,52 @@ def test_check_counts_the_walks_trees(capsys, monkeypatch, tmp_path):
     assert code == 2
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL: T(1,1) equals the spanning tree count (T(1,1)=16, Kirchhoff=16, trees=15)"]
+
+
+def test_check_exits_2_when_the_dag_keeps_a_component_that_left(capsys, monkeypatch, tmp_path):
+    # the DAG keeps a node whose component left the frontier while others
+    # remain, so it yields forests: the embedding route's tour kernel stops
+    # on the first one before any row is reported
+    real = spanning._next_node
+    monkeypatch.setattr(spanning, "_next_node",
+                        lambda part, keep, gone, nxt: real(part, keep, [], nxt))
+    path = tmp_path / "k4.g"
+    path.write_text(K4_TEXT)
+    code, out, err = run(capsys, "check", "--graph", str(path), "--trials", "2")
+    assert code == 2 and out == ""
+    assert err == "internal invariant violation: tour closed after 9 of 12 half-edges\n"
+
+
+# K4 less the edge 2-3
+DIAMOND_TEXT = "v 1\nv 2\nv 3\nv 4\ne a 1 2\ne b 1 3\ne c 1 4\ne d 2 4\ne e 3 4\n"
+
+
+def test_check_sees_two_frontier_partitions_share_a_dag_node(capsys, monkeypatch, tmp_path):
+    # sorting the renumbered labels gives the diamond's frontier partitions
+    # {1 3}{4} and {1 4}{3} one node: the DAG yields only spanning trees,
+    # but too few, so the rows that sum them fail
+    real = spanning._next_node
+
+    def colliding(part, keep, gone, nxt):
+        keys: dict = {}
+        if real(part, keep, gone, keys) < 0:
+            return -1
+        (key,) = keys
+        return nxt.setdefault(tuple(sorted(key)), len(nxt))
+
+    monkeypatch.setattr(spanning, "_next_node", colliding)
+    path = tmp_path / "diamond.g"
+    path.write_text(DIAMOND_TEXT)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
+    assert code == 2
+    assert [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: five evaluator methods agree",
+        "FAIL: embedding independence over 2 random rooted embeddings",
+        "FAIL: order independence over 2 random edge orders"]
+    assert "order=2 x^2 + x + x y + y + y^2 /" in out
+    monkeypatch.setattr(spanning, "_next_node", real)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
+    assert code == 0 and out.endswith("all checks passed\n")
 
 
 def test_check_exits_2_on_a_broken_tour(capsys, monkeypatch, k3_file):

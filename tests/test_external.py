@@ -1,6 +1,6 @@
-"""Checks against code outside the package: networkx's Tutte polynomial as
-an oracle for all five routes, and the standard library as the runtime's
-only dependency."""
+"""Checks against code outside the package: networkx's Tutte polynomial and
+a backtracking count of proper colourings as oracles for all five routes,
+and the standard library as the runtime's only dependency."""
 
 import ast
 import sys
@@ -12,6 +12,8 @@ import sympy
 
 import tuttemap
 from tuttemap import Multigraph, cross_check, embed
+
+from helpers import connected_multigraphs, proper_colourings
 
 X, Y = sympy.symbols("x y")
 
@@ -27,22 +29,56 @@ def _loop_pair_isthmus() -> nx.MultiGraph:
     return g
 
 
-@pytest.mark.parametrize("make", [
+CORPUS = pytest.mark.parametrize("make", [
     lambda: nx.complete_graph(4),
     _loop_pair_isthmus,
     lambda: nx.wheel_graph(6),
     nx.petersen_graph,
 ], ids=["K4", "loop-pair-isthmus", "W5", "Petersen"])
+
+
+def _every_route(graph: Multigraph) -> dict:
+    """Each route's polynomial; an edgeless graph has no embedding."""
+    return cross_check(graph, [embed(graph)] if graph.edge_count else [], [graph.edge_ids])
+
+
+@CORPUS
 def test_every_route_matches_networkx(make):
     g = make()
     expected = {m: int(c) for m, c in
                 sympy.Poly(nx.tutte_polynomial(g), X, Y).terms()}
     graph = _multigraph_of(g)
-    polys = cross_check(graph, [embed(graph)], [graph.edge_ids])
+    polys = _every_route(graph)
     assert sorted(polys) == ["delcon", "embedding[0]", "expansion", "order[0]",
                              "recursive[0]"]
     for label, poly in polys.items():
         assert poly.terms() == expected, label
+
+
+def _assert_colourings(graph: Multigraph, polys: dict) -> None:
+    # P(q) = (-1)^(|V|-1) q T(1-q, 0) on a connected graph
+    sign = (-1) ** (graph.vertex_count - 1)
+    for q in (3, 4):
+        want = proper_colourings(graph, q)
+        for label, poly in polys.items():
+            assert sign * q * poly.evaluate(1 - q, 0) == want, (label, q)
+
+
+@CORPUS
+def test_every_route_counts_proper_colourings(make):
+    graph = _multigraph_of(make())
+    _assert_colourings(graph, _every_route(graph))
+
+
+def test_every_route_counts_proper_colourings_on_small_multigraphs():
+    # 954 graphs on at most 4 vertices and 5 edges: loops (P = 0), parallel
+    # edges, and the edgeless one-vertex graph, where only the graph routes run
+    graphs = list(connected_multigraphs(4, 5))
+    assert len(graphs) == 954
+    for graph in graphs:
+        polys = _every_route(graph)
+        assert len(polys) == (5 if graph.edge_count else 3)
+        _assert_colourings(graph, polys)
 
 
 def test_runtime_imports_only_the_standard_library():

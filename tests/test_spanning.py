@@ -301,6 +301,21 @@ def test_frontier_dag_gives_the_walks_trees(g):
         assert in_pivot_order(g, trees)
 
 
+def test_frontier_dag_on_every_small_multigraph(monkeypatch):
+    # every connected multigraph on at most 4 vertices with at most 6 edges:
+    # loops, parallel edges and one-vertex graphs; blocks of at most 3 trees
+    # send the walk down the DAG's larger nodes
+    graphs = list(connected_multigraphs(4, 6))
+    assert len(graphs) == 3181
+    walks = [sorted(_tree_flags(g.vertex_count, g._numbered_ends())) for g in graphs]
+    for chunk in (spanning.TREE_CHUNK, 3):
+        monkeypatch.setattr(spanning, "TREE_CHUNK", chunk)
+        for g, walk in zip(graphs, walks):
+            trees = list(enumerate_spanning_trees(g))
+            assert sorted(t.flags for t in trees) == walk
+            assert in_pivot_order(g, trees)
+
+
 @pytest.mark.parametrize("vertices, edges", [
     ([1, 2], {}),
     ([1, 2], {"l": (1, 1), "m": (2, 2)}),
