@@ -18,7 +18,8 @@ x^|I| y^|E| over trees; the single-tree ``order_activities`` and
 ``embedding_activities`` apply the same kernels to one tree. Each route
 also has a batch kernel over many trees (below), a function from a
 chunk's planes (``_planes``) and lane mask ``full`` to lane masks, counted
-by ``_lane_sum``; the two share only ``_reach`` and ``_by_count``.
+by ``_lane_sum``; the two share only ``_reach``, ``_by_count`` and the
+lane gate ``_require_trees``.
 
 The order kernel (``_order_kernel``) hangs the tree from vertex 0, giving
 each vertex the bitmask of its tree path to the root; an external edge's
@@ -54,17 +55,17 @@ inside a class). Both facts are then one lane-wise reachability question
 in the lanes of its plane. ``_lane_sum`` counts x^|I| y^|E| over the
 lanes with bit-sliced counters (``_by_count``), beside ``_activity_sum``.
 
-The tour kernel (``_scan``) reads both off one scan of the tour. The two
-half-edges of each tree edge nest there like parentheses (Bernardi, EJC 14
-(2007) R9), and an edge ranks by the step that opens it. An external
-edge's cycle is the tree edges open at exactly one of its two steps, and a
-tree edge's cocycle the external edges with exactly one step inside its
-span. So an external edge is active iff every tree edge open when it opens
-is still open when it closes, and a tree edge iff no external edge opened
-before it closes inside its span. The kernel needs only the rotation, the
-root and the edge position of each half-edge, so the map census runs it on
-bare first-visit rotations, where half-edge h lies on edge h >> 1;
-``_tour_args`` gives the three of a rooted ``CombinatorialMap``.
+The tour kernel (``_scan``) reads both off the tour that ``_tour`` walks.
+The two half-edges of each tree edge nest there like parentheses
+(Bernardi, EJC 14 (2007) R9), and an edge ranks by the step that opens it.
+An external edge's cycle is the tree edges open at exactly one of its two
+steps, and a tree edge's cocycle the external edges with exactly one step
+inside its span. So an external edge is active iff every tree edge open
+when it opens is still open when it closes, and a tree edge iff no
+external edge opened before it closes inside its span. The kernel needs
+only the rotation, the root and the edge position of each half-edge, so
+the map census runs it on bare first-visit rotations, where half-edge h
+lies on edge h >> 1; ``_tour_args`` gives the three of a rooted map.
 
 The batch tour kernel (``_tour_batch``) decides a chunk of trees on the
 same lanes and walks no tour. Let r be the root's vertex. A vertex lies
@@ -104,10 +105,8 @@ points toward y in the lanes where its branch holds y. With one "seen"
 mask per direction, the pass marks where u comes after r, v after u and r
 after v. Of three distinct slots in a cycle, exactly two of these hold iff
 the order is (r, u, v), else exactly one. w is the median in the lanes
-where no two directions share a half-edge. A lane is a spanning tree iff
-it holds |V| - 1 edges (``_by_count``) and r reaches every vertex (one
-``_reach``); the kernel raises ``MotionNotCyclicError`` otherwise, as
-``_scan`` does.
+where no two directions share a half-edge. A lane that marks no spanning
+tree raises ``MotionNotCyclicError`` (``_require_trees``), as in ``_scan``.
 
 The erase check (``_erase_walk``) tests the fact the tour order rests on:
 deleting an external edge k, or contracting a tree edge k, erases exactly
@@ -205,11 +204,13 @@ def _order_kernel(ends: list, nv: int, ranked: list[int]):
     """The order kernel of ``_order_args``' graph and order: a function
     from the flags of a tree to its internal- and external-active edge
     positions, each edge decided from its definition in rank order (see
-    the module docstring)."""
+    the module docstring). Flags of no spanning tree raise RuntimeError."""
     inc = _incidence(ends, nv)
 
     def kernel(flags) -> tuple[list, list]:
         paths = _root_paths(inc, flags)
+        if sum(flags) != nv - 1 or -1 in paths:
+            raise RuntimeError(f"flags {list(flags)} mark no spanning tree")
         covered = 0  # the tree edges on the cycles of the lower external edges
         lower = 0  # the lower tree edges
         internal, external = [], []
@@ -260,13 +261,27 @@ def _reach(n: int, s: int, lanes: int, edges: list) -> list[int]:
     return reach
 
 
+def _require_trees(planes: list, full: int, nv: int, links: list, error: type) -> None:
+    """Raise ``error`` on the first lane of ``full`` that is no spanning
+    tree: it holds other than |V| - 1 edges (``_by_count``), or its edges of
+    ``links`` (non-loop, as (end, end, position)) leave a vertex unreached."""
+    ok = _by_count(planes, full).get(nv - 1, 0)
+    for lanes in _reach(nv, 0, full, [(a, b, planes[p]) for a, b, p in links]):
+        ok &= lanes
+    if ok != full:
+        bad = full ^ ok
+        raise error(f"tree {(bad & -bad).bit_length() - 1} of the chunk is no spanning tree")
+
+
 def _order_batch(ends: list, nv: int, ranked: list[int]):
     """The order kernel over many trees at once: a function from a chunk's
     planes and lane mask to two lists, by edge position, of lane masks. Bit
     i of ``internal[p]`` (of ``external[p]``) is set iff edge p is
     internally (externally) active in tree i of the chunk. Each edge is
     decided from the two connectivity facts of the module docstring, with
-    the edges ranked below it contracted once here, for every chunk."""
+    the edges ranked below it contracted once here, for every chunk. A lane
+    of no spanning tree raises RuntimeError."""
+    links = [(u, v, p) for p, (u, v) in enumerate(ends) if u != v]
     cls = list(range(nv))  # each vertex's class once the lower edges contract
     steps = []
     for r, p in enumerate(ranked):
@@ -278,6 +293,7 @@ def _order_batch(ends: list, nv: int, ranked: list[int]):
         cls = [cv if c == cu else c for c in cls]
 
     def batch(planes: list, full: int) -> tuple[list, list]:
+        _require_trees(planes, full, nv, links, RuntimeError)
         internal, external = [0] * len(planes), [0] * len(planes)
         for p, u, v, cu, cv, above, merged in steps:
             tree = planes[p]
@@ -311,7 +327,7 @@ def _tour(sigma: Sequence[int], start: int, he_pos: list[int], flags) -> list[in
     h = start
     for _ in range(n):
         seq.append(h)
-        h = sigma[h ^ 1] if flags[he_pos[h]] else sigma[h]
+        h = sigma[h ^ flags[he_pos[h]]]  # flags hold 0 or 1
         if h == start:
             break
     if h != start or len(seq) != n:
@@ -323,13 +339,11 @@ def _scan(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
     """The tour kernel of the rotation ``sigma`` rooted at ``root``, whose
     half-edge h lies on the edge at position ``he_pos[h]``: a function from
     the flags of a tree to its internal- and external-active edge
-    positions, ranked by its tour (see the module docstring). Each stack
-    frame holds an open tree edge and the earliest opening step of an
-    external edge that closed inside it. The tour must return to the root
-    after exactly n steps and close each tree edge on top of the stack, or
-    the flags mark no spanning tree."""
+    positions, read off ``_tour``'s walk, whose index is the step (see the
+    module docstring). Each stack frame holds an open tree edge and the
+    earliest opening step of an external edge that closed inside it. A tree
+    edge must close on top of the stack, or the flags mark no spanning tree."""
     n = len(sigma)
-    cross = [sigma[h ^ 1] for h in range(n)]  # the successor across an edge
     ne = n >> 1
 
     def scan(flags) -> tuple[list, list]:
@@ -337,9 +351,7 @@ def _scan(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
         below = [0] * ne  # an external edge's top frame when it opened
         stack, low = [ne], [n]  # ne is a sentinel frame that never closes
         internal, external = [], []
-        h = root
-        t = 0
-        while True:
+        for t, h in enumerate(_tour(sigma, root, he_pos, flags)):
             p = he_pos[h]
             s = opened[p]
             if flags[p]:
@@ -358,22 +370,14 @@ def _scan(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
                         internal.append(p)
                     elif first < low[-1]:
                         low[-1] = first
-                h = cross[h]
+            elif s < 0:
+                opened[p] = t
+                below[p] = stack[-1]
             else:
-                if s < 0:
-                    opened[p] = t
-                    below[p] = stack[-1]
-                else:
-                    if opened[below[p]] < n:
-                        external.append(p)
-                    if s < low[-1]:
-                        low[-1] = s
-                h = sigma[h]
-            t += 1
-            if h == root:
-                break
-        if t != n:
-            raise MotionNotCyclicError(f"tour closed after {t} of {n} half-edges")
+                if opened[below[p]] < n:
+                    external.append(p)
+                if s < low[-1]:
+                    low[-1] = s
         return internal, external
 
     return scan
@@ -399,13 +403,7 @@ def _tour_batch(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
     away = [[(a, b, p) for a, b, p in links if w not in (a, b)] for w in range(nv)]
 
     def batch(planes: list, full: int) -> tuple[list, list]:
-        ok = _by_count(planes, full).get(nv - 1, 0)  # |V| - 1 edges, joined to r
-        for lanes in _reach(nv, rv, full, [(a, b, planes[p]) for a, b, p in links]):
-            ok &= lanes
-        if ok != full:
-            bad = full ^ ok
-            raise MotionNotCyclicError(
-                f"tree {(bad & -bad).bit_length() - 1} of the chunk is no spanning tree")
+        _require_trees(planes, full, nv, links, MotionNotCyclicError)
         branch = [[0] * nv] * n  # fact 1; no branch lies behind a loop
         below = {}  # by even half-edge: the lanes where y lies below its edge
         edges = [[(a, b, planes[p]) for a, b, p in away_w] for away_w in away]

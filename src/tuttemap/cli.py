@@ -5,13 +5,14 @@ failure, violated precondition) or when a resource limit is reached (memory
 or Python's recursion depth runs out; no evaluator recurses, and ``check``'s
 isomorphism guard, which recurses once per vertex, runs only within the
 expansion's edge bound, so the depth is only guarded), 2 when an internal
-invariant breaks (a non-cyclic tour, or evaluators that should agree but do
-not).
+invariant breaks (a non-cyclic tour, a drawn edge set that is no spanning
+tree, or evaluators that should agree but do not).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -262,6 +263,7 @@ def _cmd_check(args) -> int:
     return 2 if failures else 0
 
 
+@functools.cache  # built on first use, then shared: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tuttemap",
@@ -335,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as ex:
         # argparse exits 2 on usage errors; those are input errors here
         return 0 if not ex.code else 1

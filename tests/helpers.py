@@ -319,6 +319,93 @@ def proper_colourings(g: Multigraph, q: int) -> int:
     return extend(0)
 
 
+def _numbered_arcs(g: Multigraph) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count, and each edge's ends as vertex list indices, in
+    edge id order."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return len(index), [tuple(index[w] for w in g.endpoints(e)) for e in g.edge_ids]
+
+
+def _orientations(g: Multigraph):
+    """The vertex count and all 2^|E| orientations of g, each as a list of
+    (tail, head) arcs; a loop's two orientations are the same arc."""
+    nv, ends = _numbered_arcs(g)
+    for flips in itertools.product((False, True), repeat=len(ends)):
+        yield nv, [(v, u) if flip else (u, v) for (u, v), flip in zip(ends, flips)]
+
+
+def _reaches_all(nv: int, arcs: list) -> bool:
+    """True iff vertex 0 reaches every vertex along the arcs."""
+    out: list = [[] for _ in range(nv)]
+    for u, v in arcs:
+        out[u].append(v)
+    seen = [False] * nv
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for w in out[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return all(seen)
+
+
+def acyclic_orientations(g: Multigraph) -> int:
+    """The number of orientations of g's edges with no directed cycle,
+    trying all 2^|E| of them and peeling off sources until none is left. A
+    loop is a directed cycle either way round, so it makes the count 0.
+    Parallel edges are oriented one by one, and two of them pointing
+    opposite ways close a cycle. For a connected g this is T(2, 0)
+    (Stanley, Discrete Math. 5 (1973))."""
+    count = 0
+    for nv, arcs in _orientations(g):
+        indegree = [0] * nv
+        out: list = [[] for _ in range(nv)]
+        for u, v in arcs:
+            indegree[v] += 1
+            out[u].append(v)
+        sources = [v for v in range(nv) if not indegree[v]]
+        for u in sources:  # the list grows as peeling frees new sources
+            for v in out[u]:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    sources.append(v)
+        count += len(sources) == nv
+    return count
+
+
+def totally_cyclic_orientations(g: Multigraph) -> int:
+    """The number of orientations of a connected g's edges in which every
+    edge lies on a directed cycle, trying all 2^|E| of them: those in
+    which vertex 0 reaches every vertex and every vertex reaches it. A loop
+    is a directed cycle either way round, so each loop doubles the count; a
+    bridge lies on no cycle, so it makes the count 0. Parallel edges are
+    oriented one by one, and two of them pointing opposite ways make a
+    cycle. This is T(0, 2) (Las Vergnas, J. Combin. Theory B 29 (1980))."""
+    return sum(_reaches_all(nv, arcs) and _reaches_all(nv, [(v, u) for u, v in arcs])
+               for nv, arcs in _orientations(g))
+
+
+def nowhere_zero_flows(g: Multigraph, q: int) -> int:
+    """The number of nowhere-zero Z_q flows on g, trying all (q - 1)^|E|
+    assignments: each edge, oriented from its first end to its second,
+    carries a value in 1..q-1, and at every vertex the values in and out
+    balance mod q. A loop leaves its vertex where it enters, so any value
+    balances: a factor q - 1. A bridge would carry the net flow of the side
+    it cuts off, which is 0, so it makes the count 0. Parallel edges carry
+    values of their own. For a connected g this is
+    (-1)^(|E|-|V|+1) T(0, 1-q) (Tutte, Canad. J. Math. 6 (1954))."""
+    nv, ends = _numbered_arcs(g)
+    count = 0
+    for values in itertools.product(range(1, q), repeat=len(ends)):
+        net = [0] * nv
+        for (u, v), x in zip(ends, values):
+            net[u] += x
+            net[v] -= x
+        count += all(n % q == 0 for n in net)
+    return count
+
+
 # -- graph minor and isomorphism oracles ---------------------------------------
 # A graph is an edge dict, id -> (u, v); only connected graphs with an edge
 # are compared, so no vertex is isolated and the edges name every vertex.

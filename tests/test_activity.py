@@ -31,6 +31,8 @@ from tuttemap import (
 from tuttemap import activity, engines
 from tuttemap.activity import (_erase_walk, _lane_sum, _order_args, _order_batch,
                                _order_kernel, _planes, _tour_args, _tour_batch)
+from tuttemap.mapenum import _census_ends, _census_sigmas
+from tuttemap.spanning import _tree_flags
 
 from helpers import (
     TORUS_TREE,
@@ -661,6 +663,57 @@ def test_tour_batch_raises_on_every_edge_set_but_a_spanning_tree():
                         _batched(batch, chunk)
                     checked += 1
     assert checked > 500
+
+
+def test_order_kernels_raise_on_every_edge_set_but_a_spanning_tree():
+    # each edge set in lane 1, beside a spanning tree in lane 0: loops,
+    # parallel edges, too few or too many edges, and a vertex left out
+    checked = 0
+    for g in connected_multigraphs(3, 4):
+        args = _order_args(g, g.edge_ids)
+        kernel, batch = _order_kernel(*args), _order_batch(*args)
+        tree = next(enumerate_spanning_trees(g)).flags
+        for bits in itertools.product(b"\0\1", repeat=g.edge_count):
+            flags = bytes(bits)
+            chunk = [tree, flags]
+            subset = [e for e, f in zip(g.edge_ids, flags) if f]
+            if is_spanning_tree_subset(g, subset):
+                internal, external = _batched(batch, chunk)
+                assert (_lanes(internal, 1), _lanes(external, 1)) == tuple(
+                    sorted(a) for a in kernel(flags))
+            else:
+                with pytest.raises(RuntimeError, match="mark no spanning tree"):
+                    kernel(flags)
+                with pytest.raises(RuntimeError, match="tree 1 of the chunk"):
+                    _batched(batch, chunk)
+                checked += 1
+    assert checked > 500
+
+
+def test_planar_duality_swaps_each_trees_activities():
+    # the dual of a planar rooted map has rotation phi(h) = sigma(h ^ 1),
+    # the same edges and root, and a tree's complement is a tree of the
+    # dual with the same tour: its internal- and external-active edges
+    # swap (Bernardi, EJC 15 (2008) R109), tree by tree, for _scan and for
+    # _tour_batch's lanes
+    pairs = 0
+    for n in range(1, 6):
+        he_pos = [h >> 1 for h in range(2 * n)]
+        for sigma in _census_sigmas(n, 0):
+            phi = [sigma[h ^ 1] for h in range(2 * n)]
+            scan, dual_scan = activity._scan(sigma, 0, he_pos), activity._scan(phi, 0, he_pos)
+            trees = list(_tree_flags(*_census_ends(sigma)))
+            for flags in trees:
+                internal, external = scan(flags)
+                dual_internal, dual_external = dual_scan(bytes(1 - f for f in flags))
+                assert (sorted(dual_internal), sorted(dual_external)) == (
+                    sorted(external), sorted(internal))
+            planes, full = _planes(trees, n), (1 << len(trees)) - 1
+            internal, external = _tour_batch(sigma, 0, he_pos)(planes, full)
+            duals = _tour_batch(phi, 0, he_pos)([full ^ plane for plane in planes], full)
+            assert duals == (external, internal)
+            pairs += len(trees)
+    assert pairs == sum(C * D for C, D in ((1, 2), (2, 5), (5, 14), (14, 42), (42, 132)))
 
 
 @settings(max_examples=100)

@@ -52,6 +52,28 @@ def test_tutte_all_on_k3(capsys, k3_file):
     ]
 
 
+def test_parser_is_built_once(capsys, k3_file):
+    cli.build_parser.cache_clear()
+    for argv in (["tutte", "--graph", k3_file], ["zpoly", "--edges", "2"], ["zpoly"]):
+        main(argv)
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, k3_file):
+    # a usage error, --help and other options between two calls leave the
+    # later call's output byte-identical
+    first = run(capsys, "tutte", "--graph", k3_file)
+    assert first[0] == 0
+    assert run(capsys, "tutte", "--graph", k3_file, "--method", "nope")[0] == 1
+    assert run(capsys, "tutte", "--help")[0] == 0
+    assert run(capsys, "tutte", "--graph", k3_file, "--method", "order",
+               "--format", "json", "--root", "a")[0] == 0
+    assert run(capsys, "minor", "--map", k3_file, "--delete", "a", "--contract", "b")[0] == 1
+    assert run(capsys, "tutte", "--graph", k3_file) == first
+
+
 def test_tutte_single_method_round_trips(capsys, k3_file):
     code, out, _ = run(capsys, "tutte", "--graph", k3_file, "--method", "expansion")
     assert code == 0
@@ -633,18 +655,41 @@ def test_check_counts_the_walks_trees(capsys, monkeypatch, tmp_path):
         "FAIL: T(1,1) equals the spanning tree count (T(1,1)=16, Kirchhoff=16, trees=15)"]
 
 
-def test_check_exits_2_when_the_dag_keeps_a_component_that_left(capsys, monkeypatch, tmp_path):
+def _keep_components_that_left(monkeypatch):
     # the DAG keeps a node whose component left the frontier while others
-    # remain, so it yields forests: the embedding route's tour kernel stops
-    # on the first one before any row is reported
+    # remain, so it yields forests: 38 edge sets on K4, 22 of them forests
     real = spanning._next_node
     monkeypatch.setattr(spanning, "_next_node",
                         lambda part, keep, gone, nxt: real(part, keep, [], nxt))
+
+
+def test_check_exits_2_when_the_dag_keeps_a_component_that_left(capsys, monkeypatch, tmp_path):
+    # the order routes draw first, and their batch kernel stops on the
+    # first forest before any row is reported
+    _keep_components_that_left(monkeypatch)
     path = tmp_path / "k4.g"
     path.write_text(K4_TEXT)
     code, out, err = run(capsys, "check", "--graph", str(path), "--trials", "2")
     assert code == 2 and out == ""
-    assert err == "internal invariant violation: tour closed after 9 of 12 half-edges\n"
+    assert err == "internal invariant violation: tree 3 of the chunk is no spanning tree\n"
+
+
+@pytest.mark.parametrize("per_edge, message", [
+    (None, "tree 3 of the chunk is no spanning tree"),
+    (7, "flags [1, 1, 0, 0, 0, 0] mark no spanning tree"),
+], ids=["batch", "per-tree"])
+def test_order_route_refuses_a_forest(capsys, monkeypatch, tmp_path, per_edge, message):
+    # K4's 38 edge sets make one chunk: at least ORDER_BATCH_TREES_PER_EDGE
+    # = 4 per edge goes to the batch kernel, fewer than 7 to the per-tree
+    # one, and either refuses the first forest
+    _keep_components_that_left(monkeypatch)
+    if per_edge is not None:
+        monkeypatch.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", per_edge)
+    path = tmp_path / "k4.g"
+    path.write_text(K4_TEXT)
+    code, out, err = run(capsys, "tutte", "--graph", str(path), "--method", "order")
+    assert code == 2 and out == ""
+    assert err == f"internal invariant violation: {message}\n"
 
 
 # K4 less the edge 2-3
@@ -687,6 +732,26 @@ def test_check_exits_2_on_a_broken_tour(capsys, monkeypatch, k3_file):
     code, out, err = run(capsys, "check", "--graph", k3_file)
     assert code == 2 and out == ""
     assert "internal invariant violation: the tour closed early" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (K4_TEXT, "tour closed after 3 of 12 half-edges"),
+    (W9_TEXT, "tour closed after 4 of 36 half-edges"),
+], ids=["k4", "w9"])
+def test_check_exits_2_on_a_tour_that_steps_by_the_complement(
+        capsys, monkeypatch, tmp_path, text, message):
+    # _tour crosses at external edges and turns at tree edges. It is the
+    # one tour walk: K4's 16 trees go tree by tree to _scan, which reads it,
+    # and W9's 5,776 go to the batch kernel, so there the erase row's walk
+    # stops first
+    real = activity._tour
+    monkeypatch.setattr(activity, "_tour", lambda sigma, start, he_pos, flags: real(
+        sigma, start, he_pos, bytes(1 - f for f in flags)))
+    path = tmp_path / "g.g"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", "--graph", str(path), "--trials", "2")
+    assert code == 2 and out == ""
+    assert err == f"internal invariant violation: {message}\n"
 
 
 def test_check_fails_the_erase_row_on_a_mirrored_minor(capsys, monkeypatch, tmp_path):

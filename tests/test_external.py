@@ -1,6 +1,7 @@
-"""Checks against code outside the package: networkx's Tutte polynomial and
-a backtracking count of proper colourings as oracles for all five routes,
-and the standard library as the runtime's only dependency."""
+"""Checks against code outside the package: networkx's Tutte polynomial,
+and brute-force counts of proper colourings, acyclic and totally cyclic
+orientations and nowhere-zero flows, as oracles for all five routes; and
+the standard library as the runtime's only dependency."""
 
 import ast
 import sys
@@ -13,7 +14,8 @@ import sympy
 import tuttemap
 from tuttemap import Multigraph, cross_check, embed
 
-from helpers import connected_multigraphs, proper_colourings
+from helpers import (acyclic_orientations, connected_multigraphs, nowhere_zero_flows,
+                     proper_colourings, totally_cyclic_orientations)
 
 X, Y = sympy.symbols("x y")
 
@@ -79,6 +81,32 @@ def test_every_route_counts_proper_colourings_on_small_multigraphs():
         polys = _every_route(graph)
         assert len(polys) == (5 if graph.edge_count else 3)
         _assert_colourings(graph, polys)
+
+
+def _assert_orientations_and_flows(graph: Multigraph, polys: dict, qs=(3, 4)) -> None:
+    # T(2,0) acyclic and T(0,2) totally cyclic orientations, and
+    # F(q) = (-1)^(|E|-|V|+1) T(0, 1-q) nowhere-zero Z_q flows
+    acyclic, cyclic = acyclic_orientations(graph), totally_cyclic_orientations(graph)
+    sign = (-1) ** (graph.edge_count - graph.vertex_count + 1)
+    flows = {q: nowhere_zero_flows(graph, q) for q in qs}
+    for label, poly in polys.items():
+        assert poly.evaluate(2, 0) == acyclic, label
+        assert poly.evaluate(0, 2) == cyclic, label
+        for q, want in flows.items():
+            assert sign * poly.evaluate(0, 1 - q) == want, (label, q)
+
+
+@CORPUS
+def test_every_route_counts_orientations_and_flows(make):
+    # Z_4 flows try 3^|E| assignments, too many on Petersen's 15 edges
+    graph = _multigraph_of(make())
+    qs = (3, 4) if graph.edge_count <= 10 else (3,)
+    _assert_orientations_and_flows(graph, _every_route(graph), qs)
+
+
+def test_every_route_counts_orientations_and_flows_on_small_multigraphs():
+    for graph in connected_multigraphs(4, 5):
+        _assert_orientations_and_flows(graph, _every_route(graph))
 
 
 def test_runtime_imports_only_the_standard_library():
