@@ -63,9 +63,8 @@ steps, and a tree edge's cocycle the external edges with exactly one step
 inside its span. So an external edge is active iff every tree edge open
 when it opens is still open when it closes, and a tree edge iff no
 external edge opened before it closes inside its span. The kernel needs
-only the rotation, the root and the edge position of each half-edge, so
-the map census runs it on bare first-visit rotations, where half-edge h
-lies on edge h >> 1; ``_tour_args`` gives the three of a rooted map.
+only the rotation, the root and the edge position of each half-edge;
+``_tour_args`` gives the three of a rooted map.
 
 The batch tour kernel (``_tour_batch``) decides a chunk of trees on the
 same lanes and walks no tour. Let r be the root's vertex. A vertex lies

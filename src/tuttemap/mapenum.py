@@ -19,22 +19,20 @@ and the root is h0, so only the sigma cycles differ from map to map. Only
 rotations it keeps.
 
 ``partition_function`` sums x^|I| y^|E| over the (map, spanning tree)
-pairs by one of two routes that share no code:
-- For genus g >= 1, the census sum (``_census_sum``) runs on the bare
-  rotations: the tree walk (``spanning._tree_flags``) on the edge
-  endpoints numbered by rotation cycle, and the tour kernel
-  (``activity._scan``) on sigma with half-edge h on edge h >> 1.
-- For all genera and for genus 0, a transfer over tour words
-  (``_word_sum``) builds no map and walks no rotation or tree. A rooted map
-  with a spanning tree is its tour, read as a word of 2n steps: the tree
-  steps pair as nested parentheses and the external steps pair freely, or
-  also nested when the map is planar (Bernardi, Bijective counting of
-  tree-rooted maps and shuffles of parenthesis systems, EJC 14 (2007) R9).
-  ``_scan``'s two rules then read off the word: a tree step is active
-  unless an external step that opened before it closes inside its frame,
-  and an external step is active if the frame on top at its opening is
-  still open at its close. The transfer counts the prefixes of the words
-  by what those rules still need to know, one word position at a time.
+pairs by a transfer over tour words (``_word_sum``), which builds no map
+and walks no rotation or tree. A rooted map with a spanning tree is its
+tour, read as a word of 2n steps: the tree steps pair as nested
+parentheses and the external steps pair freely (Bernardi, Bijective
+counting of tree-rooted maps and shuffles of parenthesis systems, EJC 14
+(2007) R9). The tour kernel's two rules (``activity._scan``) then read off
+the word: a tree step is active unless an external step that opened before
+it closes inside its frame, and an external step is active if the frame on
+top at its opening is still open at its close. Contracting the tree keeps
+the faces and leaves one vertex whose rotation is the order of the
+external steps, so the map has the genus of the chord diagram that they
+form. The transfer counts the prefixes of the words by what the two rules
+and, for a genus, that diagram's faces still need, one word position at a
+time.
 """
 
 from __future__ import annotations
@@ -43,25 +41,22 @@ import json
 from collections import defaultdict
 from typing import Iterator
 
-from .activity import _activity_sum, _scan
-from .cmap import (CombinatorialMap, _cycle_labels, _cycles_text, _euler,
-                   _named_cycles)
-from .poly import BivariatePolynomial
-from .spanning import _tree_flags
+from .cmap import CombinatorialMap, _cycles_text, _euler, _named_cycles
+from .poly import ZERO, BivariatePolynomial
 
 __all__ = ["enumerate_rooted_maps", "census_document", "partition_function",
            "MAX_CENSUS_EDGES", "MAX_WORD_STATES"]
 
 # The census grows more than 10x per edge (8,162 maps at 5 edges, 110,410
-# at 6), and partition_function sums every spanning tree of every map of a
-# genus g >= 1; 5 edges already reach genus 2, which is all the desk-scale
-# demonstration needs.
+# at 6); 5 edges already reach genus 2, which is all the desk-scale listing
+# needs. partition_function walks no census and has no such bound.
 MAX_CENSUS_EDGES = 5
 
 # The tour-word sum keeps at most this many states per word position. The
 # widest position holds 17,872 states at 9 edges and 53,763 at 10 over all
-# genera (19,893 and 61,598 planar), so it sums up to 9 edges, in well
-# under a second.
+# genera, 19,893 and 61,598 for genus 0, and 11,353 at 7 edges and 50,409
+# at 8 for genus 1, so it sums all genera and genus 0 up to 9 edges, in
+# well under a second, and a genus g >= 1 up to 7.
 MAX_WORD_STATES = 2 ** 15
 
 
@@ -85,30 +80,28 @@ def _rooted_sigmas(n: int) -> Iterator[tuple[int, ...]]:
     return walk(0, 2)
 
 
+def _check_input(n: int, genus: int | None) -> None:
+    """Refuse an edge count or genus that no map has."""
+    if n < 1:
+        raise ValueError("a map census needs at least one edge")
+    if genus is not None and genus < 0:
+        raise ValueError("genus cannot be negative")
+
+
 def _census_sigmas(n: int, genus: int | None) -> Iterator[tuple[int, ...]]:
     """The rotations of the census maps with n edges and, when given, that
     genus (Euler characteristic 2 - 2*genus). The bounds are checked here,
     before the first rotation is made."""
-    if n < 1:
-        raise ValueError("a map census needs at least one edge")
     if n > MAX_CENSUS_EDGES:
         raise ValueError(
             f"census bound is {MAX_CENSUS_EDGES} edges"
             " (the census grows more than 10x per edge)"
         )
-    if genus is not None and genus < 0:
-        raise ValueError("genus cannot be negative")
+    _check_input(n, genus)
     if genus is None:
         return _rooted_sigmas(n)
     chi = 2 - 2 * genus
     return (s for s in _rooted_sigmas(n) if _euler(s) == chi)
-
-
-def _census_ends(sigma: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
-    """The vertex count of a census rotation and the endpoints of each edge
-    k (half-edges 2k and 2k+1), vertices numbered as cycles of sigma."""
-    vertex, nv = _cycle_labels(sigma)
-    return nv, list(zip(vertex[::2], vertex[1::2]))
 
 
 def enumerate_rooted_maps(n: int,
@@ -154,69 +147,76 @@ def census_document(n: int, genus: int | None, form: str) -> str:
                       indent=2, sort_keys=True).replace("null", ",\n    ".join(maps))
 
 
-def _census_sum(n: int, genus: int | None) -> BivariatePolynomial:
-    """The census sum of ``partition_function``, one monomial per (map,
-    spanning tree) pair, computed on the bare rotations (see the module
-    docstring)."""
-    sigmas = _census_sigmas(n, genus)
-    he_pos = [h >> 1 for h in range(2 * n)]
-
-    def pairs() -> Iterator[tuple]:
-        for sigma in sigmas:
-            kernel = _scan(sigma, 0, he_pos)
-            for flags in _tree_flags(*_census_ends(sigma)):
-                yield kernel(flags)
-
-    return _activity_sum(pairs())
-
-
-def _word_sum(n: int, planar: bool) -> BivariatePolynomial:
-    """The sum of ``partition_function`` over all genera, or over genus 0
-    when ``planar``, as a transfer over the positions of the tour words
-    (see the module docstring). A state is (depth, dead, opens, i, j),
-    counted with the number of word prefixes that reach it:
+def _word_sum(n: int, genus: int | None) -> BivariatePolynomial:
+    """The sum of ``partition_function`` over all genera, or over one genus,
+    as a transfer over the positions of the tour words (see the module
+    docstring). A state is (depth, dead, opens, paths, e, i, j), counted
+    with the number of word prefixes that reach it:
     - depth open tree steps stand as frames above the root's, which never
       closes; bit k of dead is set once an external step that opened
       before the frame at depth k has closed inside it;
     - opens holds 2m + alive for each open external step, where m is the
       lowest depth since it opened and alive says the frame on top at its
-      opening is still open. A planar word may close only its newest
-      external step, so it lists them newest first; any other word may
-      close any of them, so it keeps them sorted, largest first, and
-      states that differ only in their order merge;
+      opening is still open. Over all genera it is kept sorted, largest
+      first, and states that differ only in its order merge; for a genus
+      it lists the open steps newest first;
+    - for a genus, paths and e follow the faces of the chord diagram that
+      the external steps form. Head 0 is the word's start and head k + 1
+      the slot after opens[k]; end 0 is the frontier and end k + 1 is
+      opens[k]; paths[h] is the end that the partial face from head h
+      reaches. e counts the external closes less the faces closed, so it
+      never falls; m chords of genus g make m + 1 - 2g faces, the last of
+      which closes at the word's end, so a word of that genus ends with
+      e = 2g. Over all genera paths stays (0,) and e stays 0;
     - i and j count the active tree and external steps so far."""
-    level = {(0, 0, (), 0, 0): 1}
+    level = {(0, 0, (), (0,), 0, 0, 0): 1}
     for left in range(2 * n, 0, -1):  # the positions still to fill
         after = defaultdict(int)
-        for (d, dead, opens, i, j), w in level.items():
+        for (d, dead, opens, paths, e, i, j), w in level.items():
             if d + len(opens) + 2 <= left:  # an open leaves room to close all
-                after[d + 1, dead, opens, i, j] += w
-                after[d, dead, (2 * d + 1,) + opens, i, j] += w
+                after[d + 1, dead, opens, paths, e, i, j] += w
+                # the frontier's path ends at the new step, whose slot
+                # ends at the frontier
+                opened = paths if genus is None else (
+                    paths[0] + 1, 0, *(end + 1 for end in paths[1:]))
+                after[d, dead, (2 * d + 1,) + opens, opened, e, i, j] += w
             if d:  # the top frame closes, active unless dead; an external
                 # step whose lowest depth was d reaches d - 1, and the frame
                 # on top at its opening has closed by now
                 top, below = divmod(dead, 1 << d)
-                fallen = [e if e >> 1 < d else 2 * d - 2 for e in opens]
-                if not planar:
+                fallen = [o if o >> 1 < d else 2 * d - 2 for o in opens]
+                if genus is None:
                     fallen.sort(reverse=True)
-                after[d - 1, below, tuple(fallen), i + 1 - top, j] += w
-            for e in opens[:1] if planar else opens:
-                k = opens.index(e)
-                kill = (2 << d) - (2 << (e >> 1))  # the frames deeper than m
-                after[d, dead | kill, opens[:k] + opens[k + 1:], i, j + (e & 1)] += w
+                after[d - 1, below, tuple(fallen), paths, e, i + 1 - top, j] += w
+            for k, o in enumerate(opens):
+                ends, t = paths, 0
+                if genus is not None:
+                    t = paths[k + 1]  # the end of head k + 1's path
+                    if t and e == 2 * genus:  # it would close no face
+                        continue
+                    # head k + 1's path joins the frontier's, which now ends
+                    # at t, or closes a face when t is the frontier; the
+                    # path that reached opens[k] ends at the new frontier
+                    ends = tuple([0 if (u := x or t) == k + 1 else u - (u > k + 1)
+                                  for x in paths[:k + 1] + paths[k + 2:]])
+                kill = (2 << d) - (2 << (o >> 1))  # the frames deeper than m
+                after[d, dead | kill, opens[:k] + opens[k + 1:], ends, e + (t > 0),
+                      i, j + (o & 1)] += w
         if len(after) > MAX_WORD_STATES:
             raise ValueError(f"state budget is {MAX_WORD_STATES} per word position;"
                              f" {n} edges need {len(after)}")
         level = after
-    return BivariatePolynomial((key[3:], w) for key, w in level.items())
+    return BivariatePolynomial((key[5:], w) for key, w in level.items()
+                               if genus is None or key[4] == 2 * genus)
 
 
 def partition_function(n: int, genus: int | None = None) -> BivariatePolynomial:
     """Sum of the embedding-activity generating function over the rooted
     maps with n edges and, when given, that genus: one monomial per (map,
-    spanning tree) pair. All genera and genus 0 come from the tour words
-    (``_word_sum``), within MAX_WORD_STATES states per word position; genus
-    g >= 1 from the census (``_census_sum``), within MAX_CENSUS_EDGES."""
-    if n < 1 or genus not in (None, 0):
-        return _census_sum(n, genus)  # which also refuses a bad n or genus
-    return _word_sum(n, genus == 0)
+    spanning tree) pair, from the tour words (``_word_sum``) within
+    MAX_WORD_STATES states per word position. No map with n edges has a
+    genus above n / 2, so such a genus sums to 0 at once."""
+    _check_input(n, genus)
+    if genus is not None and 2 * genus > n:
+        return ZERO
+    return _word_sum(n, genus)

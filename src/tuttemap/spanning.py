@@ -26,12 +26,11 @@ when it joins two components of a union-find kept in int lists, and
 backtracking undoes the last union, so no state is copied and the walk
 adds no Python frame per edge. It yields the trees' flags in
 lexicographic order of the sorted edge-id sets. It needs only the vertex
-count and the endpoints of each edge position, so callers that number a
-graph themselves (the map census) run it with no ``Multigraph``; on the
-census's many tiny maps it beats building a DAG per map. ``check`` walks
-its erase row's trees with it, so that one enumeration the tree routes do
-not use counts them. ``kirchhoff_tree_count`` counts the same trees by the
-matrix-tree theorem, sharing no code with either enumeration.
+count and the endpoints of each edge position. Its one caller in the
+package is ``check``'s erase row, which walks its trees with it, so that
+one enumeration the tree routes do not use counts them.
+``kirchhoff_tree_count`` counts the same trees by the matrix-tree
+theorem, sharing no code with either enumeration.
 """
 
 from __future__ import annotations

@@ -18,7 +18,10 @@ import networkx as nx
 from hypothesis import strategies as st
 
 from tuttemap import CombinatorialMap, Multigraph, activity, embed
-from tuttemap.cmap import _graph_incidences
+from tuttemap.cmap import _cycle_labels, _graph_incidences
+from tuttemap.mapenum import _census_sigmas
+from tuttemap.poly import BivariatePolynomial
+from tuttemap.spanning import _tree_flags
 
 # -- worked-example fixtures -------------------------------------------------
 
@@ -513,6 +516,30 @@ def random_rooted_map(rng: random.Random, n_edges: int) -> CombinatorialMap:
         rng.shuffle(perm)
         if _transitive(tuple(perm)):
             return make_map(tuple(perm))
+
+
+def census_ends(sigma: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count of a census rotation and the endpoints of each edge
+    k (half-edges 2k and 2k+1), vertices numbered as cycles of sigma."""
+    vertex, nv = _cycle_labels(sigma)
+    return nv, list(zip(vertex[::2], vertex[1::2]))
+
+
+def census_sum(n_edges: int, genus: int | None) -> BivariatePolynomial:
+    """The activity sum over the census maps with n edges and, when given,
+    that genus, one (map, spanning tree) pair at a time on the bare
+    rotations: the backtracking tree walk on the edge endpoints, and the
+    tour kernel on sigma with half-edge h on edge h >> 1. It shares no code
+    with the tour-word transfer that ``partition_function`` runs."""
+    he_pos = [h >> 1 for h in range(2 * n_edges)]
+
+    def pairs():
+        for sigma in _census_sigmas(n_edges, genus):
+            kernel = activity._scan(sigma, 0, he_pos)
+            for flags in _tree_flags(*census_ends(sigma)):
+                yield kernel(flags)
+
+    return activity._activity_sum(pairs())
 
 
 def _matchings(points: list):

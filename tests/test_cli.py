@@ -10,7 +10,7 @@ from tuttemap import BivariatePolynomial, CombinatorialMap, enumerate_rooted_map
 from tuttemap import activity, cli, cmap, engines, mapenum, spanning
 from tuttemap.cli import METHODS, main
 from tuttemap.engines import MAX_EXPANSION_EDGES
-from tuttemap.mapenum import MAX_CENSUS_EDGES, MAX_WORD_STATES
+from tuttemap.mapenum import MAX_WORD_STATES
 
 from helpers import (ALPHA_DIAGNOSTICS, SINGLE_ISTHMUS_TEXT, SINGLE_LOOP_TEXT,
                      TORUS_MAP_TEXT)
@@ -227,12 +227,27 @@ def test_zpoly_over_the_state_budget_is_an_input_error(capsys):
     assert "invariant" not in err
 
 
-def test_zpoly_keeps_the_census_bound_for_a_genus(capsys):
-    code, out, err = run(capsys, "zpoly", "--edges", str(MAX_CENSUS_EDGES + 1),
-                         "--genus", "1")
+def test_zpoly_keeps_the_state_budget_for_a_genus(capsys):
+    # a genus comes from the tour words too, so it stops at the state
+    # budget, not at the census bound
+    code, out, err = run(capsys, "zpoly", "--edges", "6", "--genus", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert BivariatePolynomial.from_json_terms(json.loads(out)["z"]).evaluate(1, 1) == 152_460
+    code, out, err = run(capsys, "zpoly", "--edges", "8", "--genus", "1")
     assert (code, out) == (1, "")
-    assert err == (f"error: census bound is {MAX_CENSUS_EDGES} edges"
-                   " (the census grows more than 10x per edge)\n")
+    budget = f"error: state budget is {MAX_WORD_STATES} per word position; 8 edges need "
+    assert err.startswith(budget)
+    assert int(err[len(budget):]) > MAX_WORD_STATES
+
+
+@pytest.mark.parametrize("edges, genus", [(1, 1), (5, 3), (8, 5), (40, 21)])
+def test_zpoly_of_a_genus_above_half_the_edges_is_zero(capsys, monkeypatch, edges, genus):
+    # Euler's formula: a map with n edges has genus at most n / 2
+    def refuse(*args):
+        raise AssertionError("zpoly ran a sum whose answer is 0")
+
+    monkeypatch.setattr(mapenum, "_word_sum", refuse)
+    assert run(capsys, "zpoly", "--edges", str(edges), "--genus", str(genus)) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize("bad, message", [

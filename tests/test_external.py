@@ -123,3 +123,14 @@ def test_runtime_imports_only_the_standard_library():
             for module in modules:
                 top = module.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
+
+
+def test_map_sums_import_no_tree_or_tour_kernel():
+    # the census oracle in the tests runs the tour kernel and the tree walk;
+    # if partition_function called them, the oracle would check them
+    # against themselves
+    source = Path(tuttemap.__file__).parent / "mapenum.py"
+    imported = {node.module for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert "cmap" in imported
+    assert imported.isdisjoint({"activity", "spanning"}), imported

@@ -16,12 +16,12 @@ from tuttemap import (
     tutte_embedding_activities,
 )
 from tuttemap.cmap import _euler
-from tuttemap.mapenum import (MAX_CENSUS_EDGES, _census_ends, _census_sigmas,
-                               _census_sum)
+from tuttemap import mapenum
+from tuttemap.mapenum import MAX_CENSUS_EDGES, _census_sigmas
 from tuttemap.spanning import _tree_flags
 
-from helpers import (all_rooted_sigmas, brute_force_trees, make_map, rooted_iso_oracle,
-                     tour_word_sums)
+from helpers import (all_rooted_sigmas, brute_force_trees, census_ends, census_sum, make_map,
+                     rooted_iso_oracle, tour_word_sums)
 
 P = BivariatePolynomial.parse
 
@@ -133,10 +133,10 @@ def test_partition_function_matches_per_map_sum():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_word_transfer_matches_the_census_sum(n):
-    # all genera and genus 0 come from the tour words; the census sum over
-    # the rotations, which genus g >= 1 still uses, is their reference
-    for genus in (None, 0):
-        assert partition_function(n, genus) == _census_sum(n, genus)
+    # every genus filter comes from the tour words; the census sum over the
+    # rotations, which walks trees and tours, is their reference
+    for genus in (None, 0, 1, 2, 3):
+        assert partition_function(n, genus) == census_sum(n, genus)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -183,7 +183,7 @@ def test_flat_tree_walk_matches_the_enumerator():
     for m in enumerate_rooted_maps(4):
         ids = m.edge_ids
         flat = [frozenset(ids[k] for k, f in enumerate(flags) if f)
-                for flags in _tree_flags(*_census_ends(m._sigma))]
+                for flags in _tree_flags(*census_ends(m._sigma))]
         trees = enumerate_spanning_trees(m.underlying_graph())
         assert flat == [st.internal_edges for st in
                         sorted(trees, key=lambda st: st.flags, reverse=True)]
@@ -198,17 +198,19 @@ def test_flat_tree_walk_rejects_disconnected_ends():
 
 
 def test_partition_function_builds_no_map_or_graph(monkeypatch):
-    # the census sum runs on bare rotations: per-map objects would bring
-    # back the setup the flat path removed
-    want = sum((tutte_embedding_activities(m) for m in enumerate_rooted_maps(4)),
-               start=P("0"))
+    # every genus comes from the tour words: per-map objects, or a walk over
+    # the rotations, would bring back the census the transfer replaced
+    genera = (None, 0, 1, 2)
+    wants = [sum((tutte_embedding_activities(m) for m in enumerate_rooted_maps(4, genus)),
+                 start=P("0")) for genus in genera]
 
     def refuse(*args, **kwargs):
         raise AssertionError("partition_function must not build this")
 
     monkeypatch.setattr(CombinatorialMap, "__init__", refuse)
     monkeypatch.setattr(Multigraph, "__init__", refuse)
-    assert partition_function(4) == want
+    monkeypatch.setattr(mapenum, "_rooted_sigmas", refuse)
+    assert [partition_function(4, genus) for genus in genera] == wants
 
 
 def _catalan(k: int) -> int:
@@ -279,3 +281,34 @@ def test_z11_matches_closed_forms(n):
     assert partition_function(n).evaluate(1, 1) == everything
     if n == 7:
         assert (planar.evaluate(1, 1), everything) == (613_470, 5_318_742)
+
+
+def _harer_zagier(g: int, m: int) -> int:
+    """Chord diagrams with m chords and genus g (Harer and Zagier, Invent.
+    Math. 85 (1986)), from (m + 1) e_g(m) = 2 (2m - 1) e_g(m - 1)
+    + (m - 1)(2m - 1)(2m - 3) e_{g-1}(m - 2)."""
+    if g < 0 or m < 0:
+        return 0
+    if m == 0:
+        return int(g == 0)
+    return (2 * (2 * m - 1) * _harer_zagier(g, m - 1) + (m - 1) * (2 * m - 1)
+            * (2 * m - 3) * _harer_zagier(g - 1, m - 2)) // (m + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_z11_by_genus_matches_harer_zagier(n):
+    # contracting the tree keeps the faces, so a tree-rooted map has the
+    # genus of the chord diagram that its 2n - 2k external steps form; the
+    # 2k tree steps nest in Cat_k ways (Bernardi, EJC 14 (2007) R9)
+    assert [_harer_zagier(1, m) for m in range(2, 6)] == [1, 10, 70, 420]
+    assert [_harer_zagier(2, m) for m in range(4, 7)] == [21, 483, 6468]
+    sums = [partition_function(n, g) for g in range(4)]
+    for g, z in enumerate(sums):
+        assert z.evaluate(1, 1) == sum(
+            math.comb(2 * n, 2 * k) * _catalan(k) * _harer_zagier(g, n - k)
+            for k in range(n + 1))
+    # no map with at most 7 edges has genus 4 or more
+    assert sum(sums, start=P("0")) == partition_function(n)
+    if n >= 6:
+        assert sums[1].evaluate(1, 1) == {6: 152_460, 7: 2_576_574}[n]
+        assert sums[2].evaluate(1, 1) == {6: 59_136, 7: 1_936_935}[n]
