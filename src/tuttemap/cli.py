@@ -33,7 +33,7 @@ from .engines import (
 from .graph import Multigraph
 from .mapenum import census_document, partition_function
 from .poly import BivariatePolynomial
-from .spanning import _tree_flags, enumerate_spanning_trees, kirchhoff_tree_count
+from .spanning import enumerate_spanning_trees, kirchhoff_tree_count
 
 DEFAULT_SEED = 1729
 
@@ -228,14 +228,13 @@ def _cmd_check(args) -> int:
     # the walk tours each tree and raises MotionNotCyclicError unless the
     # tour is one cycle; a list, not a short-circuiting all(), so that every
     # tree is toured before the tour row claims it, and the trees stream
-    # through the walk unkept, their count being len(erased). The trees
-    # come from the backtracking walk, which no tree route uses: a fault in
-    # the routes' frontier DAG fails the five-way row, one in the walk the
-    # T(1,1) row
-    walk, g = _erase_walk(emb), emb.underlying_graph()
-    erased = [walk(flags, range(emb.edge_count))
-              for flags in _tree_flags(g.vertex_count, g._numbered_ends())]
-    # the Kirchhoff count shares no code with the enumerations it checks
+    # through the walk unkept, their count being len(erased). The trees are
+    # the ones the tree routes draw, so a DAG that drops or adds a tree fails
+    # the T(1,1) row, and one that swaps a tree for another the five-way row
+    walk = _erase_walk(emb)
+    erased = [walk(st.flags, range(emb.edge_count))
+              for st in enumerate_spanning_trees(emb.underlying_graph())]
+    # the Kirchhoff count shares no code with the enumeration it checks
     t11, kirchhoff = reference.evaluate(1, 1), kirchhoff_tree_count(graph)
     report("T(1,1) equals the spanning tree count",
            t11 == kirchhoff == len(erased),

@@ -91,7 +91,8 @@ def _check_input(n: int, genus: int | None) -> None:
 def _census_sigmas(n: int, genus: int | None) -> Iterator[tuple[int, ...]]:
     """The rotations of the census maps with n edges and, when given, that
     genus (Euler characteristic 2 - 2*genus). The bounds are checked here,
-    before the first rotation is made."""
+    before the first rotation is made; a genus above n / 2 has no map, so
+    it makes none."""
     if n > MAX_CENSUS_EDGES:
         raise ValueError(
             f"census bound is {MAX_CENSUS_EDGES} edges"
@@ -100,6 +101,8 @@ def _census_sigmas(n: int, genus: int | None) -> Iterator[tuple[int, ...]]:
     _check_input(n, genus)
     if genus is None:
         return _rooted_sigmas(n)
+    if 2 * genus > n:
+        return iter(())
     chi = 2 - 2 * genus
     return (s for s in _rooted_sigmas(n) if _euler(s) == chi)
 

@@ -18,24 +18,16 @@ the min-frontier order that delcon pivots in; a node labels the frontier's
 vertices by component. Each node's bit-planes are built once, bottom-up,
 and each block of at most ``TREE_CHUNK`` trees becomes one buffer of flag
 bytes, a slice per tree, in lexicographic order along ``_pivot_order``.
+It is the package's one enumeration: the tree routes, ``activities`` and
+``check``'s erase row all draw from it.
 
-``_tree_flags`` is one iterative backtracking walk over the subsets of
-non-loop edges, the plain form of the backtracking of Gabow and Myers,
-SIAM J. Comput. 7 (1978), without their bridge test: an edge is taken only
-when it joins two components of a union-find kept in int lists, and
-backtracking undoes the last union, so no state is copied and the walk
-adds no Python frame per edge. It yields the trees' flags in
-lexicographic order of the sorted edge-id sets. It needs only the vertex
-count and the endpoints of each edge position. Its one caller in the
-package is ``check``'s erase row, which walks its trees with it, so that
-one enumeration the tree routes do not use counts them.
 ``kirchhoff_tree_count`` counts the same trees by the matrix-tree
-theorem, sharing no code with either enumeration.
+theorem, sharing no code with the enumeration.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .graph import GraphError, Multigraph
 
@@ -164,65 +156,6 @@ class SpanningTree:
         return f"SpanningTree(..., {sorted(self.internal_edges, key=str)!r})"
 
 
-def _tree_flags(nv: int, ends: Sequence[tuple[int, int]]) -> Iterator[bytes]:
-    """The flags of every spanning tree of the graph on vertices 0..nv-1
-    whose edge at position p joins ``ends[p]``, once each, in lexicographic
-    order of the position sets.
-
-    One iterative walk takes the non-loop edges in position order; it keeps
-    an edge only when it joins two components, and stops a branch when too
-    few edges remain to finish the tree. The union-find (by size, no path
-    compression) lives in int lists and each backtrack undoes the last
-    union, so no state is copied per step and a long input meets no
-    recursion limit. The walk keeps the flags of the edges it has taken,
-    set on each union and cleared on each undo, and yields an immutable
-    copy of them per tree.
-    """
-    need = nv - 1
-    pool = [p for p, (u, v) in enumerate(ends) if u != v]
-    pool_ends = [ends[p] for p in pool]
-    slack = len(pool) - need  # with k edges taken, a tree needs j <= slack + k
-    parent = list(range(nv))
-    size = [1] * nv
-    chosen: list[int] = []  # pool indexes of the edges taken, increasing
-    joined: list[int] = []  # the root each union hung below another
-    flags = bytearray(len(ends))  # the edge positions taken
-    j = 0
-    found = False
-    while True:
-        k = len(chosen)
-        while k < need and j <= slack + k:
-            a, b = pool_ends[j]
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-                chosen.append(j)
-                flags[pool[j]] = 1
-                joined.append(b)
-                k += 1
-            j += 1
-        if k == need:
-            found = True
-            yield bytes(flags)
-        elif not found:
-            # the first descent takes every edge that joins two components,
-            # so it ends short of a tree only on a disconnected graph
-            raise GraphError("spanning trees need a connected graph")
-        if not k:
-            return
-        b = joined.pop()
-        size[parent[b]] -= size[b]
-        parent[b] = b
-        j = chosen.pop() + 1
-        flags[pool[j - 1]] = 0
-
-
 def _pivot_order(graph: Multigraph) -> list:
     """A frontier order of the edges, as positions into ``graph.edge_ids``:
     a greedy min-frontier vertex elimination. It is delcon's pivot order
@@ -280,8 +213,7 @@ def enumerate_spanning_trees(graph: Multigraph) -> Iterator[SpanningTree]:
     DAG in lexicographic order along ``_pivot_order``: tree A comes before
     tree B when A takes the first edge of that order on which they differ.
     Sorting the flags in descending order gives the lexicographic order of
-    the sorted edge-id sets, which is ``_tree_flags``' order. A disconnected
-    graph raises ``GraphError``.
+    the sorted edge-id sets. A disconnected graph raises ``GraphError``.
 
     Level i of the DAG decides the i-th edge of ``_pivot_order`` (Sekine,
     Imai and Tani, ISAAC 1995; Knuth, TAOCP 4A, 7.1.4). A node is a tuple

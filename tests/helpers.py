@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 Oracles here deliberately avoid the package's own code paths: components
-are counted by BFS, spanning trees by raw subset enumeration, fundamental
+are counted by BFS, spanning trees by raw subset enumeration and by a
+backtracking walk (``tree_flags``, the frontier DAG's oracle), fundamental
 sets by the swap test, isomorphism by relabeling search (maps) or networkx
 (graphs), graph minors on bare edge dicts, determinants by Bareiss
 elimination. Expected values in the tests are frozen from these.
@@ -13,15 +14,15 @@ import itertools
 import math
 import random
 from collections import Counter
+from typing import Iterator, Sequence
 
 import networkx as nx
 from hypothesis import strategies as st
 
-from tuttemap import CombinatorialMap, Multigraph, activity, embed
+from tuttemap import CombinatorialMap, GraphError, Multigraph, activity, embed
 from tuttemap.cmap import _cycle_labels, _graph_incidences
 from tuttemap.mapenum import _census_sigmas
 from tuttemap.poly import BivariatePolynomial
-from tuttemap.spanning import _tree_flags
 
 # -- worked-example fixtures -------------------------------------------------
 
@@ -409,6 +410,49 @@ def nowhere_zero_flows(g: Multigraph, q: int) -> int:
     return count
 
 
+
+def sandpile_levels(g: Multigraph) -> Counter:
+    """T(1, y) of a connected g as {level: count}, from its sandpile
+    (Merino, Ann. Comb. 9 (2005)): the sum of y^level over the recurrent
+    configurations, level = sum of c(v) - |E| + deg(sink), with the sink at
+    a vertex of largest degree. A stable configuration gives each other
+    vertex v between 0 and deg(v) - 1 grains; it is recurrent when Dhar's
+    burning test burns every vertex: the sink burns first, then any vertex
+    whose grains reach its edges to the vertices still unburnt. Loops are
+    stripped first, and each multiplies the sum by y (T(G) = y T(G - loop));
+    parallel edges count in the degrees and in the burning, each as one
+    edge. It reads no tree, activity or minor."""
+    nv, arcs = _numbered_arcs(g)
+    loops = sum(u == v for u, v in arcs)
+    mult = [[0] * nv for _ in range(nv)]
+    for u, v in arcs:
+        if u != v:
+            mult[u][v] += 1
+            mult[v][u] += 1
+    deg = [sum(row) for row in mult]
+    nbrs = [[(w, m) for w, m in enumerate(row) if m] for row in mult]
+    sink = max(range(nv), key=deg.__getitem__)
+    others = [v for v in range(nv) if v != sink]
+    shift = loops - (len(arcs) - loops) + deg[sink]
+    levels: Counter = Counter()
+    for grains in itertools.product(*(range(deg[v]) for v in others)):
+        have = mult[sink][:]  # grains plus the edges to burnt vertices
+        for v, c in zip(others, grains):
+            have[v] += c
+        burnt = [have[v] >= deg[v] for v in range(nv)]
+        burnt[sink] = True
+        fire = [v for v in others if burnt[v]]
+        for v in fire:  # fire grows as vertices burn
+            for w, m in nbrs[v]:
+                if not burnt[w]:
+                    have[w] += m
+                    if have[w] >= deg[w]:
+                        burnt[w] = True
+                        fire.append(w)
+        if len(fire) == len(others):
+            levels[sum(grains) + shift] += 1
+    return levels
+
 # -- graph minor and isomorphism oracles ---------------------------------------
 # A graph is an edge dict, id -> (u, v); only connected graphs with an edge
 # are compared, so no vertex is isolated and the edges name every vertex.
@@ -525,6 +569,67 @@ def census_ends(sigma: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
     return nv, list(zip(vertex[::2], vertex[1::2]))
 
 
+def tree_flags(nv: int, ends: Sequence[tuple[int, int]]) -> Iterator[bytes]:
+    """The flags of every spanning tree of the graph on vertices 0..nv-1
+    whose edge at position p joins ``ends[p]``, once each, in lexicographic
+    order of the position sets. It is the plain form of the backtracking of
+    Gabow and Myers, SIAM J. Comput. 7 (1978), without their bridge test,
+    and shares no code with the package's frontier DAG.
+
+    One iterative walk takes the non-loop edges in position order; it keeps
+    an edge only when it joins two components, and stops a branch when too
+    few edges remain to finish the tree. The union-find (by size, no path
+    compression) lives in int lists and each backtrack undoes the last
+    union, so no state is copied per step and a long input meets no
+    recursion limit. The walk keeps the flags of the edges it has taken,
+    set on each union and cleared on each undo, and yields an immutable
+    copy of them per tree.
+    """
+    need = nv - 1
+    pool = [p for p, (u, v) in enumerate(ends) if u != v]
+    pool_ends = [ends[p] for p in pool]
+    slack = len(pool) - need  # with k edges taken, a tree needs j <= slack + k
+    parent = list(range(nv))
+    size = [1] * nv
+    chosen: list[int] = []  # pool indexes of the edges taken, increasing
+    joined: list[int] = []  # the root each union hung below another
+    flags = bytearray(len(ends))  # the edge positions taken
+    j = 0
+    found = False
+    while True:
+        k = len(chosen)
+        while k < need and j <= slack + k:
+            a, b = pool_ends[j]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                chosen.append(j)
+                flags[pool[j]] = 1
+                joined.append(b)
+                k += 1
+            j += 1
+        if k == need:
+            found = True
+            yield bytes(flags)
+        elif not found:
+            # the first descent takes every edge that joins two components,
+            # so it ends short of a tree only on a disconnected graph
+            raise GraphError("spanning trees need a connected graph")
+        if not k:
+            return
+        b = joined.pop()
+        size[parent[b]] -= size[b]
+        parent[b] = b
+        j = chosen.pop() + 1
+        flags[pool[j - 1]] = 0
+
+
 def census_sum(n_edges: int, genus: int | None) -> BivariatePolynomial:
     """The activity sum over the census maps with n edges and, when given,
     that genus, one (map, spanning tree) pair at a time on the bare
@@ -536,7 +641,7 @@ def census_sum(n_edges: int, genus: int | None) -> BivariatePolynomial:
     def pairs():
         for sigma in _census_sigmas(n_edges, genus):
             kernel = activity._scan(sigma, 0, he_pos)
-            for flags in _tree_flags(*census_ends(sigma)):
+            for flags in tree_flags(*census_ends(sigma)):
                 yield kernel(flags)
 
     return activity._activity_sum(pairs())

@@ -32,7 +32,6 @@ from tuttemap import activity, engines
 from tuttemap.activity import (_erase_walk, _lane_sum, _order_args, _order_batch,
                                _order_kernel, _planes, _tour_args, _tour_batch)
 from tuttemap.mapenum import _census_sigmas
-from tuttemap.spanning import _tree_flags
 
 from helpers import (
     TORUS_TREE,
@@ -51,6 +50,7 @@ from helpers import (
     single_loop_map,
     swap_cocycle_oracle,
     swap_cycle_oracle,
+    tree_flags,
     uncached_erase_walk,
 )
 
@@ -703,7 +703,7 @@ def test_planar_duality_swaps_each_trees_activities():
         for sigma in _census_sigmas(n, 0):
             phi = [sigma[h ^ 1] for h in range(2 * n)]
             scan, dual_scan = activity._scan(sigma, 0, he_pos), activity._scan(phi, 0, he_pos)
-            trees = list(_tree_flags(*census_ends(sigma)))
+            trees = list(tree_flags(*census_ends(sigma)))
             for flags in trees:
                 internal, external = scan(flags)
                 dual_internal, dual_external = dual_scan(bytes(1 - f for f in flags))

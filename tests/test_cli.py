@@ -1,5 +1,7 @@
 """Command line behavior: golden outputs, round-trips, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -13,7 +15,7 @@ from tuttemap.engines import MAX_EXPANSION_EDGES
 from tuttemap.mapenum import MAX_WORD_STATES
 
 from helpers import (ALPHA_DIAGNOSTICS, SINGLE_ISTHMUS_TEXT, SINGLE_LOOP_TEXT,
-                     TORUS_MAP_TEXT)
+                     TORUS_MAP_TEXT, random_connected_multigraphs)
 
 K3_TEXT = "v 1\nv 2\nv 3\ne a 1 2\ne b 2 3\ne c 1 3\n"
 
@@ -637,6 +639,18 @@ def test_check_walks_the_trees_once_per_route(capsys, monkeypatch, tmp_path):
     assert len(walks) == 2
 
 
+@settings(max_examples=50)
+@given(random_connected_multigraphs().filter(lambda g: g.edge_count))
+def test_check_passes_on_random_multigraphs(tmp_path_factory, graph):
+    # loops, parallel edges and int ids reach the erase and T(1,1) rows
+    path = tmp_path_factory.getbasetemp() / "random.g"
+    path.write_text(graph.to_text())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", "--graph", str(path), "--trials", "1"])
+    assert code == 0 and out.getvalue().endswith("all checks passed\n"), out.getvalue()
+
+
 def test_check_sees_the_dag_repeat_a_tree(capsys, monkeypatch, tmp_path):
     # the tree routes' enumerator repeats its first tree in place of its
     # last: the count still matches Kirchhoff, the sums do not
@@ -658,16 +672,33 @@ def test_check_sees_the_dag_repeat_a_tree(capsys, monkeypatch, tmp_path):
 
 
 def test_check_counts_the_walks_trees(capsys, monkeypatch, tmp_path):
-    # the erase row's own walk drops its last tree: only the T(1,1) row,
-    # which counts that walk, can see it
-    real = cli._tree_flags
-    monkeypatch.setattr(cli, "_tree_flags", lambda nv, ends: list(real(nv, ends))[:-1])
+    # the erase row's draw drops its last tree while the routes' draws keep
+    # all 16: only the T(1,1) row, which counts the erase row's trees, can
+    # see it
+    real = cli.enumerate_spanning_trees
+    monkeypatch.setattr(cli, "enumerate_spanning_trees", lambda g: list(real(g))[:-1])
     path = tmp_path / "k4.g"
     path.write_text(K4_TEXT)
     code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
     assert code == 2
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL: T(1,1) equals the spanning tree count (T(1,1)=16, Kirchhoff=16, trees=15)"]
+
+
+def test_check_sees_the_dag_drop_a_tree(capsys, monkeypatch, tmp_path):
+    # the one enumerator drops its last tree for the routes and the erase
+    # row alike: the sums fail the five-way row, and the erase row's count
+    # the T(1,1) row
+    real = engines.enumerate_spanning_trees
+    for module in (engines, cli):
+        monkeypatch.setattr(module, "enumerate_spanning_trees", lambda g: iter(list(real(g))[:-1]))
+    path = tmp_path / "k4.g"
+    path.write_text(K4_TEXT)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
+    assert code == 2
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails[0].startswith("FAIL: five evaluator methods agree (")
+    assert "FAIL: T(1,1) equals the spanning tree count (T(1,1)=16, Kirchhoff=16, trees=15)" in fails
 
 
 def _keep_components_that_left(monkeypatch):
@@ -714,7 +745,7 @@ DIAMOND_TEXT = "v 1\nv 2\nv 3\nv 4\ne a 1 2\ne b 1 3\ne c 1 4\ne d 2 4\ne e 3 4\
 def test_check_sees_two_frontier_partitions_share_a_dag_node(capsys, monkeypatch, tmp_path):
     # sorting the renumbered labels gives the diamond's frontier partitions
     # {1 3}{4} and {1 4}{3} one node: the DAG yields only spanning trees,
-    # but too few, so the rows that sum them fail
+    # but too few, so the rows that sum or count them fail
     real = spanning._next_node
 
     def colliding(part, keep, gone, nxt):
@@ -731,6 +762,7 @@ def test_check_sees_two_frontier_partitions_share_a_dag_node(capsys, monkeypatch
     assert code == 2
     assert [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL: five evaluator methods agree",
+        "FAIL: T(1,1) equals the spanning tree count",
         "FAIL: embedding independence over 2 random rooted embeddings",
         "FAIL: order independence over 2 random edge orders"]
     assert "order=2 x^2 + x + x y + y + y^2 /" in out
@@ -751,14 +783,14 @@ def test_check_exits_2_on_a_broken_tour(capsys, monkeypatch, k3_file):
 
 @pytest.mark.parametrize("text, message", [
     (K4_TEXT, "tour closed after 3 of 12 half-edges"),
-    (W9_TEXT, "tour closed after 4 of 36 half-edges"),
+    (W9_TEXT, "tour closed after 3 of 36 half-edges"),
 ], ids=["k4", "w9"])
 def test_check_exits_2_on_a_tour_that_steps_by_the_complement(
         capsys, monkeypatch, tmp_path, text, message):
     # _tour crosses at external edges and turns at tree edges. It is the
     # one tour walk: K4's 16 trees go tree by tree to _scan, which reads it,
     # and W9's 5,776 go to the batch kernel, so there the erase row's walk
-    # stops first
+    # stops first, on the DAG's first tree
     real = activity._tour
     monkeypatch.setattr(activity, "_tour", lambda sigma, start, he_pos, flags: real(
         sigma, start, he_pos, bytes(1 - f for f in flags)))
@@ -934,11 +966,26 @@ def test_each_map_is_validated_once(capsys, monkeypatch, tmp_path, torus_file):
 
 @pytest.mark.parametrize("form", ["text", "json"])
 @pytest.mark.parametrize("bad", [("--edges", "6"), ("--edges", "0"),
-                                 ("--edges", "2", "--genus", "-1")])
+                                 ("--edges", "2", "--genus", "-1"),
+                                 ("--edges", "6", "--genus", "4"),
+                                 ("--edges", "0", "--genus", "1")])
 def test_census_checks_its_bounds_before_printing(capsys, form, bad):
     code, out, err = run(capsys, "census", *bad, "--format", form)
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+def test_census_makes_no_rotation_for_a_genus_above_half_the_edges(capsys, monkeypatch):
+    # V, F >= 1 give 2 - 2g = V - n + F >= 2 - n: no map with 5 edges has
+    # genus 3, so the census lists none without making a rotation
+    def refused(n):
+        raise AssertionError("a rotation was made")
+
+    monkeypatch.setattr(mapenum, "_rooted_sigmas", refused)
+    assert run(capsys, "census", "--edges", "5", "--genus", "3") == (0, "\n", "")
+    assert run(capsys, "census", "--edges", "5", "--genus", "3", "--format", "json") == (
+        0, '{\n  "count": 0,\n  "maps": []\n}\n', "")
+    assert enumerate_rooted_maps(5, 3) == ()
 
 
 @pytest.mark.parametrize("n, genus", [(n, g) for n in (1, 2, 3, 4)

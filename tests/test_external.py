@@ -1,10 +1,12 @@
 """Checks against code outside the package: networkx's Tutte polynomial,
 and brute-force counts of proper colourings, acyclic and totally cyclic
-orientations and nowhere-zero flows, as oracles for all five routes; and
-the standard library as the runtime's only dependency."""
+orientations, nowhere-zero flows and recurrent sandpile levels, as oracles
+for all five routes; and the standard library as the runtime's only
+dependency."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import networkx as nx
@@ -15,7 +17,7 @@ import tuttemap
 from tuttemap import Multigraph, cross_check, embed
 
 from helpers import (acyclic_orientations, connected_multigraphs, nowhere_zero_flows,
-                     proper_colourings, totally_cyclic_orientations)
+                     proper_colourings, sandpile_levels, totally_cyclic_orientations)
 
 X, Y = sympy.symbols("x y")
 
@@ -109,6 +111,27 @@ def test_every_route_counts_orientations_and_flows_on_small_multigraphs():
         _assert_orientations_and_flows(graph, _every_route(graph))
 
 
+def _assert_sandpile_levels(graph: Multigraph, polys: dict) -> None:
+    # T(1, y): the coefficient of y^j is the sum over i of T's x^i y^j
+    want = sandpile_levels(graph)
+    for label, poly in polys.items():
+        got = Counter()
+        for (_, j), c in poly.terms().items():
+            got[j] += c
+        assert got == want, label
+
+
+@CORPUS
+def test_every_route_sums_sandpile_levels(make):
+    graph = _multigraph_of(make())
+    _assert_sandpile_levels(graph, _every_route(graph))
+
+
+def test_every_route_sums_sandpile_levels_on_small_multigraphs():
+    for graph in connected_multigraphs(4, 5):
+        _assert_sandpile_levels(graph, _every_route(graph))
+
+
 def test_runtime_imports_only_the_standard_library():
     sources = sorted(Path(tuttemap.__file__).parent.glob("*.py"))
     assert len(sources) > 5
@@ -134,3 +157,20 @@ def test_map_sums_import_no_tree_or_tour_kernel():
                 if isinstance(node, ast.ImportFrom) and node.level}
     assert "cmap" in imported
     assert imported.isdisjoint({"activity", "spanning"}), imported
+
+
+def test_one_spanning_tree_enumerator():
+    # the frontier DAG is the package's one enumeration: no second
+    # generator in spanning, and no module reaches past its public names
+    # other than for the DAG's chunk size and order and the tree paths
+    package = Path(tuttemap.__file__).parent
+    tree = ast.parse((package / "spanning.py").read_text(encoding="utf-8"))
+    generators = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(node))]
+    assert generators == ["enumerate_spanning_trees"]
+    allowed = {"TREE_CHUNK", "_pivot_order", "_incidence", "_root_paths"}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == "spanning":
+                private = {a.name for a in node.names if a.name.startswith("_")}
+                assert private <= allowed, (path.name, private - allowed)

@@ -18,10 +18,9 @@ from tuttemap import (
 from tuttemap.cmap import _euler
 from tuttemap import mapenum
 from tuttemap.mapenum import MAX_CENSUS_EDGES, _census_sigmas
-from tuttemap.spanning import _tree_flags
 
 from helpers import (all_rooted_sigmas, brute_force_trees, census_ends, census_sum, make_map,
-                     rooted_iso_oracle, tour_word_sums)
+                     rooted_iso_oracle, tour_word_sums, tree_flags)
 
 P = BivariatePolynomial.parse
 
@@ -183,7 +182,7 @@ def test_flat_tree_walk_matches_the_enumerator():
     for m in enumerate_rooted_maps(4):
         ids = m.edge_ids
         flat = [frozenset(ids[k] for k, f in enumerate(flags) if f)
-                for flags in _tree_flags(*census_ends(m._sigma))]
+                for flags in tree_flags(*census_ends(m._sigma))]
         trees = enumerate_spanning_trees(m.underlying_graph())
         assert flat == [st.internal_edges for st in
                         sorted(trees, key=lambda st: st.flags, reverse=True)]
@@ -192,9 +191,9 @@ def test_flat_tree_walk_matches_the_enumerator():
 
 def test_flat_tree_walk_rejects_disconnected_ends():
     with pytest.raises(GraphError, match="connected"):
-        list(_tree_flags(4, [(0, 1), (2, 3)]))
+        list(tree_flags(4, [(0, 1), (2, 3)]))
     with pytest.raises(GraphError, match="connected"):
-        list(_tree_flags(2, [(0, 0), (1, 1)]))
+        list(tree_flags(2, [(0, 0), (1, 1)]))
 
 
 def test_partition_function_builds_no_map_or_graph(monkeypatch):

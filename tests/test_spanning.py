@@ -17,7 +17,7 @@ from tuttemap import (
     tutte_order_activities,
 )
 from tuttemap.cmap import embed
-from tuttemap.spanning import _pivot_order, _tree_flags
+from tuttemap.spanning import _pivot_order
 
 from helpers import (
     brute_force_trees,
@@ -30,13 +30,14 @@ from helpers import (
     random_connected_multigraphs,
     swap_cocycle_oracle,
     swap_cycle_oracle,
+    tree_flags,
 )
 
 
 def walk_trees(g: Multigraph) -> list[frozenset]:
-    """The edge-id sets of ``_tree_flags``' trees, in the walk's order."""
+    """The edge-id sets of the backtracking walk's trees, in its order."""
     return [frozenset(e for e, f in zip(g.edge_ids, flags) if f)
-            for flags in _tree_flags(g.vertex_count, g._numbered_ends())]
+            for flags in tree_flags(g.vertex_count, g._numbered_ends())]
 
 
 def in_pivot_order(g: Multigraph, trees: list[SpanningTree]) -> bool:
@@ -291,7 +292,7 @@ def test_streams_restart_independently():
 def test_frontier_dag_gives_the_walks_trees(g):
     # loops, parallel edges, int and str ids, one-vertex graphs; blocks of
     # at most 1 or 3 trees send the walk down the DAG's larger nodes
-    walk = sorted(_tree_flags(g.vertex_count, g._numbered_ends()))
+    walk = sorted(tree_flags(g.vertex_count, g._numbered_ends()))
     assert len(walk) == kirchhoff_tree_count(g)
     for chunk in (spanning.TREE_CHUNK, 1, 3):
         with pytest.MonkeyPatch.context() as mp:
@@ -307,7 +308,7 @@ def test_frontier_dag_on_every_small_multigraph(monkeypatch):
     # send the walk down the DAG's larger nodes
     graphs = list(connected_multigraphs(4, 6))
     assert len(graphs) == 3181
-    walks = [sorted(_tree_flags(g.vertex_count, g._numbered_ends())) for g in graphs]
+    walks = [sorted(tree_flags(g.vertex_count, g._numbered_ends())) for g in graphs]
     for chunk in (spanning.TREE_CHUNK, 3):
         monkeypatch.setattr(spanning, "TREE_CHUNK", chunk)
         for g, walk in zip(graphs, walks):
@@ -325,7 +326,7 @@ def test_frontier_dag_on_every_small_multigraph(monkeypatch):
 def test_both_enumerations_refuse_a_disconnected_graph(vertices, edges):
     g = Multigraph(vertices, edges)
     for trees in (enumerate_spanning_trees(g),
-                  _tree_flags(g.vertex_count, g._numbered_ends())):
+                  tree_flags(g.vertex_count, g._numbered_ends())):
         with pytest.raises(GraphError, match="^spanning trees need a connected graph$"):
             list(trees)
 
