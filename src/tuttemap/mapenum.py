@@ -12,9 +12,12 @@ isomorphism test.
 
 In that labelling edge k is half-edges 2k and 2k+1 and the vertices are the
 cycles of sigma, so the rotation alone is a map's whole description. The
-census filters genus on the rotation (``cmap._euler``). ``census_document``
-lays out the printed census from the rotations: half-edge i is named h<i>
-and the root is h0, so only the sigma cycles differ from map to map. Only
+genus is filtered inside the walk (``_rooted_sigmas``), not on finished
+rotations: the walk counts the vertex and face cycles as they close and
+cuts every branch whose count can no longer reach V + F = n + 2 - 2g.
+``census_document`` lays out the printed census from the rotations:
+half-edge i is named h<i> and the root is h0, so only the sigma cycles
+differ from map to map, and each distinct cycle is formatted once. Only
 ``enumerate_rooted_maps`` builds ``CombinatorialMap``s, and only for the
 rotations it keeps.
 
@@ -39,9 +42,9 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .cmap import CombinatorialMap, _cycles_text, _euler, _named_cycles
+from .cmap import CombinatorialMap
 from .poly import ZERO, BivariatePolynomial
 
 __all__ = ["enumerate_rooted_maps", "census_document", "partition_function",
@@ -60,24 +63,50 @@ MAX_CENSUS_EDGES = 5
 MAX_WORD_STATES = 2 ** 15
 
 
-def _rooted_sigmas(n: int) -> Iterator[tuple[int, ...]]:
+def _rooted_sigmas(n: int, target: int | None = None) -> Iterator[tuple[int, ...]]:
     """The rotation of every rooted map with n edges, once each, in its
-    first-visit labelling (see the module docstring)."""
+    first-visit labelling (see the module docstring), or of those with
+    ``target`` vertices plus faces.
+
+    The assigned arrows h -> sigma(h) form vertex chains and the arrows
+    h ^ 1 -> sigma(h) face chains. An open chain runs from an untaken head
+    to an unassigned tail; vfirst[tail] and vlast[head] hold its ends
+    (ffirst and flast for faces). Setting sigma(h) = t closes a vertex cycle
+    if t heads h's chain and a face cycle if t heads h ^ 1's, and otherwise
+    joins the two chains; undoing it puts the two ends back. Every open
+    chain must still close, and each assignment closes at most one cycle of
+    each kind, so a branch whose count cannot reach ``target`` is cut."""
     size = 2 * n
     sigma = [0] * size
     taken = [False] * size  # already the image of some half-edge
+    vfirst, vlast, ffirst, flast = (list(range(size)) for _ in range(4))
 
-    def walk(h: int, reached: int) -> Iterator[tuple[int, ...]]:
-        if h == size:
-            yield tuple(sigma)
-        elif h < reached:  # else the walk closed before it met every edge
-            for t in range(reached + (reached < size)):
-                if not taken[t]:
-                    sigma[h], taken[t] = t, True
-                    yield from walk(h + 1, reached + 2 * (t == reached))
-                    taken[t] = False
+    def walk(h: int, reached: int, closed: int) -> Iterator[tuple[int, ...]]:
+        left = size - h - 1  # the assignments after this one
+        f = h ^ 1
+        for t in range(reached + (reached < size)):
+            if taken[t]:
+                continue
+            sigma[h] = t
+            if not left:  # the last chains close; the step before fixed the count
+                yield tuple(sigma)
+                continue
+            nxt = reached + 2 * (t == reached)
+            if h + 1 == nxt:  # the walk closed before it met every edge
+                continue
+            if target is None:
+                taken[t] = True
+                yield from walk(h + 1, nxt, 0)
+                taken[t] = False
+                continue
+            a, b, c, d = vfirst[h], vlast[t], ffirst[f], flast[t]
+            now = closed + (a == t) + (c == t)
+            if now + 2 <= target <= now + 2 * left:
+                taken[t], vlast[a], vfirst[b], flast[c], ffirst[d] = True, b, a, d, c
+                yield from walk(h + 1, nxt, now)
+                taken[t], vlast[a], vfirst[b], flast[c], ffirst[d] = False, h, t, f, t
 
-    return walk(0, 2)
+    return walk(0, 2, 0)
 
 
 def _check_input(n: int, genus: int | None) -> None:
@@ -103,8 +132,7 @@ def _census_sigmas(n: int, genus: int | None) -> Iterator[tuple[int, ...]]:
         return _rooted_sigmas(n)
     if 2 * genus > n:
         return iter(())
-    chi = 2 - 2 * genus
-    return (s for s in _rooted_sigmas(n) if _euler(s) == chi)
+    return _rooted_sigmas(n, n + 2 - 2 * genus)  # V - n + F = 2 - 2 * genus
 
 
 def enumerate_rooted_maps(n: int,
@@ -124,27 +152,46 @@ def census_document(n: int, genus: int | None, form: str) -> str:
     map object. With form "text", one map per line in its one-line text
     form (``to_text("; ")``); with "json", the ``{count, maps}`` object
     that ``json.dumps(..., indent=2, sort_keys=True)`` would print, each
-    map as its ``to_json_obj()``. The alpha and root parts are the same for
-    every map with n edges, so they are formatted once."""
+    map as its ``to_json_obj()``. Cycles are read on ints in the order the
+    maps print them (each from its least name, sorted by it, names compared
+    as strings), and each distinct cycle is laid out once per document."""
     sigmas = _census_sigmas(n, genus)
-    names = [f"h{i}" for i in range(2 * n)]
-    alpha = _named_cycles([h ^ 1 for h in range(2 * n)], names)
+    size = 2 * n
+    names = [f"h{i}" for i in range(size)]
+    order = sorted(range(size), key=names.__getitem__)  # h10 before h2
     if form == "text":
-        tail = f"; alpha: {_cycles_text(alpha)}; root: h0"
-        return "\n".join("sigma: " + _cycles_text(_named_cycles(s, names)) + tail
-                         for s in sigmas)
-    # each map object is laid out at its depth in the maps list: keys at 6
-    # spaces, cycles at 8, names at 10
-    quoted = {nm: "\n          " + json.dumps(nm) for nm in names}
+        left, sep, right, shown = "(", " ", ")", names
+    else:
+        # each map object is laid out at its depth in the maps list: keys
+        # at 6 spaces, cycles at 8, names at 10
+        left, sep, right = "\n        [", ",", "\n        ]"
+        shown = ["\n          " + json.dumps(nm) for nm in names]
+    laid: dict[tuple[int, ...], str] = {}
 
-    def cycles_json(cycles: list[list[str]]) -> str:
-        return "[" + ",".join("\n        [" + ",".join(quoted[nm] for nm in c)
-                              + "\n        ]" for c in cycles) + "\n      ]"
+    def cycles(perm: Sequence[int]) -> list[str]:
+        seen = bytearray(size)
+        parts = []
+        for h in order:
+            if seen[h]:
+                continue
+            cycle = []  # h leads it: its least name
+            while not seen[h]:
+                seen[h] = 1
+                cycle.append(h)
+                h = perm[h]
+            key = tuple(cycle)
+            if key not in laid:
+                laid[key] = left + sep.join(shown[k] for k in key) + right
+            parts.append(laid[key])
+        return parts
 
-    head = ('{\n      "alpha": ' + cycles_json(alpha)
-            + ',\n      "root": "h0",\n      "sigma": ')
-    maps = [head + cycles_json(_named_cycles(s, names)) + "\n    }"
-            for s in sigmas]
+    alpha = cycles([h ^ 1 for h in range(size)])
+    if form == "text":
+        tail = "; alpha: " + "".join(alpha) + "; root: h0"
+        return "\n".join("sigma: " + "".join(cycles(s)) + tail for s in sigmas)
+    head = ('{\n      "alpha": [' + ",".join(alpha)
+            + '\n      ],\n      "root": "h0",\n      "sigma": [')
+    maps = [head + ",".join(cycles(s)) + "\n      ]\n    }" for s in sigmas]
     # one null stands for the maps (none for an empty census)
     return json.dumps({"count": len(maps), "maps": [None] * bool(maps)},
                       indent=2, sort_keys=True).replace("null", ",\n    ".join(maps))

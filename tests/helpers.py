@@ -549,6 +549,42 @@ def all_rooted_sigmas(n_edges: int):
             yield perm
 
 
+def unpruned_rooted_sigmas(n_edges: int):
+    """Every rooted rotation in first-visit labelling, by the census walk as
+    it was before it counted cycles: no branch is cut for its genus."""
+    size = 2 * n_edges
+    sigma = [0] * size
+    taken = [False] * size
+
+    def walk(h: int, reached: int):
+        if h == size:
+            yield tuple(sigma)
+        elif h < reached:
+            for t in range(reached + (reached < size)):
+                if not taken[t]:
+                    sigma[h], taken[t] = t, True
+                    yield from walk(h + 1, reached + 2 * (t == reached))
+                    taken[t] = False
+
+    return walk(0, 2)
+
+
+def vertices_plus_faces(sigma: Sequence[int]) -> int:
+    """The cycles of h -> sigma(h) and of h -> sigma(h ^ 1), each counted
+    by marking a set, apart from cmap and mapenum."""
+    total = 0
+    for step in (lambda h: sigma[h], lambda h: sigma[h ^ 1]):
+        seen: set = set()
+        for start in range(len(sigma)):
+            if start not in seen:
+                total += 1
+                h = start
+                while h not in seen:
+                    seen.add(h)
+                    h = step(h)
+    return total
+
+
 def make_map(sigma: tuple[int, ...], root: int | None = 0) -> CombinatorialMap:
     names = tuple(f"h{i}" for i in range(len(sigma)))
     return CombinatorialMap(sigma, names, root)

@@ -1,6 +1,9 @@
 """Census of rooted maps and the summed generating function."""
 
+import itertools
+import json
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -20,7 +23,8 @@ from tuttemap import mapenum
 from tuttemap.mapenum import MAX_CENSUS_EDGES, _census_sigmas
 
 from helpers import (all_rooted_sigmas, brute_force_trees, census_ends, census_sum, make_map,
-                     rooted_iso_oracle, tour_word_sums, tree_flags)
+                     rooted_iso_oracle, tour_word_sums, tree_flags, unpruned_rooted_sigmas,
+                     vertices_plus_faces)
 
 P = BivariatePolynomial.parse
 
@@ -242,6 +246,43 @@ def test_census_counts_match_closed_forms(n):
     assert Counter(m.genus() for m in census) == GENUS_COUNTS[n]
     for g, count in GENUS_COUNTS[n].items():
         assert len(enumerate_rooted_maps(n, genus=g)) == count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pruned_walk_matches_the_unpruned_walk(n):
+    # the walk cuts a branch once its closed cycles cannot reach V + F; the
+    # unpruned walk, filtered by a count of its own, keeps the same
+    # rotations in the same order
+    walk = [(s, vertices_plus_faces(s)) for s in unpruned_rooted_sigmas(n)]
+    assert [s for s, _ in walk] == list(_census_sigmas(n, None))
+    for genus in (0, 1, 2, 3):
+        assert list(_census_sigmas(n, genus)) == [
+            s for s, count in walk if count == n + 2 - 2 * genus], genus
+
+
+def test_six_edge_walk_counts_by_genus():
+    # Walsh and Lehman by genus, summing to A000698's 110,410 rooted maps;
+    # the census bound stays at 5 edges, so the walk is called directly
+    counts = [sum(1 for _ in mapenum._rooted_sigmas(6, 8 - 2 * g)) for g in range(4)]
+    assert counts == [24057, 56914, 27954, 1485]
+    assert sum(counts) == 110410
+
+
+def test_census_document_sorts_cycles_by_name_past_ten_half_edges(monkeypatch):
+    # from 6 edges on, names do not sort as numbers: a cycle holding h10 and
+    # h2 starts at h10, and a cycle led by h10 prints before one led by h2.
+    # The maps' own text and JSON are the reference, on every 28th map of
+    # genus 2 (27,954 in all)
+    monkeypatch.setattr(mapenum, "MAX_CENSUS_EDGES", 6)
+    maps = [make_map(s) for s in itertools.islice(_census_sigmas(6, 2), 0, None, 28)]
+    lines = mapenum.census_document(6, 2, "text").split("\n")[::28]
+    assert lines == [m.to_text("; ") for m in maps]
+    sigmas = [line.partition(";")[0] for line in lines]
+    assert any(re.search(r"\(h1[01] [^)]*h[2-9]\b", s) for s in sigmas)
+    assert any(re.search(r"\(h1[01][ )].*\(h[2-9][ )]", s) for s in sigmas)
+    document = json.loads(mapenum.census_document(6, 2, "json"))
+    assert document["count"] == 27954
+    assert document["maps"][::28] == [m.to_json_obj() for m in maps]
 
 
 def _baxter(k: int) -> int:
