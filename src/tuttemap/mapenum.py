@@ -35,7 +35,9 @@ the faces and leaves one vertex whose rotation is the order of the
 external steps, so the map has the genus of the chord diagram that they
 form. The transfer counts the prefixes of the words by what the two rules
 and, for a genus, that diagram's faces still need, one word position at a
-time.
+time. For a genus g >= 1 it drops the prefixes that can no longer reach g
+and merges those that differ only in how their open external steps are
+labelled.
 """
 
 from __future__ import annotations
@@ -57,9 +59,11 @@ MAX_CENSUS_EDGES = 5
 
 # The tour-word sum keeps at most this many states per word position. The
 # widest position holds 17,872 states at 9 edges and 53,763 at 10 over all
-# genera, 19,893 and 61,598 for genus 0, and 11,353 at 7 edges and 50,409
-# at 8 for genus 1, so it sums all genera and genus 0 up to 9 edges, in
-# well under a second, and a genus g >= 1 up to 7.
+# genera, and 19,893 and 61,598 for genus 0. At 8 edges it holds 29,573,
+# 22,041, 4,999 and 19 for genus 1 to 4; at 9 edges genus 4 holds 2,028,
+# while genus 1 needs 35,992 at one position. So it sums all genera and
+# genus 0 up to 9 edges, in well under a second, every genus up to 8
+# edges, in about a second, and genus 4 at 9.
 MAX_WORD_STATES = 2 ** 15
 
 
@@ -197,6 +201,55 @@ def census_document(n: int, genus: int | None, form: str) -> str:
                       indent=2, sort_keys=True).replace("null", ",\n    ".join(maps))
 
 
+def _canonical(opens: tuple[int, ...],
+               paths: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One labelling of a genus state's open steps for every relabelling
+    of them. As a permutation of 0..len(opens), paths keeps its cycle
+    through 0, read from 0, and its other cycles, each rotated to its least
+    sequence of open values, sorted by that sequence; the open steps are
+    numbered in that order and paths is conjugated to match."""
+    seen = [False] * len(paths)
+    values, h = [], paths[0]
+    while h:
+        seen[h] = True
+        values.append(opens[h - 1])
+        h = paths[h]
+    cycles = []
+    for h in range(1, len(paths)):
+        cycle = []
+        while not seen[h]:
+            seen[h] = True
+            cycle.append(opens[h - 1])
+            h = paths[h]
+        if cycle:
+            cycles.append(min(cycle[r:] + cycle[:r] for r in range(len(cycle))))
+    cycles.sort()
+    ends = list(range(1, len(values) + 1)) + [0]
+    for cycle in cycles:
+        start = len(ends)
+        ends += range(start + 1, start + len(cycle))
+        ends.append(start)
+        values += cycle
+    return tuple(values), tuple(ends)
+
+
+def _narrow(after: dict, rest: int, genus: int, forms: dict) -> dict:
+    """The states of one word position for a genus g >= 1, with ``rest``
+    positions after it, narrowed as ``_word_sum`` says: the states whose e
+    cannot reach 2g are dropped and the others merge under ``_canonical``,
+    cached in ``forms`` by (opens, paths), which many states share."""
+    level: dict = defaultdict(int)
+    for (d, dead, opens, paths, e, i, j), w in after.items():
+        if e + len(opens) + (rest - d - len(opens)) // 2 >= 2 * genus:
+            key = opens, paths
+            if key in forms:
+                opens, paths = forms[key]
+            else:
+                opens, paths = forms[key] = _canonical(opens, paths)
+            level[d, dead, opens, paths, e, i, j] += w
+    return level
+
+
 def _word_sum(n: int, genus: int | None) -> BivariatePolynomial:
     """The sum of ``partition_function`` over all genera, or over one genus,
     as a transfer over the positions of the tour words (see the module
@@ -209,7 +262,7 @@ def _word_sum(n: int, genus: int | None) -> BivariatePolynomial:
       lowest depth since it opened and alive says the frame on top at its
       opening is still open. Over all genera it is kept sorted, largest
       first, and states that differ only in its order merge; for a genus
-      it lists the open steps newest first;
+      its order is the one ``_canonical`` gives;
     - for a genus, paths and e follow the faces of the chord diagram that
       the external steps form. Head 0 is the word's start and head k + 1
       the slot after opens[k]; end 0 is the frontier and end k + 1 is
@@ -218,8 +271,20 @@ def _word_sum(n: int, genus: int | None) -> BivariatePolynomial:
       never falls; m chords of genus g make m + 1 - 2g faces, the last of
       which closes at the word's end, so a word of that genus ends with
       e = 2g. Over all genera paths stays (0,) and e stays 0;
-    - i and j count the active tree and external steps so far."""
+    - i and j count the active tree and external steps so far.
+    For a genus g >= 1 each position is narrowed (``_narrow``). e never
+    falls and each external close raises it by at most one, so a state with
+    rest positions after it is dead when
+    e + len(opens) + (rest - depth - len(opens)) / 2 < 2g: the rest holds
+    depth tree closes, len(opens) external closes and whole new pairs, one
+    close each. Relabelling the open steps by a permutation, with paths
+    conjugated by it (head and end k + 1 move with opens[k], head and end 0
+    stay), maps every transition to the relabelled one with the same depth,
+    dead, e, i and j, so states that differ only by a relabelling merge.
+    At genus 0 the bound drops nothing, and the merge merged no state at up
+    to 6 edges, so neither runs there."""
     level = {(0, 0, (), (0,), 0, 0, 0): 1}
+    forms: dict = {}
     for left in range(2 * n, 0, -1):  # the positions still to fill
         after = defaultdict(int)
         for (d, dead, opens, paths, e, i, j), w in level.items():
@@ -252,12 +317,15 @@ def _word_sum(n: int, genus: int | None) -> BivariatePolynomial:
                 kill = (2 << d) - (2 << (o >> 1))  # the frames deeper than m
                 after[d, dead | kill, opens[:k] + opens[k + 1:], ends, e + (t > 0),
                       i, j + (o & 1)] += w
+        if genus:
+            after = _narrow(after, left - 1, genus, forms)
         if len(after) > MAX_WORD_STATES:
             raise ValueError(f"state budget is {MAX_WORD_STATES} per word position;"
                              f" {n} edges need {len(after)}")
         level = after
-    return BivariatePolynomial((key[5:], w) for key, w in level.items()
-                               if genus is None or key[4] == 2 * genus)
+    # every state left has e = 2g: e never passes 2g, and for g >= 1 the
+    # last narrowing, with no position after it, dropped e < 2g
+    return BivariatePolynomial((key[5:], w) for key, w in level.items())
 
 
 def partition_function(n: int, genus: int | None = None) -> BivariatePolynomial:

@@ -205,6 +205,28 @@ def brute_force_trees(g: Multigraph) -> list[frozenset]:
     return [frozenset(s) for s in subsets if is_spanning_tree_subset(g, s)]
 
 
+def brute_force_tree_count(g: Multigraph) -> int:
+    """The number of spanning trees, by the scan ``brute_force_trees``
+    makes: an (|V| - 1)-subset of the edges is a tree when none of its
+    edges joins two vertices it already joined (union-find on the
+    numbered ends)."""
+    nv, ends = _numbered_arcs(g)
+    count = 0
+    for subset in itertools.combinations(ends, nv - 1):
+        parent = list(range(nv))
+        for u, v in subset:
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                break
+            parent[u] = v
+        else:
+            count += 1
+    return count
+
+
 def swap_cycle_oracle(g: Multigraph, tree: frozenset, e) -> frozenset:
     """{e} plus the internal f whose swap keeps a tree (the literal test)."""
     members = {e}
@@ -736,6 +758,58 @@ def tour_word_sums(n_edges: int) -> dict[int, Counter]:
             counts = sums.setdefault((2 - chi) // 2, Counter())
             counts[internal, active] += 1
     return sums
+
+
+def word_steps(state: tuple, left: int, genus: int | None) -> Iterator[tuple]:
+    """The states that one more step takes a tour-word state to, with
+    ``left`` positions still to fill: ``mapenum._word_sum``'s transitions
+    with no prune and no merge, the open steps listed newest first for a
+    genus and sorted largest first over all genera. A state is
+    (depth, dead, opens, paths, e, i, j), as that docstring defines it."""
+    d, dead, opens, paths, e, i, j = state
+    if d + len(opens) + 2 <= left:
+        yield d + 1, dead, opens, paths, e, i, j
+        opened = paths if genus is None else (
+            paths[0] + 1, 0, *(end + 1 for end in paths[1:]))
+        yield d, dead, (2 * d + 1,) + opens, opened, e, i, j
+    if d:
+        top, below = divmod(dead, 1 << d)
+        fallen = [o if o >> 1 < d else 2 * d - 2 for o in opens]
+        if genus is None:
+            fallen.sort(reverse=True)
+        yield d - 1, below, tuple(fallen), paths, e, i + 1 - top, j
+    for k, o in enumerate(opens):
+        ends, t = paths, 0
+        if genus is not None:
+            t = paths[k + 1]
+            if t and e == 2 * genus:
+                continue
+            ends = tuple([0 if (u := x or t) == k + 1 else u - (u > k + 1)
+                          for x in paths[:k + 1] + paths[k + 2:]])
+        kill = (2 << d) - (2 << (o >> 1))
+        yield d, dead | kill, opens[:k] + opens[k + 1:], ends, e + (t > 0), i, j + (o & 1)
+
+
+def word_levels(n_edges: int, genus: int | None) -> list[dict]:
+    """Every state that the tour-word prefixes reach, position by position,
+    with the number of prefixes reaching it: entry p holds the states after
+    p steps, with no state budget."""
+    levels = [{(0, 0, (), (0,), 0, 0, 0): 1}]
+    for left in range(2 * n_edges, 0, -1):
+        after: dict = Counter()
+        for state, w in levels[-1].items():
+            for nxt in word_steps(state, left, genus):
+                after[nxt] += w
+        levels.append(after)
+    return levels
+
+
+def word_sum(n_edges: int, genus: int | None) -> BivariatePolynomial:
+    """``partition_function``'s tour-word transfer with no prune and no
+    merge: the full words that end with e = 2 * genus (every word when
+    genus is None)."""
+    return BivariatePolynomial((state[5:], w) for state, w in word_levels(n_edges, genus)[-1].items()
+                               if genus is None or state[4] == 2 * genus)
 
 
 def map_corpus(seed: int = 20546, per_size: int = 120,

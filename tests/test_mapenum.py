@@ -1,5 +1,6 @@
 """Census of rooted maps and the summed generating function."""
 
+import functools
 import itertools
 import json
 import math
@@ -7,6 +8,8 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuttemap import (
     BivariatePolynomial,
@@ -20,11 +23,11 @@ from tuttemap import (
 )
 from tuttemap.cmap import _euler
 from tuttemap import mapenum
-from tuttemap.mapenum import MAX_CENSUS_EDGES, _census_sigmas
+from tuttemap.mapenum import MAX_CENSUS_EDGES, _canonical, _census_sigmas, _narrow
 
 from helpers import (all_rooted_sigmas, brute_force_trees, census_ends, census_sum, make_map,
                      rooted_iso_oracle, tour_word_sums, tree_flags, unpruned_rooted_sigmas,
-                     vertices_plus_faces)
+                     vertices_plus_faces, word_levels, word_steps, word_sum)
 
 P = BivariatePolynomial.parse
 
@@ -335,20 +338,89 @@ def _harer_zagier(g: int, m: int) -> int:
             * (2 * m - 3) * _harer_zagier(g - 1, m - 2)) // (m + 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def _tree_rooted(n: int, g: int) -> int:
+    """Tree-rooted maps with n edges and genus g: contracting the tree keeps
+    the faces, so such a map has the genus of the chord diagram that its
+    2n - 2k external steps form, and its 2k tree steps nest in Cat_k ways
+    (Bernardi, EJC 14 (2007) R9)."""
+    return sum(math.comb(2 * n, 2 * k) * _catalan(k) * _harer_zagier(g, n - k)
+               for k in range(n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_z11_by_genus_matches_harer_zagier(n):
-    # contracting the tree keeps the faces, so a tree-rooted map has the
-    # genus of the chord diagram that its 2n - 2k external steps form; the
-    # 2k tree steps nest in Cat_k ways (Bernardi, EJC 14 (2007) R9)
     assert [_harer_zagier(1, m) for m in range(2, 6)] == [1, 10, 70, 420]
     assert [_harer_zagier(2, m) for m in range(4, 7)] == [21, 483, 6468]
-    sums = [partition_function(n, g) for g in range(4)]
-    for g, z in enumerate(sums):
-        assert z.evaluate(1, 1) == sum(
-            math.comb(2 * n, 2 * k) * _catalan(k) * _harer_zagier(g, n - k)
-            for k in range(n + 1))
-    # no map with at most 7 edges has genus 4 or more
+    sums = [partition_function(n, g) for g in range(5)]
+    assert [z.evaluate(1, 1) for z in sums] == [_tree_rooted(n, g) for g in range(5)]
+    # no map with at most 8 edges has genus 5 or more
     assert sum(sums, start=P("0")) == partition_function(n)
     if n >= 6:
-        assert sums[1].evaluate(1, 1) == {6: 152_460, 7: 2_576_574}[n]
-        assert sums[2].evaluate(1, 1) == {6: 59_136, 7: 1_936_935}[n]
+        assert sums[1].evaluate(1, 1) == {6: 152_460, 7: 2_576_574, 8: 42_942_900}[n]
+        assert sums[2].evaluate(1, 1) == {6: 59_136, 7: 1_936_935, 8: 55_165_110}[n]
+
+
+@pytest.mark.parametrize("n, genus, widest", [(8, 3, 4_999), (8, 4, 19), (9, 4, 2_028)])
+def test_a_genus_keeps_the_documented_widest_position(monkeypatch, n, genus, widest):
+    # the widths that the MAX_WORD_STATES comment gives: a budget one state
+    # short is refused with the widest count, and that count is enough
+    monkeypatch.setattr(mapenum, "MAX_WORD_STATES", widest - 1)
+    with pytest.raises(ValueError, match=f" {n} edges need {widest}$"):
+        partition_function(n, genus)
+    monkeypatch.setattr(mapenum, "MAX_WORD_STATES", widest)
+    assert partition_function(n, genus).evaluate(1, 1) == _tree_rooted(n, genus)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_word_transfer_matches_the_unnarrowed_transfer(n):
+    # the prune and the merge change no coefficient of any genus
+    for genus in (None, *range(n // 2 + 2)):
+        assert partition_function(n, genus) == word_sum(n, genus), genus
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_genus_prune_drops_only_dead_states(n):
+    # walking the unnarrowed transfer back from its last position marks the
+    # states with a continuation that ends at e = 2g; the prune keeps each
+    # of them, and at genus 0 it neither drops nor merges a state
+    dropped = 0
+    for genus in range(n // 2 + 1):
+        levels = word_levels(n, genus)
+        live = {state for state in levels[-1] if state[4] == 2 * genus}
+        for p in range(2 * n - 1, 0, -1):  # levels[p] has 2n - p positions after it
+            live = {state for state in levels[p]
+                    if any(nxt in live for nxt in word_steps(state, 2 * n - p, genus))}
+            for state in levels[p]:
+                if not _narrow({state: 1}, 2 * n - p, genus, {}):
+                    assert genus and state not in live, (genus, p, state)
+                    dropped += 1
+            if not genus:
+                assert len(_narrow(levels[p], 2 * n - p, 0, {})) == len(levels[p])
+    assert dropped or n == 1
+
+
+@functools.cache
+def _reachable_open_states() -> list:
+    """The (opens, paths) pairs of the genus states with two open external
+    steps or more that the unnarrowed transfer reaches at up to 6 edges."""
+    return sorted({state[2:4] for n in range(4, 7) for genus in range(1, n // 2 + 1)
+                   for level in word_levels(n, genus) for state in level
+                   if len(state[2]) > 1})
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_every_relabelling_of_the_open_steps_has_one_canonical_form(data):
+    opens, paths = data.draw(st.sampled_from(_reachable_open_states()))
+    pi = data.draw(st.permutations(range(len(opens))))
+    # opens[k] moves to pi[k]; head and end k + 1 both become pi[k] + 1
+    moved = [0, *(k + 1 for k in pi)]
+    relabelled = [0] * len(opens)
+    for k, o in enumerate(opens):
+        relabelled[pi[k]] = o
+    conjugated = [0] * len(paths)
+    for h, end in enumerate(paths):
+        conjugated[moved[h]] = moved[end]
+    form = _canonical(opens, paths)
+    assert _canonical(tuple(relabelled), tuple(conjugated)) == form
+    assert _canonical(*form) == form
