@@ -18,8 +18,8 @@ x^|I| y^|E| over trees; the single-tree ``order_activities`` and
 ``embedding_activities`` apply the same kernels to one tree. Each route
 also has a batch kernel over many trees (below), a function from a
 chunk's planes (``_planes``) and lane mask ``full`` to lane masks, counted
-by ``_lane_sum``; the two share only ``_reach``, ``_by_count`` and the
-lane gate ``_require_trees``.
+by ``_lane_sum``; the two share only ``_by_count`` and the lane gate
+``_require_trees``, which each feeds its own reach.
 
 The order kernel (``_order_kernel``) hangs the tree from vertex 0, giving
 each vertex the bitmask of its tree path to the root; an external edge's
@@ -67,19 +67,26 @@ only the rotation, the root and the edge position of each half-edge;
 ``_tour_args`` gives the three of a rooted map.
 
 The batch tour kernel (``_tour_batch``) decides a chunk of trees on the
-same lanes and walks no tour. Let r be the root's vertex. A vertex lies
-below a tree edge p when p is on its tree path to r, and the branches of
-T - w are the components of T with vertex w removed, one behind each tree
-half-edge at w. For an external edge f with ends u and v, its first-reached
-end x is the end of the half-edge the tour reaches first, whose step ranks
-f. The kernel rests on three facts:
+same lanes and walks no tour. Let r be the root's vertex. One
+breadth-first pass from r, a level at a time over each lane's tree edges,
+hangs every tree from r: it marks each tree edge's half-edge at its parent
+end, and a newly reached vertex takes its parent's ancestors, and itself.
+Each level reaches a new vertex in every lane it goes on in, so the pass
+ends within |V| levels, tree or not, and its reach is the lane gate's. A
+vertex lies below a tree edge p when p is on its tree path to r, and the
+branches of T - w are the components of T with vertex w removed, one
+behind each tree half-edge at w; the direction at w toward y is the
+half-edge whose branch holds y. For an external edge f with ends u and v,
+its first-reached end x is the end of the half-edge the tour reaches
+first, whose step ranks f. The kernel rests on three facts:
 
 1. Branches are the sides of a tree edge. For a tree edge p with ends a
-   and b, the branch of T - a behind p is b's side of T - p, since T - p
-   leaves a on the other one; and y lies below p iff it is on the side
-   without r. So one ``_reach`` sweep from b over the tree edges not at a
-   gives both branches behind p (the side it reaches, and the rest of the
-   lanes that hold p) and the vertices below p: |E| sweeps per chunk.
+   and b, T - p has two sides: the subtree of p's child end, and the rest.
+   y lies below p iff it is in that subtree, that is, iff the child end is
+   y or an ancestor of y. The branch of T - a behind p is b's side of
+   T - p, since T - p leaves a on the other one: b's subtree if a is p's
+   parent end, else all but a's subtree. So the pass's parent ends and
+   ancestors give both branches behind p and the vertices below p.
 2. Who comes first on a cycle. For a tree edge p on f's tree path, p
    ranks before f iff x lies below p. The tour tours the part below p
    between p's two steps. Exactly one of u, v lies below p. If x does, f
@@ -97,14 +104,28 @@ f. The kernel rests on three facts:
    so the tour reaches u first iff the directions from w toward r, u and
    v come in that cyclic order. The direction toward r is w's parent
    half-edge, or at the root a slot just before the root half-edge; the
-   direction toward an end that is w is f's own half-edge there.
+   direction toward an end that is w is f's own half-edge there. The
+   median is the lowest common ancestor of u and v, so a vertex that is
+   an ancestor of both ends in no lane is the median in none.
 
-One pass over each rotation decides fact 3 in every lane: a half-edge
-points toward y in the lanes where its branch holds y. With one "seen"
-mask per direction, the pass marks where u comes after r, v after u and r
-after v. Of three distinct slots in a cycle, exactly two of these hold iff
-the order is (r, u, v), else exactly one. w is the median in the lanes
-where no two directions share a half-edge. A lane that marks no spanning
+Fact 3 is decided in every lane at once, at each vertex w, from three
+marks: u's direction comes strictly after r's in w's rotation, v's after
+u's, and r's after v's. Of three distinct slots, exactly two marks hold
+iff the order is (r, u, v), else exactly one. If two directions share a
+slot, exactly one mark holds whatever the order: the shared pair gives
+none, and the other two compare the same two slots both ways round. So
+the parity of the three marks is 0 where w is the median and the tour
+reaches u first, and 1 wherever w is no median, except where all three
+directions share one slot. One pass over w's rotation gives, for every
+vertex y, the lanes where y's direction comes after r's and where it is
+r's, and the lanes where r's direction comes before each slot. At the
+root, r's slot just before the root half-edge is, in the cycle, also just
+after the last one, so no direction comes after r's there. The first and
+third marks read off these; the second takes one pass per edge over w's
+rotation. At an end, say w = u, u's direction is f's own slot k: u
+comes after r where r's direction comes before k, and v after u where
+v's direction comes after k. There all three share a slot only where f is
+a tree edge, whose verdict no rule reads. A lane that marks no spanning
 tree raises ``MotionNotCyclicError`` (``_require_trees``), as in ``_scan``.
 
 The erase check (``_erase_walk``) tests the fact the tour order rests on:
@@ -260,12 +281,13 @@ def _reach(n: int, s: int, lanes: int, edges: list) -> list[int]:
     return reach
 
 
-def _require_trees(planes: list, full: int, nv: int, links: list, error: type) -> None:
+def _require_trees(planes: list, full: int, reach: list, error: type) -> None:
     """Raise ``error`` on the first lane of ``full`` that is no spanning
-    tree: it holds other than |V| - 1 edges (``_by_count``), or its edges of
-    ``links`` (non-loop, as (end, end, position)) leave a vertex unreached."""
-    ok = _by_count(planes, full).get(nv - 1, 0)
-    for lanes in _reach(nv, 0, full, [(a, b, planes[p]) for a, b, p in links]):
+    tree: it holds other than |V| - 1 edges (``_by_count``), or it leaves a
+    vertex unreached. ``reach`` holds, for each vertex, the lanes where the
+    tree's edges join it to one fixed vertex, as the caller found them."""
+    ok = _by_count(planes, full).get(len(reach) - 1, 0)
+    for lanes in reach:
         ok &= lanes
     if ok != full:
         bad = full ^ ok
@@ -292,7 +314,8 @@ def _order_batch(ends: list, nv: int, ranked: list[int]):
         cls = [cv if c == cu else c for c in cls]
 
     def batch(planes: list, full: int) -> tuple[list, list]:
-        _require_trees(planes, full, nv, links, RuntimeError)
+        edges = [(a, b, planes[p]) for a, b, p in links]
+        _require_trees(planes, full, _reach(nv, 0, full, edges), RuntimeError)
         internal, external = [0] * len(planes), [0] * len(planes)
         for p, u, v, cu, cv, above, merged in steps:
             tree = planes[p]
@@ -386,8 +409,9 @@ def _tour_batch(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
     """The tour kernel (``_scan``) over many trees at once, with the
     arguments of ``_scan``: a function from a chunk's planes and lane mask
     to lane masks by edge position, as ``_order_batch``'s, decided by the
-    three facts of the module docstring. It raises ``MotionNotCyclicError``
-    if a lane marks no spanning tree."""
+    three facts of the module docstring from one breadth-first pass down
+    from the root's vertex. The pass's reach is the lane gate's: it raises
+    ``MotionNotCyclicError`` if a lane marks no spanning tree."""
     n = len(sigma)
     vert, nv = _cycle_labels(sigma)  # vertices are the rotation's cycles
     rv = vert[root]
@@ -398,50 +422,88 @@ def _tour_batch(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
             while sigma[cyc[-1]] != h0:
                 cyc.append(sigma[cyc[-1]])
     swept = [h for h in range(0, n, 2) if vert[h] != vert[h ^ 1]]  # no loops
-    links = [(vert[h], vert[h ^ 1], he_pos[h]) for h in swept]
-    away = [[(a, b, p) for a, b, p in links if w not in (a, b)] for w in range(nv)]
+    out: list = [[] for _ in range(nv)]  # (half-edge, far end, position) by vertex
+    for h in swept:
+        out[vert[h]].append((h, vert[h ^ 1], he_pos[h]))
+        out[vert[h ^ 1]].append((h ^ 1, vert[h], he_pos[h]))
 
     def batch(planes: list, full: int) -> tuple[list, list]:
-        _require_trees(planes, full, nv, links, MotionNotCyclicError)
+        # anc[y][z]: the lanes where z is y or above it; anc[y][rv], y reached
+        anc = [[full if z == y else 0 for z in range(nv)] for y in range(nv)]
+        down = [0] * n  # the lanes where h's edge is a tree edge, h at its parent
+        fresh = {rv: full}  # the lanes where each vertex was reached last level
+        while fresh:
+            level = {}
+            for a, lanes in fresh.items():
+                for h, b, p in out[a]:
+                    new = lanes & planes[p] & ~anc[b][rv]
+                    if new:
+                        down[h] |= new
+                        level[b] = level.get(b, 0) | new
+                        anc[b] = [z | y & new for z, y in zip(anc[b], anc[a])]
+            fresh = level
+        _require_trees(planes, full, [row[rv] for row in anc], MotionNotCyclicError)
         branch = [[0] * nv] * n  # fact 1; no branch lies behind a loop
-        below = {}  # by even half-edge: the lanes where y lies below its edge
-        edges = [[(a, b, planes[p]) for a, b, p in away_w] for away_w in away]
+        below = []  # by position in swept: the lanes where y lies below its edge
         for h in swept:
-            plane = planes[he_pos[h]]
-            branch[h] = side = _reach(nv, vert[h ^ 1], plane, edges[vert[h]])
-            branch[h ^ 1] = [plane & ~y for y in side]  # the other side of T - p
-            below[h] = [plane & (y ^ side[rv]) for y in side]
-        late = dict.fromkeys(below, 0)  # lanes where a cocycle edge ranks first
+            a, b, dh, dt = vert[h], vert[h ^ 1], down[h], down[h ^ 1]
+            below.append(side := [dh & row[b] | dt & row[a] for row in anc])
+            branch[h] = [y ^ dt for y in side]  # b's side: below p iff a is the parent
+            branch[h ^ 1] = [y ^ dh for y in side]
+        after_r, same_r, prefix = [], [], []  # fact 3, at each vertex w
+        for w, cyc in enumerate(rot):
+            seen = 0  # r's direction before each slot
+            after, same, pre = [0] * nv, [0] * nv, []
+            for h in cyc:
+                b = branch[h]
+                dr = b[rv]
+                pre.append(seen)
+                after = [x | y & seen for x, y in zip(after, b)]
+                same = [x | y & dr for x, y in zip(same, b)]
+                seen |= dr
+            pre.append(seen)
+            after_r.append(after)
+            same_r.append(same)
+            prefix.append(pre)
+        late = [0] * len(swept)  # lanes where a cocycle edge ranks first
         external = [full ^ plane for plane in planes]  # a loop is always active
-        for f in below:
+        for i, f in enumerate(swept):
             u, v = vert[f], vert[f ^ 1]
+            au, av = anc[u], anc[v]
             first = 0  # fact 3: the lanes where the tour reaches f first at u
             for w in range(nv):
-                seen_r = full if w == rv else 0
-                seen_u = seen_v = 0
-                after = 0  # the parity of: u after r, v after u, r after v
-                clash = 0  # two directions share a half-edge: w is no median
-                for h in rot[w]:
-                    b = branch[h]
-                    dr, du, dv = b[rv], b[u], b[v]
-                    if h == f:
-                        du = full
-                    elif h == f ^ 1:
-                        dv = full
-                    after ^= du & seen_r ^ dv & seen_u ^ dr & seen_v
-                    clash |= dr & du | du & dv | dv & dr
-                    seen_r, seen_u, seen_v = seen_r | dr, seen_u | du, seen_v | dv
-                first |= full & ~(after | clash)
+                if not au[w] & av[w]:
+                    continue  # w is above both ends in no lane
+                # first gains where [u after r] ^ [v after u] ^ [r after v] is 0,
+                # with [r after y] = full ^ after[y] ^ same[y] and vu = [v after u]
+                cyc, after, same = rot[w], after_r[w], same_r[w]
+                if w == u:
+                    k, vu = cyc.index(f), 0
+                    for h in cyc[k + 1:]:
+                        vu |= branch[h][v]
+                    first |= prefix[w][k] ^ vu ^ after[v] ^ same[v]
+                elif w == v:
+                    k, vu = cyc.index(f ^ 1), 0
+                    for h in cyc[:k]:
+                        vu |= branch[h][u]
+                    first |= after[u] ^ vu ^ prefix[w][k + 1]
+                else:
+                    seen_u = vu = 0
+                    for h in cyc:
+                        b = branch[h]
+                        vu |= b[v] & seen_u
+                        seen_u |= b[u]
+                    first |= (after[u] ^ vu ^ after[v] ^ same[v]) & ~(same[u] & same[v])
             early = 0  # fact 2: the lanes where a tree edge ranks before f
-            for g, bg in below.items():
-                if g != f:
-                    du, dv = bg[u] & ~bg[v], bg[v] & ~bg[u]
-                    ahead = first & du | dv & ~first  # g ranks before f
+            for j, bg in enumerate(below):
+                x = bg[u] ^ bg[v]  # g is on f's tree path
+                if x and j != i:
+                    ahead = (x & bg[v]) ^ (first & x)  # g ranks before f
                     early |= ahead
-                    late[g] |= (du | dv) ^ ahead
+                    late[j] |= x ^ ahead
             external[he_pos[f]] &= ~early
         internal = [0] * (n >> 1)
-        for g, mask in late.items():
+        for g, mask in zip(swept, late):
             internal[he_pos[g]] = planes[he_pos[g]] & ~mask
         return internal, external
 

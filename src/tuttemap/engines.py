@@ -75,13 +75,14 @@ MAX_EXPANSION_EDGES = 19
 # at 2-3 trees per edge; at 4 the batch kernel took 0.6-0.8 of the
 # per-tree time, at 1 it took 1.5-2.4 times it, and on cycles 7-23 times.
 ORDER_BATCH_TREES_PER_EDGE = 4
-# The tour batch kernel costs |E| reachability sweeps and about 40|E|^2
-# big-int operations per chunk, _scan 2|E| tour steps per tree. A full
-# chunk took 0.11-0.18 of _scan's time on grid 4x4, W10 and K7. On those,
-# K5, K6, W6, grids 3x3 and 3x4, an 8-rung ladder, a theta graph and grid
-# 2x12 (10-34 edges) they broke even at 7-12 trees per edge; at 10 the
-# batch kernel took 0.5-1.2 of _scan's time, at 4 it took 1.1-2.7 times.
-EMBEDDING_BATCH_TREES_PER_EDGE = 10
+# The tour batch kernel costs one breadth-first pass and a few big-int
+# operations per pair of edges and per (edge, vertex) pair per chunk, _scan
+# 2|E| tour steps per tree. A full chunk took 0.04-0.05 of _scan's time on
+# grid 4x4, W10 and K7. On those, K5, K6, W6, grids 3x3 and 3x4, an 8-rung
+# ladder, a theta graph and grid 2x12 (10-34 edges) they broke even at 3-5
+# trees per edge; at 5 the batch kernel took 0.5-0.95 of _scan's time, at 2
+# it took 1.0-1.6 times.
+EMBEDDING_BATCH_TREES_PER_EDGE = 5
 
 
 def _require_connected(graph: Multigraph) -> None:

@@ -828,20 +828,34 @@ def map_corpus(seed: int = 20546, per_size: int = 120,
     return corpus
 
 
+def _joins_all(nv: int, pairs) -> bool:
+    """Whether the endpoint pairs join vertices 0..nv-1 into one component,
+    by a union-find over an int list."""
+    parent = list(range(nv))
+    parts = nv
+    for u, v in pairs:
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            parts -= 1
+    return parts == 1
+
+
 def connected_multigraphs(max_vertices: int, max_edges: int):
     """Every connected multigraph on labeled vertices 0..nv-1 with at most
     max_edges edges (loops and parallel edges included); edge ids e0, e1...
-    follow the sorted endpoint-pair order."""
+    follow the sorted endpoint-pair order. Only the endpoint lists that join
+    every vertex become a ``Multigraph``."""
     for nv in range(1, max_vertices + 1):
         verts = list(range(nv))
         pairs = [(u, v) for u in verts for v in verts[u:]]
-        for ne in range(max_edges + 1):
-            if ne < nv - 1:
-                continue
+        for ne in range(nv - 1, max_edges + 1):
             for combo in itertools.combinations_with_replacement(pairs, ne):
-                g = Multigraph(verts, {f"e{i}": uv for i, uv in enumerate(combo)})
-                if g.is_connected():
-                    yield g
+                if _joins_all(nv, combo):
+                    yield Multigraph(verts, {f"e{i}": uv for i, uv in enumerate(combo)})
 
 
 @st.composite

@@ -24,6 +24,7 @@ from tuttemap import (
     erase_check,
     motion_function,
     order_activities,
+    tutte_deletion_contraction,
     tutte_embedding_activities,
     tutte_order_activities,
     tutte_subgraph_expansion,
@@ -625,6 +626,63 @@ def test_embedding_route_chooses_its_kernel_per_chunk(monkeypatch):
     chunks.clear()
     assert tutte_embedding_activities(embed(g)) == tutte_subgraph_expansion(g)
     assert chunks == []
+
+
+def test_tour_batch_matches_the_tour_order_definition_on_every_small_map():
+    # the paper's definition, tree by tree: a tree's embedding activities
+    # are its classical activities under the order in which its tour first
+    # reaches each edge. The tour comes from _tour, which the batch kernel
+    # never calls, so a tour that starts one step late shows here
+    pairs = 0
+    for n in range(1, 6):
+        he_pos = [h >> 1 for h in range(2 * n)]
+        for sigma in _census_sigmas(n, None):
+            nv, ends = census_ends(sigma)
+            trees = list(tree_flags(nv, ends))
+            internal, external = _tour_batch(sigma, 0, he_pos)(
+                _planes(trees, n), (1 << len(trees)) - 1)
+            for i, flags in enumerate(trees):
+                ranked = list(dict.fromkeys(he_pos[h] for h in activity._tour(
+                    sigma, 0, he_pos, flags)))
+                want = _order_kernel(ends, nv, ranked)(flags)
+                assert (_lanes(internal, i), _lanes(external, i)) == tuple(
+                    sorted(a) for a in want)
+            pairs += len(trees)
+    assert pairs == 16_999
+
+
+def _rooted_at(g: Multigraph, vertex) -> CombinatorialMap:
+    """The default embedding of ``g``, rooted at the half-edge of the last
+    edge at ``vertex``, so that the root is not the vertex's first half-edge
+    (``embed`` names edge e's half-edge at its first end e, at the other e')."""
+    e = next(e for e in reversed(g.edge_ids) if vertex in g.endpoints(e))
+    return embed(g).with_root(str(e) if g.endpoints(e)[0] == vertex else f"{e}'")
+
+
+_W9 = Multigraph(range(10), {**{f"r{i}": (i, i % 9 + 1) for i in range(1, 10)},
+                             **{f"s{i}": (0, i) for i in range(1, 10)}})
+_GRID_3X4 = Multigraph(
+    list(itertools.product(range(3), range(4))),
+    {f"e{k:02d}": uv for k, uv in enumerate(
+        [((r, c), (r, c + 1)) for r in range(3) for c in range(3)]
+        + [((r, c), (r + 1, c)) for r in range(2) for c in range(4)])})
+
+
+@pytest.mark.parametrize("g, vertex, degree, chunks", [
+    (_W9, 0, 9, [engines.TREE_CHUNK, 1680]), (_W9, 1, 3, [engines.TREE_CHUNK, 1680]),
+    (_GRID_3X4, (1, 1), 4, [2415]), (_GRID_3X4, (0, 0), 2, [2415]),
+], ids=["W9-hub", "W9-rim", "grid3x4-inner", "grid3x4-corner"])
+def test_tour_batch_matches_the_tour_kernel_on_deep_trees(monkeypatch, g, vertex, degree,
+                                                        chunks):
+    # full chunks of trees whose paths run deep below a root of the highest
+    # degree or of a low one, where the random maps above are too small to
+    # meet the common-ancestor skip and the closed forms at an edge's ends
+    assert sum(vertex in g.endpoints(e) for e in g.edge_ids) == degree
+    seen, sizes = [], []
+    monkeypatch.setattr(engines, "EMBEDDING_BATCH_TREES_PER_EDGE", 0)
+    monkeypatch.setattr(engines, "_tour_batch", _checked_tours(seen, sizes))
+    assert tutte_embedding_activities(_rooted_at(g, vertex)) == tutte_deletion_contraction(g)
+    assert sizes == chunks
 
 
 def test_tour_batch_rejects_a_cycle_and_a_forest():

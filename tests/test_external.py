@@ -165,6 +165,18 @@ def test_map_sums_import_no_tree_or_tour_kernel():
     assert imported.isdisjoint({"activity", "spanning"}), imported
 
 
+def test_tour_batch_walks_no_tour():
+    # the tests hold the batch tour kernel to _scan and to _tour's edge
+    # order; that checks the tour only while the kernel walks none itself
+    source = Path(tuttemap.__file__).parent / "activity.py"
+    kernel = next(node for node in ast.parse(source.read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_tour_batch")
+    names = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)}
+    assert "_require_trees" in names
+    assert names.isdisjoint({"_reach", "_tour", "_scan"}), names
+
+
 def test_census_walk_imports_no_euler_count():
     # the census filters genus inside its walk; the tests hold it to an
     # Euler count of their own, and cmap's stays with euler_characteristic

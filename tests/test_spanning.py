@@ -1,5 +1,6 @@
 """Spanning tree enumeration and fundamental cycle/cocycle machinery."""
 
+import itertools
 import random
 
 import pytest
@@ -261,8 +262,25 @@ def test_tree_count_matches_kirchhoff():
 def test_kirchhoff_matches_brute_force_on_every_small_multigraph():
     # Bareiss with no row swap: each pivot is a leading principal minor of
     # the semidefinite reduced Laplacian, so a zero one ends the count
+    count = 0
     for g in connected_multigraphs(5, 7):
         assert kirchhoff_tree_count(g) == brute_force_tree_count(g)
+        count += 1
+    assert count == 53_886
+
+
+def test_connected_multigraphs_keeps_every_connected_endpoint_list():
+    # the union-find filter keeps the graphs that the graph's own
+    # connectivity test keeps, in the same order
+    kept = []
+    for nv in range(1, 5):
+        pairs = [(u, v) for u in range(nv) for v in range(u, nv)]
+        for ne in range(6):
+            for combo in itertools.combinations_with_replacement(pairs, ne):
+                g = Multigraph(range(nv), {f"e{i}": uv for i, uv in enumerate(combo)})
+                if g.is_connected():
+                    kept.append(g)
+    assert list(connected_multigraphs(4, 5)) == kept
 
 
 @pytest.mark.parametrize("vertices, edges", [
