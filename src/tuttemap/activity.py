@@ -18,8 +18,11 @@ x^|I| y^|E| over trees; the single-tree ``order_activities`` and
 ``embedding_activities`` apply the same kernels to one tree. Each route
 also has a batch kernel over many trees (below), a function from a
 chunk's planes (``_planes``) and lane mask ``full`` to lane masks, counted
-by ``_lane_sum``; the two share only ``_by_count`` and the lane gate
-``_require_trees``, which each feeds its own reach.
+by ``_lane_sum``. The two batch kernels share the pass that hangs a
+chunk's trees from one vertex (``_hang``), the lane gate
+``_require_trees`` that takes its reach, and ``_by_count``. A fault there
+hits both tree routes alike, and the routes that hang no tree (delcon,
+the expansion and the map recursion) still disagree with them.
 
 The order kernel (``_order_kernel``) hangs the tree from vertex 0, giving
 each vertex the bitmask of its tree path to the root; an external edge's
@@ -27,33 +30,27 @@ tree path is the xor of its endpoints' masks. In rank order, an external
 edge is active iff its path holds no lower tree edge, and a tree edge iff
 no lower external edge's path covers it.
 
-The batch order kernel (``_order_batch``) decides a chunk of trees at once
-and roots none of them. Its lanes are bit-sliced: bit i of every mask
-belongs to tree i of the chunk, edge p's plane is the mask of the trees
-that hold p, and one big-int operation acts on every tree of the chunk.
-It rests on two facts, for a spanning tree T, an edge f with ends u, v,
-and "above f" and "below f" meaning ranked above or below f:
-
-1. An external edge f is active iff u and v are joined by tree edges
-   above f. f is active iff every edge of its tree path ranks above f.
-   If so, that path joins u and v; conversely, any walk in T from u to v
-   contains the tree path, so a walk of edges above f puts the path above
-   f. A loop's cycle is itself, so a loop is always active.
-2. A tree edge p is active iff u and v stay apart in (T - p) plus every
-   edge below p. p is active iff no edge below p lies in its cocycle, the
-   edges joining the two components of T - p, which hold u and v. An edge
-   below p in the cocycle joins the two, and so u to v. Conversely, a path
-   from u to v in (T - p) plus the edges below p must cross between the
-   two components by an edge outside T - p, so by an edge below p in the
-   cocycle.
-
-Fact 2 takes every edge below p, whatever the tree, so the batch kernel
-contracts those edges once per p, for all chunks, and asks whether the
-tree edges above p join the classes of u and v (tree edges below p lie
-inside a class). Both facts are then one lane-wise reachability question
-(``_reach``) over the tree edges above the edge, with each edge present
-in the lanes of its plane. ``_lane_sum`` counts x^|I| y^|E| over the
-lanes with bit-sliced counters (``_by_count``), beside ``_activity_sum``.
+The batch order kernel (``_order_batch``) decides a chunk of trees at
+once. Its lanes are bit-sliced: bit i of every mask belongs to tree i of
+the chunk, edge p's plane is the mask of the trees that hold p, and one
+big-int operation acts on every tree of the chunk. One breadth-first pass
+(``_hang``), a level at a time over each lane's tree edges, hangs every
+tree of the chunk from one vertex: it marks each tree edge's half-edge at
+its parent end, and a newly reached vertex takes its parent's ancestors,
+and itself. Each level reaches a new vertex in every lane it goes on in,
+so the pass ends within |V| levels, tree or not, and its reach is the lane
+gate's. A vertex y lies below a tree edge g when g is on y's tree path to
+the start, that is, when g's child end is y or an ancestor of y. For an
+edge f with ends u and v, g is on f's tree path iff exactly one of u and
+v lies below g: in the lanes ``below_g[u] ^ below_g[v]``. Where f is a
+tree edge, its path is f itself, so the mask is empty there for every g
+other than f. Then, in rank order, an external edge f is active where no
+g ranked below f has that mask, and a tree edge g where no f ranked below
+g has it: g's cocycle is the external edges whose path holds g. A loop's
+path is empty, so a loop is always active. The kernel has no root of its
+own; it starts the pass at a vertex of largest degree, whose first level
+reaches the most vertices. ``_lane_sum`` counts x^|I| y^|E| over the lanes
+with bit-sliced counters (``_by_count``), beside ``_activity_sum``.
 
 The tour kernel (``_scan``) reads both off the tour that ``_tour`` walks.
 The two half-edges of each tree edge nest there like parentheses
@@ -67,18 +64,12 @@ only the rotation, the root and the edge position of each half-edge;
 ``_tour_args`` gives the three of a rooted map.
 
 The batch tour kernel (``_tour_batch``) decides a chunk of trees on the
-same lanes and walks no tour. Let r be the root's vertex. One
-breadth-first pass from r, a level at a time over each lane's tree edges,
-hangs every tree from r: it marks each tree edge's half-edge at its parent
-end, and a newly reached vertex takes its parent's ancestors, and itself.
-Each level reaches a new vertex in every lane it goes on in, so the pass
-ends within |V| levels, tree or not, and its reach is the lane gate's. A
-vertex lies below a tree edge p when p is on its tree path to r, and the
-branches of T - w are the components of T with vertex w removed, one
-behind each tree half-edge at w; the direction at w toward y is the
-half-edge whose branch holds y. For an external edge f with ends u and v,
-its first-reached end x is the end of the half-edge the tour reaches
-first, whose step ranks f. The kernel rests on three facts:
+same lanes and walks no tour. Let r be the root's vertex: the pass hangs
+every tree from r. The branches of T - w are the components of T with
+vertex w removed, one behind each tree half-edge at w; the direction at w
+toward y is the half-edge whose branch holds y. For an external edge f
+with ends u and v, its first-reached end x is the end of the half-edge the
+tour reaches first, whose step ranks f. The kernel rests on three facts:
 
 1. Branches are the sides of a tree edge. For a tree edge p with ends a
    and b, T - p has two sides: the subtree of p's child end, and the rest.
@@ -260,32 +251,44 @@ def _planes(chunk: list, ne: int) -> list[int]:
     return [int(buf[p::ne].translate(_LANE_DIGITS), 2) for p in range(ne)]
 
 
-def _reach(n: int, s: int, lanes: int, edges: list) -> list[int]:
-    """For each node 0..n-1, the lanes of ``lanes`` in which a path of
-    ``edges`` joins s to it. An edge (a, b, mask) is present in the lanes
-    of its mask. ``reach`` starts as ``lanes`` at s and 0 elsewhere; each
-    sweep over the edges widens both ends of an edge by what either end
-    reaches through it, until a sweep changes nothing. A path of k edges is found within k
-    sweeps."""
-    reach = [0] * n
-    reach[s] = lanes
-    changed = True
-    while changed:
-        changed = False
-        for a, b, mask in edges:
-            ra, rb = reach[a], reach[b]
-            new = (ra | rb) & mask
-            if new & ~(ra & rb):
-                reach[a], reach[b] = ra | new, rb | new
-                changed = True
-    return reach
+def _hang(out: list, start: int, planes: list, full: int) -> tuple[list, list, list]:
+    """One breadth-first pass from ``start``, a level at a time over each
+    lane's tree edges, that hangs every tree of a chunk from ``start``.
+    ``out[a]`` lists (half-edge, far end, edge position) for each non-loop
+    half-edge at vertex a; half-edges 2k and 2k + 1 share an edge. Returns
+    ``down``, the lanes where each half-edge's edge is a tree edge and the
+    half-edge is at its parent end; ``anc[y][z]``, the lanes where z is y
+    or an ancestor of y; and the reach ``anc[y][start]`` that the lane gate
+    takes. A newly reached vertex takes its parent's row, masked by the new
+    lanes, at the vertices reached at an earlier level: the row is 0
+    elsewhere."""
+    nv = len(out)
+    anc = [[full if z == y else 0 for z in range(nv)] for y in range(nv)]
+    down = [0] * (2 * len(planes))
+    fresh = {start: full}  # the lanes where each vertex was reached last level
+    seen = [start]  # the vertices reached at an earlier level
+    while fresh:
+        level = {}
+        for a, lanes in fresh.items():
+            row = anc[a]
+            for h, b, p in out[a]:
+                new = lanes & planes[p] & ~anc[b][start]
+                if new:
+                    down[h] |= new
+                    level[b] = level.get(b, 0) | new
+                    col = anc[b]
+                    for z in seen:
+                        col[z] |= row[z] & new
+        seen += [b for b in level if b not in seen]
+        fresh = level
+    return down, anc, [row[start] for row in anc]
 
 
 def _require_trees(planes: list, full: int, reach: list, error: type) -> None:
     """Raise ``error`` on the first lane of ``full`` that is no spanning
     tree: it holds other than |V| - 1 edges (``_by_count``), or it leaves a
-    vertex unreached. ``reach`` holds, for each vertex, the lanes where the
-    tree's edges join it to one fixed vertex, as the caller found them."""
+    vertex unreached. ``reach`` is the pass's (``_hang``): for each vertex,
+    the lanes where the tree's edges join it to the start."""
     ok = _by_count(planes, full).get(len(reach) - 1, 0)
     for lanes in reach:
         ok &= lanes
@@ -299,32 +302,31 @@ def _order_batch(ends: list, nv: int, ranked: list[int]):
     planes and lane mask to two lists, by edge position, of lane masks. Bit
     i of ``internal[p]`` (of ``external[p]``) is set iff edge p is
     internally (externally) active in tree i of the chunk. Each edge is
-    decided from the two connectivity facts of the module docstring, with
-    the edges ranked below it contracted once here, for every chunk. A lane
-    of no spanning tree raises RuntimeError."""
-    links = [(u, v, p) for p, (u, v) in enumerate(ends) if u != v]
-    cls = list(range(nv))  # each vertex's class once the lower edges contract
-    steps = []
-    for r, p in enumerate(ranked):
-        u, v = ends[p]
-        cu, cv = cls[u], cls[v]
-        above = [(*ends[q], q) for q in ranked[r + 1:] if ends[q][0] != ends[q][1]]
-        merged = [(cls[a], cls[b], q) for a, b, q in above if cls[a] != cls[b]]
-        steps.append((p, u, v, cu, cv, above, merged))
-        cls = [cv if c == cu else c for c in cls]
+    decided in rank order from the pass (``_hang``) down from a vertex of
+    largest degree (see the module docstring). A lane of no spanning tree
+    raises RuntimeError."""
+    out: list = [[] for _ in range(nv)]
+    for p, (u, v) in enumerate(ends):
+        if u != v:
+            out[u].append((2 * p, v, p))
+            out[v].append((2 * p + 1, u, p))
+    start = max(range(nv), key=lambda y: len(out[y]))
+    links = [(p, *ends[p]) for p in ranked]  # a loop's side is empty
 
     def batch(planes: list, full: int) -> tuple[list, list]:
-        edges = [(a, b, planes[p]) for a, b, p in links]
-        _require_trees(planes, full, _reach(nv, 0, full, edges), RuntimeError)
-        internal, external = [0] * len(planes), [0] * len(planes)
-        for p, u, v, cu, cv, above, merged in steps:
-            tree = planes[p]
-            if tree != full:
-                external[p] = _reach(nv, u, full ^ tree,
-                                     [(a, b, planes[q]) for a, b, q in above])[v]
-            if tree and cu != cv:  # else a lower edge closes p's cocycle
-                internal[p] = tree ^ _reach(nv, cu, tree,
-                                            [(a, b, planes[q]) for a, b, q in merged])[cv]
+        down, anc, reach = _hang(out, start, planes, full)
+        _require_trees(planes, full, reach, RuntimeError)
+        internal, external = list(planes), [full ^ plane for plane in planes]
+        below = []  # by rank among the links: the lanes where y lies below the edge
+        for p, u, v in links:
+            side = [down[2 * p] & row[v] | down[2 * p + 1] & row[u] for row in anc]
+            early = late = 0
+            for lower, (_, a, b) in zip(below, links):
+                early |= lower[u] ^ lower[v]  # a lower tree edge on p's path
+                late |= side[a] ^ side[b]  # p on a lower external edge's path
+            external[p] &= ~early
+            internal[p] &= ~late
+            below.append(side)
         return internal, external
 
     return batch
@@ -409,8 +411,8 @@ def _tour_batch(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
     """The tour kernel (``_scan``) over many trees at once, with the
     arguments of ``_scan``: a function from a chunk's planes and lane mask
     to lane masks by edge position, as ``_order_batch``'s, decided by the
-    three facts of the module docstring from one breadth-first pass down
-    from the root's vertex. The pass's reach is the lane gate's: it raises
+    three facts of the module docstring from the pass (``_hang``) down from
+    the root's vertex. The pass's reach is the lane gate's: it raises
     ``MotionNotCyclicError`` if a lane marks no spanning tree."""
     n = len(sigma)
     vert, nv = _cycle_labels(sigma)  # vertices are the rotation's cycles
@@ -428,21 +430,8 @@ def _tour_batch(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
         out[vert[h ^ 1]].append((h ^ 1, vert[h], he_pos[h]))
 
     def batch(planes: list, full: int) -> tuple[list, list]:
-        # anc[y][z]: the lanes where z is y or above it; anc[y][rv], y reached
-        anc = [[full if z == y else 0 for z in range(nv)] for y in range(nv)]
-        down = [0] * n  # the lanes where h's edge is a tree edge, h at its parent
-        fresh = {rv: full}  # the lanes where each vertex was reached last level
-        while fresh:
-            level = {}
-            for a, lanes in fresh.items():
-                for h, b, p in out[a]:
-                    new = lanes & planes[p] & ~anc[b][rv]
-                    if new:
-                        down[h] |= new
-                        level[b] = level.get(b, 0) | new
-                        anc[b] = [z | y & new for z, y in zip(anc[b], anc[a])]
-            fresh = level
-        _require_trees(planes, full, [row[rv] for row in anc], MotionNotCyclicError)
+        down, anc, reach = _hang(out, rv, planes, full)
+        _require_trees(planes, full, reach, MotionNotCyclicError)
         branch = [[0] * nv] * n  # fact 1; no branch lies behind a loop
         below = []  # by position in swept: the lanes where y lies below its edge
         for h in swept:

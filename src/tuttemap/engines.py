@@ -69,12 +69,13 @@ __all__ = [
 # parallel edges) to 26 s (a 19-edge path), 20 parallel edges 42 s.
 MAX_EXPANSION_EDGES = 19
 
-# The order batch kernel costs about |E|^2 big-int operations per chunk, the
-# per-tree kernel about |E| steps per tree. On K6, W10, grid 4x4, grid
-# 2x12, an 8-rung ladder and two theta graphs (15-48 edges) they broke even
-# at 2-3 trees per edge; at 4 the batch kernel took 0.6-0.8 of the
-# per-tree time, at 1 it took 1.5-2.4 times it, and on cycles 7-23 times.
-ORDER_BATCH_TREES_PER_EDGE = 4
+# The order batch kernel costs one breadth-first pass and a few big-int
+# operations per pair of edges per chunk, the per-tree kernel about |E|
+# steps per tree. On K4, K5, W5, W6, grids 3x3, 4x4 and 2x12, K6, W10, an
+# 8-rung ladder and three theta graphs (6-48 edges) they broke even at
+# 1-2.5 trees per edge; at 3 the batch kernel took 0.3-0.75 of the
+# per-tree time, at 1 it took 0.9-1.8 times it, and on cycles 1.3-1.6 times.
+ORDER_BATCH_TREES_PER_EDGE = 3
 # The tour batch kernel costs one breadth-first pass and a few big-int
 # operations per pair of edges and per (edge, vertex) pair per chunk, _scan
 # 2|E| tour steps per tree. A full chunk took 0.04-0.05 of _scan's time on
@@ -219,7 +220,7 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
 
 
 def _order_route(graph: Multigraph, order: Sequence) -> tuple:
-    """An order route for ``_tree_sum``; its |E|^2 batch plan is built lazily."""
+    """An order route for ``_tree_sum``; its batch kernel is built on first use."""
     args = _order_args(graph, order)
     return _order_kernel(*args), lambda: _order_batch(*args), ORDER_BATCH_TREES_PER_EDGE
 

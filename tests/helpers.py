@@ -93,6 +93,27 @@ def double_edge_graph() -> Multigraph:
     return Multigraph([1, 2], {"e1": (1, 2), "e2": (1, 2)})
 
 
+def petersen_edges():
+    """The vertices and edges of the Petersen graph."""
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return range(10), outer + inner + [(i, i + 5) for i in range(5)]
+
+
+def grid_edges(rows, cols):
+    """The vertices and edges of the rows x cols grid."""
+    verts = list(itertools.product(range(rows), range(cols)))
+    edges = [((r, c), (r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [((r, c), (r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return verts, edges
+
+
+def wheel_edges(rim):
+    """The vertices and edges of the wheel with ``rim`` rim vertices, hub 0."""
+    cycle = [(i, i % rim + 1) for i in range(1, rim + 1)]
+    return range(rim + 1), cycle + [(0, i) for i in range(1, rim + 1)]
+
+
 # -- permutation oracles ----------------------------------------------------
 
 

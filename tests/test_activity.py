@@ -40,12 +40,14 @@ from helpers import (
     connected_multigraphs,
     cyclic_equal,
     expansion_coeffs_oracle,
+    grid_edges,
     is_spanning_tree_subset,
     make_map,
     torus_map,
     k3,
     map_corpus,
     ordered_and_embedded,
+    petersen_edges,
     random_rooted_map,
     single_isthmus_map,
     single_loop_map,
@@ -53,6 +55,7 @@ from helpers import (
     swap_cycle_oracle,
     tree_flags,
     uncached_erase_walk,
+    wheel_edges,
 )
 
 
@@ -683,6 +686,30 @@ def test_tour_batch_matches_the_tour_kernel_on_deep_trees(monkeypatch, g, vertex
     monkeypatch.setattr(engines, "_tour_batch", _checked_tours(seen, sizes))
     assert tutte_embedding_activities(_rooted_at(g, vertex)) == tutte_deletion_contraction(g)
     assert sizes == chunks
+
+
+@pytest.mark.parametrize("make, chunks", [
+    (lambda: (range(6), list(itertools.combinations(range(6), 2))), [1296]),
+    (petersen_edges, [2000]),
+    (lambda: grid_edges(3, 4), [2415]),
+    (lambda: wheel_edges(9), [engines.TREE_CHUNK, 1680]),
+    (lambda: wheel_edges(10), [engines.TREE_CHUNK] * 3 + [2837]),
+], ids=["K6", "Petersen", "grid3x4", "W9", "W10"])
+def test_batch_kernels_match_the_per_tree_kernels_on_the_benchmark_graphs(monkeypatch, make,
+                                                                         chunks):
+    # every chunk of the graphs that perfbench's trees workload runs, lane
+    # by lane: the order route under a random edge order, the tour route
+    # on the graph's embedding
+    verts, edges = make()
+    g = Multigraph(verts, dict(enumerate(edges)))
+    order = random.Random(36).sample(g.edge_ids, g.edge_count)
+    want = tutte_deletion_contraction(g)
+    seen, sizes = [], []
+    monkeypatch.setattr(engines, "_order_batch", _checked_batches(seen, sizes))
+    monkeypatch.setattr(engines, "_tour_batch", _checked_tours(seen, sizes))
+    assert tutte_order_activities(g, order) == want
+    assert tutte_embedding_activities(embed(g)) == want
+    assert sizes == chunks * 2
 
 
 def test_tour_batch_rejects_a_cycle_and_a_forest():

@@ -554,6 +554,9 @@ K6_TEXT = "".join(f"v {v}\n" for v in range(6)) + "".join(
     f"e {u}{v} {u} {v}\n" for u in range(6) for v in range(u + 1, 6))
 W9_TEXT = "".join(f"v {v}\n" for v in range(10)) + "".join(
     f"e r{i} {i} {i % 9 + 1}\ne s{i} 0 {i}\n" for i in range(1, 10))
+PETERSEN_TEXT = "".join(f"v {v}\n" for v in range(10)) + "".join(
+    f"e o{i} {i} {(i + 1) % 5}\ne i{i} {5 + i} {5 + (i + 2) % 5}\ne s{i} {i} {5 + i}\n"
+    for i in range(5))
 # two parallel edges, a triangle through them and a loop
 LOOPY_TEXT = "v 1\nv 2\nv 3\ne a 1 2\ne b 1 2\ne c 2 3\ne d 3 1\ne l 1 1\n"
 
@@ -725,7 +728,7 @@ def test_check_exits_2_when_the_dag_keeps_a_component_that_left(capsys, monkeypa
 ], ids=["batch", "per-tree"])
 def test_order_route_refuses_a_forest(capsys, monkeypatch, tmp_path, per_edge, message):
     # K4's 38 edge sets make one chunk: at least ORDER_BATCH_TREES_PER_EDGE
-    # = 4 per edge goes to the batch kernel, fewer than 7 to the per-tree
+    # = 3 per edge goes to the batch kernel, fewer than 7 to the per-tree
     # one, and either refuses the first forest
     _keep_components_that_left(monkeypatch)
     if per_edge is not None:
@@ -865,6 +868,35 @@ def test_check_fails_the_erase_row_on_a_tour_that_drifts_on_some_trees(
     assert code == 2
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL: minor tours equal the original tour with two half-edges erased"]
+
+
+def test_check_fails_the_five_way_row_on_a_pass_that_marks_the_child_end(
+        capsys, monkeypatch, tmp_path):
+    # the pass that hangs a chunk's trees (_hang) is shared by both batch
+    # kernels; here each tree edge's parent-end mark lands on its other
+    # half-edge. Petersen's 2,000 trees make one chunk above both
+    # crossovers, so both tree routes go wrong and delcon, the expansion
+    # and recursive, which share no pass, disagree with them. K4 would pass:
+    # its 16 trees fall below the crossovers and go tree by tree
+    real = activity._hang
+
+    def flipped(out, start, planes, full):
+        down, anc, reach = real(out, start, planes, full)
+        return [down[h ^ 1] for h in range(len(down))], anc, reach
+
+    monkeypatch.setattr(activity, "_hang", flipped)
+    path = tmp_path / "petersen.g"
+    path.write_text(PETERSEN_TEXT)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "1")
+    assert code == 2
+    assert [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: five evaluator methods agree",
+        "FAIL: embedding independence over 1 random rooted embeddings",
+        "FAIL: order independence over 1 random edge orders"]
+    assert out.splitlines()[-1] == "3 check(s) failed"
+    monkeypatch.setattr(activity, "_hang", real)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "1")
+    assert code == 0 and out.endswith("all checks passed\n")
 
 
 def test_check_reads_each_minor_once(capsys, monkeypatch, tmp_path):

@@ -37,6 +37,7 @@ from helpers import (
     connected_multigraphs,
     double_edge_graph,
     expansion_coeffs_oracle,
+    grid_edges,
     torus_map,
     is_spanning_tree_subset,
     isthmus_graph,
@@ -46,10 +47,12 @@ from helpers import (
     make_map,
     map_corpus,
     ordered_and_embedded,
+    petersen_edges,
     random_connected_multigraphs,
     random_rooted_map,
     relabel_map,
     subgraph_components,
+    wheel_edges,
 )
 
 P = BivariatePolynomial.parse
@@ -378,7 +381,7 @@ def test_tree_routes_draw_their_trees_through_the_enumerator(monkeypatch):
 
     monkeypatch.setattr(engines, "enumerate_spanning_trees", counting)
     graphs = [Multigraph(verts, dict(enumerate(edges)))
-              for verts, edges in (_petersen(), _grid(3, 3), _wheel(6))]
+              for verts, edges in (petersen_edges(), grid_edges(3, 3), wheel_edges(6))]
     graphs.append(Multigraph([1, 2, 3], {"a": (1, 2), "b": (1, 2), "c": (2, 3), "l": (3, 3)}))
     for g in graphs:
         want = kirchhoff_tree_count(g)
@@ -407,26 +410,8 @@ def test_delcon_matches_expansion_and_oracle(g):
     assert t.terms() == expansion_coeffs_oracle(g)
 
 
-def _petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return range(10), outer + inner + [(i, i + 5) for i in range(5)]
-
-
-def _grid(rows, cols):
-    verts = list(itertools.product(range(rows), range(cols)))
-    edges = [((r, c), (r, c + 1)) for r in range(rows) for c in range(cols - 1)]
-    edges += [((r, c), (r + 1, c)) for r in range(rows - 1) for c in range(cols)]
-    return verts, edges
-
-
-def _wheel(rim):
-    cycle = [(i, i % rim + 1) for i in range(1, rim + 1)]
-    return range(rim + 1), cycle + [(0, i) for i in range(1, rim + 1)]
-
-
-@pytest.mark.parametrize("make", [_petersen, lambda: _grid(3, 4), lambda: _wheel(9),
-                                  lambda: _grid(4, 4), lambda: _wheel(10)],
+@pytest.mark.parametrize("make", [petersen_edges, lambda: grid_edges(3, 4), lambda: wheel_edges(9),
+                                  lambda: grid_edges(4, 4), lambda: wheel_edges(10)],
                          ids=["Petersen", "grid3x4", "W9", "grid4x4", "W10"])
 def test_delcon_matches_order_activities_on_shuffled_labels(make):
     verts, edges = make()
@@ -484,8 +469,8 @@ def test_pivot_order_places_loops_and_parallel_edges():
 
 
 @pytest.mark.parametrize("make,bound", [
-    (lambda: _grid(3, 4), 4), (lambda: _grid(4, 4), 5), (lambda: _grid(4, 8), 5),
-    (lambda: _wheel(10), 4), (lambda: _wheel(20), 4),
+    (lambda: grid_edges(3, 4), 4), (lambda: grid_edges(4, 4), 5), (lambda: grid_edges(4, 8), 5),
+    (lambda: wheel_edges(10), 4), (lambda: wheel_edges(20), 4),
 ], ids=["grid3x4", "grid4x4", "grid4x8", "W10", "W20"])
 def test_pivot_order_keeps_the_frontier_small(make, bound):
     # min(r, c) + 1 on an r x c grid, 4 on a wheel, whatever the labels
@@ -505,7 +490,7 @@ def _random_graph(rng, nv, ne):
     return range(nv), edges
 
 
-@pytest.mark.parametrize("make", [lambda: _grid(6, 6), lambda: _wheel(20),
+@pytest.mark.parametrize("make", [lambda: grid_edges(6, 6), lambda: wheel_edges(20),
                                   lambda: _random_graph(random.Random(20), 20, 40)],
                          ids=["grid6x6", "W20", "random20x40"])
 def test_delcon_oracles_at_scale(make):
@@ -516,7 +501,7 @@ def test_delcon_oracles_at_scale(make):
     assert t.evaluate(2, 2) == 2 ** g.edge_count
 
 
-@pytest.mark.parametrize("make", [lambda: _grid(4, 4), lambda: _wheel(20)],
+@pytest.mark.parametrize("make", [lambda: grid_edges(4, 4), lambda: wheel_edges(20)],
                          ids=["grid4x4", "W20"])
 def test_recursive_oracles_at_scale(make):
     verts, edges = make()
@@ -609,7 +594,7 @@ def test_cross_check_builds_planes_once_per_chunk_and_walk(monkeypatch):
     real, built = engines._planes, []
     monkeypatch.setattr(engines, "_planes",
                         lambda chunk, ne: built.append(len(chunk)) or real(chunk, ne))
-    verts, edges = _wheel(9)
+    verts, edges = wheel_edges(9)
     g = Multigraph(verts, dict(enumerate(edges)))
     rng = random.Random(87)
     orders = [rng.sample(g.edge_ids, g.edge_count) for _ in range(3)]

@@ -177,6 +177,22 @@ def test_tour_batch_walks_no_tour():
     assert names.isdisjoint({"_reach", "_tour", "_scan"}), names
 
 
+def test_both_batch_kernels_hang_their_trees_by_one_pass():
+    # no reach sweep is left: each batch kernel calls the one pass (_hang)
+    # and gives the lane gate its own error type
+    source = Path(tuttemap.__file__).parent / "activity.py"
+    defs = {node.name: node for node in ast.parse(source.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)}
+    assert "_reach" not in defs and "_hang" in defs
+    for kernel, error in (("_order_batch", "RuntimeError"),
+                          ("_tour_batch", "MotionNotCyclicError")):
+        calls = {node.func.id: [ast.unparse(arg) for arg in node.args]
+                 for node in ast.walk(defs[kernel])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "_hang" in calls, kernel
+        assert calls["_require_trees"][-1] == error, kernel
+
+
 def test_census_walk_imports_no_euler_count():
     # the census filters genus inside its walk; the tests hold it to an
     # Euler count of their own, and cmap's stays with euler_characteristic

@@ -235,17 +235,33 @@ GENUS_COUNTS = {
     3: {0: 54, 1: 20},
     4: {0: 378, 1: 307, 2: 21},
     5: {0: 2916, 1: 4280, 2: 966},
+    6: {0: 24057, 1: 56914, 2: 27954, 3: 1485},
+    7: {0: 208494, 1: 736568, 2: 650076, 3: 113256},
 }
+
+
+def _planar_maps(n: int) -> int:
+    """Tutte's count of rooted planar maps with n edges."""
+    return 2 * 3**n * math.factorial(2 * n) // (math.factorial(n) * math.factorial(n + 2))
+
+
+def _rooted_maps(n: int) -> int:
+    """Rooted maps with n edges, all genera: A000698(n + 1), the perfect
+    matchings of 2n + 2 points with no proper prefix matched among itself.
+    A matching of 2m points has (2m - 1)!! forms, and splits after its
+    first such block, of 2k points, in A000698(k) (2m - 2k - 1)!! ways."""
+    a = [1]
+    for m in range(1, n + 2):
+        a.append(_double_factorial(2 * m - 1) - sum(
+            a[k] * _double_factorial(2 * (m - k) - 1) for k in range(1, m)))
+    return a[n + 1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_census_counts_match_closed_forms(n):
     census = enumerate_rooted_maps(n)
     assert len(census) == {1: 2, 2: 10, 3: 74, 4: 706, 5: 8162}[n]
-    # Tutte's count of rooted planar maps
-    planar = 2 * 3**n * math.factorial(2 * n) // (
-        math.factorial(n) * math.factorial(n + 2))
-    assert GENUS_COUNTS[n][0] == planar
+    assert GENUS_COUNTS[n][0] == _planar_maps(n)
     assert Counter(m.genus() for m in census) == GENUS_COUNTS[n]
     for g, count in GENUS_COUNTS[n].items():
         assert len(enumerate_rooted_maps(n, genus=g)) == count
@@ -267,7 +283,7 @@ def test_six_edge_walk_counts_by_genus():
     # Walsh and Lehman by genus, summing to A000698's 110,410 rooted maps;
     # the census bound stays at 5 edges, so the walk is called directly
     counts = [sum(1 for _ in mapenum._rooted_sigmas(6, 8 - 2 * g)) for g in range(4)]
-    assert counts == [24057, 56914, 27954, 1485]
+    assert counts == list(GENUS_COUNTS[6].values())
     assert sum(counts) == 110410
 
 
@@ -324,6 +340,24 @@ def test_z11_matches_closed_forms(n):
     assert partition_function(n).evaluate(1, 1) == everything
     if n == 7:
         assert (planar.evaluate(1, 1), everything) == (613_470, 5_318_742)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+def test_z22_counts_rooted_maps(n):
+    # T(2, 2) = 2^|E| for every map, so Z(2, 2) is 2^n times the number of
+    # rooted maps: this checks the transfer's weights, not only its count of
+    # words. All genera, and Tutte's planar count at genus 0
+    assert [_rooted_maps(k) for k in range(1, 10)] == [
+        2, 10, 74, 706, 8162, 110410, 1708394, 29752066, 576037442]
+    assert partition_function(n).evaluate(2, 2) == 2**n * _rooted_maps(n)
+    assert partition_function(n, genus=0).evaluate(2, 2) == 2**n * _planar_maps(n)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_z22_by_genus_matches_walsh_lehman(n):
+    assert sum(GENUS_COUNTS[n].values()) == _rooted_maps(n)
+    assert {g: partition_function(n, g).evaluate(2, 2) for g in GENUS_COUNTS[n]} == {
+        g: 2**n * count for g, count in GENUS_COUNTS[n].items()}
 
 
 def _harer_zagier(g: int, m: int) -> int:
