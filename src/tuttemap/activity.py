@@ -7,22 +7,24 @@ the order of their earlier half-edge. An edge is active when it is
 order-minimal in its fundamental cycle (external edges) or cocycle
 (internal edges); the classical notion takes a fixed linear edge order.
 
-The two notions are decided by two kernels on flat int arrays that share
-no logic, so their agreement is a check. The graph is numbered once
-(``Multigraph._numbered_ends``) and a tree is its ``flags`` over edge
-positions. A kernel is a function ``flags -> (internal, external)``, the
-lists of the tree's internal- and external-active edge positions, built
-once per graph and order or per map and applied to each tree. Every
-per-tree route ends in ``_activity_sum``, the one place that counts
-x^|I| y^|E| over trees; the single-tree ``order_activities`` and
-``embedding_activities`` apply the same kernels to one tree. Each route
-also has a batch kernel over many trees (below), a function from a
-chunk's planes (``_planes``) and lane mask ``full`` to lane masks, counted
-by ``_lane_sum``. The two batch kernels share the pass that hangs a
-chunk's trees from one vertex (``_hang``), the lane gate
-``_require_trees`` that takes its reach, and ``_by_count``. A fault there
-hits both tree routes alike, and the routes that hang no tree (delcon,
-the expansion and the map recursion) still disagree with them.
+The tour notion is the classical one in a linear order that depends on
+the tree: the order in which its tour first reaches each edge (Bernardi,
+arXiv math/0608057). So one per-tree kernel on flat int arrays decides
+both. The graph is numbered once (``Multigraph._numbered_ends``) and a
+tree is its ``flags`` over edge positions. A kernel is a function
+``flags -> (internal, external)``, the lists of the tree's internal- and
+external-active edge positions, built once per graph and order or per map
+and applied to each tree. Every per-tree route ends in ``_activity_sum``,
+the one place that counts x^|I| y^|E| over trees; the single-tree
+``order_activities`` and ``embedding_activities`` apply the same kernel
+to one tree. Each route also has a batch kernel over many trees (below),
+a function from a chunk's planes (``_planes``) and lane mask ``full`` to
+lane masks, counted by ``_lane_sum``. The two batch kernels share the
+pass that hangs a chunk's trees from one vertex (``_hang``), the lane
+gate ``_require_trees`` that takes its reach, and ``_by_count``. A fault
+there, or in the one per-tree kernel, hits both tree routes alike, and
+the routes that hang no tree (delcon, the expansion and the map
+recursion) still disagree with them.
 
 The order kernel (``_order_kernel``) hangs the tree from vertex 0, giving
 each vertex the bitmask of its tree path to the root; an external edge's
@@ -52,16 +54,11 @@ own; it starts the pass at a vertex of largest degree, whose first level
 reaches the most vertices. ``_lane_sum`` counts x^|I| y^|E| over the lanes
 with bit-sliced counters (``_by_count``), beside ``_activity_sum``.
 
-The tour kernel (``_scan``) reads both off the tour that ``_tour`` walks.
-The two half-edges of each tree edge nest there like parentheses
-(Bernardi, EJC 14 (2007) R9), and an edge ranks by the step that opens it.
-An external edge's cycle is the tree edges open at exactly one of its two
-steps, and a tree edge's cocycle the external edges with exactly one step
-inside its span. So an external edge is active iff every tree edge open
-when it opens is still open when it closes, and a tree edge iff no
-external edge opened before it closes inside its span. The kernel needs
-only the rotation, the root and the edge position of each half-edge;
-``_tour_args`` gives the three of a rooted map.
+The tour kernel (``_scan``) is that definition: it walks the tree's tour
+(``_tour``) and runs the order kernel in the order in which the walk
+first reaches each edge, on ends numbered by the rotation's cycles. The
+kernel needs only the rotation, the root and the edge position of each
+half-edge; ``_tour_args`` gives the three of a rooted map.
 
 The batch tour kernel (``_tour_batch``) decides a chunk of trees on the
 same lanes and walks no tour. Let r be the root's vertex: the pass hangs
@@ -211,17 +208,18 @@ def _order_args(graph: Multigraph, order: Sequence) -> tuple:
     return graph._numbered_ends(), graph.vertex_count, [index[e] for e in order]
 
 
-def _order_kernel(ends: list, nv: int, ranked: list[int]):
+def _order_kernel(ends: list, nv: int, ranked: Iterable[int], error: type = RuntimeError):
     """The order kernel of ``_order_args``' graph and order: a function
-    from the flags of a tree to its internal- and external-active edge
-    positions, each edge decided from its definition in rank order (see
-    the module docstring). Flags of no spanning tree raise RuntimeError."""
+    from the flags of a tree, and the edge positions in rank order
+    (``ranked`` by default), to the tree's internal- and external-active
+    edge positions, each edge decided from its definition in rank order
+    (see the module docstring). Flags of no spanning tree raise ``error``."""
     inc = _incidence(ends, nv)
 
-    def kernel(flags) -> tuple[list, list]:
+    def kernel(flags, ranked=ranked) -> tuple[list, list]:
         paths = _root_paths(inc, flags)
         if sum(flags) != nv - 1 or -1 in paths:
-            raise RuntimeError(f"flags {list(flags)} mark no spanning tree")
+            raise error(f"flags {list(flags)} mark no spanning tree")
         covered = 0  # the tree edges on the cycles of the lower external edges
         lower = 0  # the lower tree edges
         internal, external = [], []
@@ -363,46 +361,18 @@ def _scan(sigma: Sequence[int], root: int, he_pos: Sequence[int]):
     """The tour kernel of the rotation ``sigma`` rooted at ``root``, whose
     half-edge h lies on the edge at position ``he_pos[h]``: a function from
     the flags of a tree to its internal- and external-active edge
-    positions, read off ``_tour``'s walk, whose index is the step (see the
-    module docstring). Each stack frame holds an open tree edge and the
-    earliest opening step of an external edge that closed inside it. A tree
-    edge must close on top of the stack, or the flags mark no spanning tree."""
-    n = len(sigma)
-    ne = n >> 1
+    positions, by the definition: the order kernel (``_order_kernel``) in
+    the order in which ``_tour``'s walk first reaches each edge. The
+    vertices are the rotation's cycles. A tour that does not close, or
+    flags of no spanning tree, raise ``MotionNotCyclicError``."""
+    vert, nv = _cycle_labels(sigma)
+    ends: list = [None] * (len(sigma) >> 1)
+    for h in range(0, len(sigma), 2):
+        ends[he_pos[h]] = vert[h], vert[h + 1]
+    kernel = _order_kernel(ends, nv, (), MotionNotCyclicError)
 
     def scan(flags) -> tuple[list, list]:
-        opened = [-1] * (ne + 1)  # the step that opened each edge, n once closed
-        below = [0] * ne  # an external edge's top frame when it opened
-        stack, low = [ne], [n]  # ne is a sentinel frame that never closes
-        internal, external = [], []
-        for t, h in enumerate(_tour(sigma, root, he_pos, flags)):
-            p = he_pos[h]
-            s = opened[p]
-            if flags[p]:
-                if s < 0:
-                    opened[p] = t
-                    stack.append(p)
-                    low.append(t)
-                elif stack[-1] != p:
-                    raise MotionNotCyclicError(
-                        f"tree edges cross: edge {p} closes at step {t} over an open one")
-                else:
-                    stack.pop()
-                    opened[p] = n
-                    first = low.pop()
-                    if first == s:
-                        internal.append(p)
-                    elif first < low[-1]:
-                        low[-1] = first
-            elif s < 0:
-                opened[p] = t
-                below[p] = stack[-1]
-            else:
-                if opened[below[p]] < n:
-                    external.append(p)
-                if s < low[-1]:
-                    low[-1] = s
-        return internal, external
+        return kernel(flags, dict.fromkeys(he_pos[h] for h in _tour(sigma, root, he_pos, flags)))
 
     return scan
 

@@ -8,7 +8,9 @@ itself (pivoting on the edge just before the root, the one place where
 rerooting rules are needed). Agreement across routes on the same graph is
 the package's correctness argument, so the routes share no code beyond
 plumbing: the level sweep, the chunk loop, the activity sums and one
-edge order.
+edge order. The two tree routes also share their per-tree kernel, as the
+paper defines the tour's activities by it, and their batch kernels' pass
+(see ``activity``); the other three routes check them there.
 
 The two tree routes draw every tree from ``enumerate_spanning_trees``,
 looked up here as a module global, through one chunk loop (``_tree_sum``).
@@ -16,10 +18,9 @@ The enumerator reads the trees off the graph's frontier DAG, whose levels
 follow ``spanning._pivot_order``, delcon's pivot order: the tree routes
 and delcon share that order, and nothing else. The chunk loop draws the
 trees once for all the routes it is given, of one family (``_order_route``
-or ``_tour_route``), ``TREE_CHUNK`` trees at a time. A
-chunk that holds at least a route's crossover of trees per edge
-(``ORDER_BATCH_TREES_PER_EDGE``, ``EMBEDDING_BATCH_TREES_PER_EDGE``) goes to
-its bit-sliced batch kernel (``activity._order_batch``,
+or ``_tour_route``), ``TREE_CHUNK`` trees at a time. A chunk that holds
+at least ``BATCH_TREES_PER_EDGE`` trees per edge goes to its route's
+bit-sliced batch kernel (``activity._order_batch``,
 ``activity._tour_batch``), summed by ``activity._lane_sum``; a smaller one
 (a cycle, a path) goes tree by tree to its per-tree kernel
 (``activity._order_kernel``, ``activity._scan``), summed by
@@ -69,21 +70,19 @@ __all__ = [
 # parallel edges) to 26 s (a 19-edge path), 20 parallel edges 42 s.
 MAX_EXPANSION_EDGES = 19
 
-# The order batch kernel costs one breadth-first pass and a few big-int
-# operations per pair of edges per chunk, the per-tree kernel about |E|
-# steps per tree. On K4, K5, W5, W6, grids 3x3, 4x4 and 2x12, K6, W10, an
-# 8-rung ladder and three theta graphs (6-48 edges) they broke even at
-# 1-2.5 trees per edge; at 3 the batch kernel took 0.3-0.75 of the
-# per-tree time, at 1 it took 0.9-1.8 times it, and on cycles 1.3-1.6 times.
-ORDER_BATCH_TREES_PER_EDGE = 3
-# The tour batch kernel costs one breadth-first pass and a few big-int
-# operations per pair of edges and per (edge, vertex) pair per chunk, _scan
-# 2|E| tour steps per tree. A full chunk took 0.04-0.05 of _scan's time on
-# grid 4x4, W10 and K7. On those, K5, K6, W6, grids 3x3 and 3x4, an 8-rung
-# ladder, a theta graph and grid 2x12 (10-34 edges) they broke even at 3-5
-# trees per edge; at 5 the batch kernel took 0.5-0.95 of _scan's time, at 2
-# it took 1.0-1.6 times.
-EMBEDDING_BATCH_TREES_PER_EDGE = 5
+# A batch kernel costs one breadth-first pass and a few big-int operations
+# per pair of edges per chunk (the tour's also per (edge, vertex) pair), a
+# per-tree kernel about |E| steps per tree. Both routes take one crossover.
+# On a chunk of the first k|E| trees, with planes and sums, in-process on a
+# 2-CPU VM with CPython 3.11, the batch kernel took this fraction of the
+# per-tree kernel's time on K5, K6, W6, grids 3x3 and 3x4, an 8-rung
+# ladder, a theta graph of four 4-edge paths and grid 2x12 (10-34 edges):
+#   trees per edge   1          2          3          5
+#   order route      1.08-1.61  0.56-0.85  0.41-0.71  0.27-0.57
+#   tour route       1.23-1.75  0.71-0.97  0.53-0.78  0.36-0.54
+# They break even between 1 and 2. At 3, K4 (16 trees, 6 edges) still goes
+# tree by tree.
+BATCH_TREES_PER_EDGE = 3
 
 
 def _require_connected(graph: Multigraph) -> None:
@@ -222,22 +221,23 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
 def _order_route(graph: Multigraph, order: Sequence) -> tuple:
     """An order route for ``_tree_sum``; its batch kernel is built on first use."""
     args = _order_args(graph, order)
-    return _order_kernel(*args), lambda: _order_batch(*args), ORDER_BATCH_TREES_PER_EDGE
+    return _order_kernel(*args), lambda: _order_batch(*args)
 
 
 def _tour_route(m: CombinatorialMap) -> tuple:
     """The tour route of a rooted map, for ``_tree_sum``."""
     tour = _tour_args(m)
-    return _scan(*tour), lambda: _tour_batch(*tour), EMBEDDING_BATCH_TREES_PER_EDGE
+    return _scan(*tour), lambda: _tour_batch(*tour)
 
 
 def _tree_sum(graph: Multigraph, routes: list) -> list[BivariatePolynomial]:
     """Each route's sum of x^|I| y^|E| over the spanning trees of ``graph``,
     all from one draw of ``enumerate_spanning_trees``, ``TREE_CHUNK`` trees
-    at a time. A route is (kernel, make_batch, per_edge): a chunk of at
-    least ``per_edge`` trees per edge goes to the kernel that ``make_batch()``
-    builds on first use, a smaller one tree by tree to ``kernel``. A chunk's
-    planes and lane mask are built once, when a route first batches it."""
+    at a time. A route is (kernel, make_batch): a chunk of at least
+    ``BATCH_TREES_PER_EDGE`` trees per edge goes to the kernel that
+    ``make_batch()`` builds on first use, a smaller one tree by tree to
+    ``kernel``. A chunk's planes and lane mask are built once, when a route
+    first batches it."""
     batches, totals = [None] * len(routes), [ZERO] * len(routes)
     trees = enumerate_spanning_trees(graph) if routes else ()  # no route, no DAG
     while True:
@@ -246,8 +246,8 @@ def _tree_sum(graph: Multigraph, routes: list) -> list[BivariatePolynomial]:
         if not chunk:
             return totals
         planes = None
-        for i, (kernel, make_batch, per_edge) in enumerate(routes):
-            if len(chunk) < per_edge * graph.edge_count:
+        for i, (kernel, make_batch) in enumerate(routes):
+            if len(chunk) < BATCH_TREES_PER_EDGE * graph.edge_count:
                 totals[i] += _activity_sum(map(kernel, chunk))
             else:
                 if planes is None:

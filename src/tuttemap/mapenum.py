@@ -27,10 +27,11 @@ and walks no rotation or tree. A rooted map with a spanning tree is its
 tour, read as a word of 2n steps: the tree steps pair as nested
 parentheses and the external steps pair freely (Bernardi, Bijective
 counting of tree-rooted maps and shuffles of parenthesis systems, EJC 14
-(2007) R9). The tour kernel's two rules (``activity._scan``) then read off
-the word: a tree step is active unless an external step that opened before
-it closes inside its frame, and an external step is active if the frame on
-top at its opening is still open at its close. Contracting the tree keeps
+(2007) R9). An edge ranks by the step that opens it, and the nesting turns
+the classical definition in that order into two rules on the word: a tree
+step is active unless an external step that opened before it closes
+inside its frame, and an external step is active if the frame on top at
+its opening is still open at its close. Contracting the tree keeps
 the faces and leaves one vertex whose rotation is the order of the
 external steps, so the map has the genus of the chord diagram that they
 form. The transfer counts the prefixes of the words by what the two rules

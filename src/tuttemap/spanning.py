@@ -7,10 +7,11 @@ Trees are handled on flat int arrays. A graph is numbered once
 edges. A tree carries ``flags``, immutable bytes with a 1 at each of its
 edge positions, and ``_root_paths`` hangs it from vertex 0, giving each
 vertex the bitmask of the tree edges on its path to the root. Only the
-per-tree order kernel (``activity._order_kernel``, for single trees and
-small chunks) and ``SpanningTree.fundamental_cycle``/``fundamental_cocycle``
-root a tree one at a time; both batch kernels hang a whole chunk of trees
-from one vertex in one pass over their flags' planes (``activity._hang``).
+per-tree kernel of both tree routes (``activity._order_kernel``, for single
+trees and small chunks) and ``SpanningTree.fundamental_cycle``/
+``fundamental_cocycle`` root a tree one at a time; both batch kernels hang
+a whole chunk of trees from one vertex in one pass over their flags'
+planes (``activity._hang``).
 
 ``enumerate_spanning_trees`` reads the trees off the graph's frontier DAG
 (Sekine, Imai and Tani, ISAAC 1995), whose levels follow ``_pivot_order``,

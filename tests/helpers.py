@@ -713,8 +713,12 @@ def census_sum(n_edges: int, genus: int | None) -> BivariatePolynomial:
     """The activity sum over the census maps with n edges and, when given,
     that genus, one (map, spanning tree) pair at a time on the bare
     rotations: the backtracking tree walk on the edge endpoints, and the
-    tour kernel on sigma with half-edge h on edge h >> 1. It shares no code
-    with the tour-word transfer that ``partition_function`` runs."""
+    tour kernel on sigma with half-edge h on edge h >> 1. The tour kernel
+    runs the definition, the classical activities in the order in which
+    the tree's tour first reaches each edge, so the oracle shares no code
+    with the tour-word transfer that ``partition_function`` runs, and no
+    rule either: the transfer's two nesting rules are consequences of the
+    definition, which this oracle runs instead."""
     he_pos = [h >> 1 for h in range(2 * n_edges)]
 
     def pairs():

@@ -418,9 +418,10 @@ def _scan(m, edges):
 
 
 def test_tour_kernel_rejects_a_cycle_and_a_forest():
-    # two crossing loops on one vertex: one face, so only nesting catches it
+    # two crossing loops on one vertex: one face, so the tour closes and only
+    # the tree gate catches it
     bouquet = make_map((2, 3, 1, 0))
-    with pytest.raises(MotionNotCyclicError, match="cross"):
+    with pytest.raises(MotionNotCyclicError, match="mark no spanning tree"):
         _scan(bouquet, {"h0h1", "h2h3"})
     assert _scan(bouquet, set()) == ([], [0, 1])
     # a triangle splits the planar tour in two
@@ -525,7 +526,7 @@ def test_order_batch_matches_the_order_kernel_per_tree(case):
         seen, chunks = [], []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engines, "TREE_CHUNK", size)
-            mp.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", 0)
+            mp.setattr(engines, "BATCH_TREES_PER_EDGE", 0)
             mp.setattr(engines, "_order_batch", _checked_batches(seen, chunks))
             assert tutte_order_activities(g, order).terms() == expected
         assert seen == trees
@@ -542,7 +543,7 @@ def test_order_batch_on_a_single_vertex(monkeypatch, loops):
     want = BivariatePolynomial.monomial(0, loops)
     assert _lane_sum(internal, external, 1) == want
     seen, chunks = [], []
-    monkeypatch.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", 0)
+    monkeypatch.setattr(engines, "BATCH_TREES_PER_EDGE", 0)
     monkeypatch.setattr(engines, "_order_batch", _checked_batches(seen, chunks))
     assert tutte_order_activities(g) == want
     assert chunks == [1]
@@ -555,11 +556,11 @@ def test_order_route_chooses_its_kernel_per_chunk(monkeypatch):
     g = Multigraph([1, 2, 3, 4], dict(enumerate(itertools.combinations([1, 2, 3, 4], 2))))
     seen, chunks = [], []
     monkeypatch.setattr(engines, "TREE_CHUNK", 10)
-    monkeypatch.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", 1.5)
+    monkeypatch.setattr(engines, "BATCH_TREES_PER_EDGE", 1.5)
     monkeypatch.setattr(engines, "_order_batch", _checked_batches(seen, chunks))
     assert tutte_order_activities(g) == tutte_subgraph_expansion(g)
     assert chunks == [10]
-    monkeypatch.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", 3)
+    monkeypatch.setattr(engines, "BATCH_TREES_PER_EDGE", 3)
     chunks.clear()
     assert tutte_order_activities(g) == tutte_subgraph_expansion(g)
     assert chunks == []
@@ -584,7 +585,7 @@ def test_tour_batch_matches_the_tour_kernel_per_tree(case):
         seen, chunks = [], []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engines, "TREE_CHUNK", size)
-            mp.setattr(engines, "EMBEDDING_BATCH_TREES_PER_EDGE", 0)
+            mp.setattr(engines, "BATCH_TREES_PER_EDGE", 0)
             mp.setattr(engines, "_tour_batch", _checked_tours(seen, chunks))
             assert tutte_embedding_activities(m).terms() == expected
         assert seen == trees
@@ -608,7 +609,7 @@ def test_tour_batch_on_a_single_vertex(monkeypatch, loops):
     want = BivariatePolynomial.monomial(0, loops)
     assert _lane_sum(internal, external, 1) == want
     seen, chunks = [], []
-    monkeypatch.setattr(engines, "EMBEDDING_BATCH_TREES_PER_EDGE", 0)
+    monkeypatch.setattr(engines, "BATCH_TREES_PER_EDGE", 0)
     monkeypatch.setattr(engines, "_tour_batch", _checked_tours(seen, chunks))
     assert tutte_embedding_activities(m) == want
     assert chunks == [1]
@@ -621,11 +622,11 @@ def test_embedding_route_chooses_its_kernel_per_chunk(monkeypatch):
     g = Multigraph([1, 2, 3, 4], dict(enumerate(itertools.combinations([1, 2, 3, 4], 2))))
     seen, chunks = [], []
     monkeypatch.setattr(engines, "TREE_CHUNK", 10)
-    monkeypatch.setattr(engines, "EMBEDDING_BATCH_TREES_PER_EDGE", 1.5)
+    monkeypatch.setattr(engines, "BATCH_TREES_PER_EDGE", 1.5)
     monkeypatch.setattr(engines, "_tour_batch", _checked_tours(seen, chunks))
     assert tutte_embedding_activities(embed(g)) == tutte_subgraph_expansion(g)
     assert chunks == [10]
-    monkeypatch.setattr(engines, "EMBEDDING_BATCH_TREES_PER_EDGE", 3)
+    monkeypatch.setattr(engines, "BATCH_TREES_PER_EDGE", 3)
     chunks.clear()
     assert tutte_embedding_activities(embed(g)) == tutte_subgraph_expansion(g)
     assert chunks == []
@@ -682,7 +683,7 @@ def test_tour_batch_matches_the_tour_kernel_on_deep_trees(monkeypatch, g, vertex
     # meet the common-ancestor skip and the closed forms at an edge's ends
     assert sum(vertex in g.endpoints(e) for e in g.edge_ids) == degree
     seen, sizes = [], []
-    monkeypatch.setattr(engines, "EMBEDDING_BATCH_TREES_PER_EDGE", 0)
+    monkeypatch.setattr(engines, "BATCH_TREES_PER_EDGE", 0)
     monkeypatch.setattr(engines, "_tour_batch", _checked_tours(seen, sizes))
     assert tutte_embedding_activities(_rooted_at(g, vertex)) == tutte_deletion_contraction(g)
     assert sizes == chunks

@@ -727,12 +727,12 @@ def test_check_exits_2_when_the_dag_keeps_a_component_that_left(capsys, monkeypa
     (7, "flags [1, 1, 0, 0, 0, 0] mark no spanning tree"),
 ], ids=["batch", "per-tree"])
 def test_order_route_refuses_a_forest(capsys, monkeypatch, tmp_path, per_edge, message):
-    # K4's 38 edge sets make one chunk: at least ORDER_BATCH_TREES_PER_EDGE
+    # K4's 38 edge sets make one chunk: at least BATCH_TREES_PER_EDGE
     # = 3 per edge goes to the batch kernel, fewer than 7 to the per-tree
     # one, and either refuses the first forest
     _keep_components_that_left(monkeypatch)
     if per_edge is not None:
-        monkeypatch.setattr(engines, "ORDER_BATCH_TREES_PER_EDGE", per_edge)
+        monkeypatch.setattr(engines, "BATCH_TREES_PER_EDGE", per_edge)
     path = tmp_path / "k4.g"
     path.write_text(K4_TEXT)
     code, out, err = run(capsys, "tutte", "--graph", str(path), "--method", "order")
@@ -790,9 +790,9 @@ def test_check_exits_2_on_a_broken_tour(capsys, monkeypatch, k3_file):
 def test_check_exits_2_on_a_tour_that_steps_by_the_complement(
         capsys, monkeypatch, tmp_path, text, message):
     # _tour crosses at external edges and turns at tree edges. It is the
-    # one tour walk: K4's 16 trees go tree by tree to _scan, which reads it,
-    # and W9's 5,776 go to the batch kernel, so there the erase row's walk
-    # stops first, on the DAG's first tree
+    # one tour walk: K4's 16 trees go tree by tree to _scan, which ranks
+    # each tree's edges by it, and W9's 5,776 go to the batch kernel, so
+    # there the erase row's walk stops first, on the DAG's first tree
     real = activity._tour
     monkeypatch.setattr(activity, "_tour", lambda sigma, start, he_pos, flags: real(
         sigma, start, he_pos, bytes(1 - f for f in flags)))
@@ -896,6 +896,44 @@ def test_check_fails_the_five_way_row_on_a_pass_that_marks_the_child_end(
     assert out.splitlines()[-1] == "3 check(s) failed"
     monkeypatch.setattr(activity, "_hang", real)
     code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "1")
+    assert code == 0 and out.endswith("all checks passed\n")
+
+
+@pytest.mark.parametrize("text", [K4_TEXT, DIAMOND_TEXT], ids=["k4", "diamond"])
+def test_check_sees_the_per_tree_kernel_drop_an_active_edge(capsys, monkeypatch, tmp_path,
+                                                           text):
+    # the one per-tree kernel (_order_kernel) decides both tree routes: the
+    # order route calls it, and _scan runs it in each tree's tour order.
+    # Here it drops each tree's first internal-active edge. K4's 16 trees
+    # and the diamond's 8 fall below the crossover and go tree by tree, so
+    # both tree routes go wrong and delcon, the expansion and recursive,
+    # which run no tree kernel, disagree with them. Unlike K4, the diamond
+    # is not self-dual: its T is not symmetric in x and y
+    real = activity._order_kernel
+
+    def dropping(*args):
+        kernel = real(*args)
+
+        def drop(flags, *ranked):
+            internal, external = kernel(flags, *ranked)
+            return internal[1:], external
+
+        return drop
+
+    for module in (activity, engines):
+        monkeypatch.setattr(module, "_order_kernel", dropping)
+    path = tmp_path / "g.g"
+    path.write_text(text)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
+    assert code == 2
+    assert [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: five evaluator methods agree",
+        "FAIL: embedding independence over 2 random rooted embeddings",
+        "FAIL: order independence over 2 random edge orders"]
+    assert out.splitlines()[-1] == "3 check(s) failed"
+    for module in (activity, engines):
+        monkeypatch.setattr(module, "_order_kernel", real)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
     assert code == 0 and out.endswith("all checks passed\n")
 
 

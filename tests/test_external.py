@@ -166,8 +166,9 @@ def test_map_sums_import_no_tree_or_tour_kernel():
 
 
 def test_tour_batch_walks_no_tour():
-    # the tests hold the batch tour kernel to _scan and to _tour's edge
-    # order; that checks the tour only while the kernel walks none itself
+    # the tests hold the batch tour kernel to _scan, the order kernel in
+    # _tour's edge order; that checks the tour only while the batch kernel
+    # walks none itself
     source = Path(tuttemap.__file__).parent / "activity.py"
     kernel = next(node for node in ast.parse(source.read_text(encoding="utf-8")).body
                   if isinstance(node, ast.FunctionDef) and node.name == "_tour_batch")
@@ -175,6 +176,21 @@ def test_tour_batch_walks_no_tour():
     names |= {node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)}
     assert "_require_trees" in names
     assert names.isdisjoint({"_reach", "_tour", "_scan"}), names
+
+
+def test_tour_kernel_is_the_order_kernel_in_tour_order():
+    # the paper's definition: a tree's tour activities are its classical
+    # activities in the order in which its tour first reaches each edge.
+    # _scan runs the order kernel in _tour's order and keeps no stack, so
+    # the census oracle that runs it shares no nesting rule with the word
+    # transfer of partition_function
+    source = Path(tuttemap.__file__).parent / "activity.py"
+    kernel = next(node for node in ast.parse(source.read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_scan")
+    names = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)}
+    assert {"_tour", "_order_kernel"} <= names, names
+    assert names.isdisjoint({"stack", "low", "opened", "below", "append", "pop"}), names
 
 
 def test_both_batch_kernels_hang_their_trees_by_one_pass():
