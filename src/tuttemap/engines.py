@@ -29,16 +29,16 @@ built once, here, and every batch route of the draw reads them.
 
 Both deletion-contraction routes run as one iterative sweep (``_sweep``),
 one level per edge, over exact minor keys, so equal minors merge with no
-isomorphism search and no recursion. A graph minor is keyed by its
-*shape*: the endpoints of the remaining edges in pivot order, vertices
-renamed by first appearance. The pivot order is chosen from the graph, a
-greedy min-frontier vertex elimination, so that the number of distinct
-shapes per level stays small; T does not depend on it. A rooted map minor
-is keyed by its rotation in first-visit labelling from the root
-(``canonical_form``), made in one walk that skips the pivot edge
-(``cmap._rooted_minor``). Each state's weight is one int with a fixed slot
-per monomial x^i y^j, so a factor x or y is a shift and merging two equal
-minors one addition; the int becomes a polynomial once, at the end.
+isomorphism search and no recursion. Delcon pivots in a frontier order
+(Sekine, Imai and Tani, ISAAC 1995) and keys a graph minor by the classes
+its contractions put the frontier in (the vertices with an edge decided
+and one still to come), numbered by first appearance. Equal keys mean
+equal remaining graphs: any other vertex is alone or has no edge left, and
+deleting a non-isthmus keeps a minor connected, so every class keeps a
+frontier vertex. A rooted map minor is its rotation in first-visit order
+from the root, made in one walk that skips the pivot edge
+(``cmap._rooted_minor``). A state's weight is one int with a slot per
+x^i y^j, so a factor x or y is a shift and a merge one addition.
 """
 
 from __future__ import annotations
@@ -112,56 +112,69 @@ def tutte_subgraph_expansion(graph: Multigraph) -> BivariatePolynomial:
                 for (i, j), count in pairs.items()), ZERO)
 
 
-def _shape(ends) -> tuple:
-    """The endpoint sequence with vertices renamed 0, 1, 2, ... in order of
-    first appearance."""
-    names: dict = {}
-    return tuple([names.setdefault(w, len(names)) for w in ends])
+def _joined(labels: tuple, future: list, a: int, b: int) -> bool:
+    """Whether classes a and b meet through the slots' future components."""
+    reach, size = {a}, 0
+    while b not in reach and len(reach) > size:
+        size = len(reach)
+        comps = {f for c, f in zip(labels, future) if c in reach}
+        reach = {c for c, f in zip(labels, future) if f in comps}
+    return b in reach
 
 
-def _is_isthmus(shape: tuple) -> bool:
-    """True iff no path of the other edges joins the ends 0 and 1 of the
-    first edge of ``shape``: union-find with path halving, stopped as soon
-    as the two ends meet."""
-    parent = list(range(len(shape)))
-    r0, r1 = 0, 1  # the current roots of the two ends
-    for a, b in zip(shape[2::2], shape[3::2]):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            if a == r0:
-                r0 = b
-            elif a == r1:
-                r1 = b
-            if r0 == r1:
-                return False
-    return True
-
-
-def _graph_pivot(shape: tuple) -> list:
-    """One deletion-contraction step on a shape, as (minor, dx, dy) triples."""
-    rest = shape[2:]
-    if shape[1] == 0:  # a loop (every shape starts at vertex 0)
-        return [(_shape(rest), 0, 1)]
-    contracted = _shape([0 if w == 1 else w for w in rest])  # 1 merges into 0
-    if _is_isthmus(shape):
+def _frontier_pivot(su: int, sv: int, keep: list, fresh: tuple, future: list):
+    """Delcon's pivot at one level, on labels over the frontier: ``fresh``
+    labels the entering ends, so the edge's ends sit at slots ``su``, ``sv``;
+    slot k stays if in ``keep``; ``future[k]`` is its later edges' component."""
+    def pivot(state: tuple) -> list:
+        labels = state + fresh
+        a, b = labels[su], labels[sv]
+        first: dict = {}  # the kept labels, renumbered by first appearance
+        deleted = tuple([first.setdefault(labels[k], len(first)) for k in keep])
+        if a == b:
+            return [(deleted, 0, 1)]
+        first = {}
+        contracted = tuple([first.setdefault(a if c == b else c, len(first))
+                            for c in map(labels.__getitem__, keep)])
+        if future[su] == future[sv] or _joined(labels, future, a, b):
+            return [(deleted, 0, 0), (contracted, 0, 0)]
         return [(contracted, 1, 0)]
-    return [(_shape(rest), 0, 0), (contracted, 0, 0)]
+
+    return pivot
 
 
-def _sweep(start, pivot, levels: int, vertices: int) -> BivariatePolynomial:
-    """Deletion-contraction over exact minor keys, one level per edge, of a
-    connected graph or map with ``levels`` edges and ``vertices`` vertices.
+def _delcon_pivots(graph: Multigraph) -> list:
+    """One ``_frontier_pivot`` per edge, in ``_pivot_order``."""
+    pairs = [graph._numbered_ends()[p] for p in _pivot_order(graph)]
+    last = {w: i for i, pair in enumerate(pairs) for w in pair}
+    front, plan = [], []  # a level's slots: its frontier, then entering ends
+    for i, (u, v) in enumerate(pairs):
+        slots = front + [w for w in {u: 0, v: 0} if w not in front]
+        plan.append((slots, slots.index(u), slots.index(v), tuple(range(len(front), len(slots))),
+                     [k for k, w in enumerate(slots) if last[w] > i]))
+        front = [w for w in slots if last[w] > i]
+    parent, pivots = list(range(graph.vertex_count)), []  # union-find of the later edges
+    for slots, su, sv, fresh, keep in reversed(plan):
+        future = []
+        for w in slots:
+            while parent[w] != w:
+                parent[w] = w = parent[parent[w]]
+            future.append(w)
+        pivots.append(_frontier_pivot(su, sv, keep, fresh, future))
+        parent[future[su]] = future[sv]
+    return pivots[::-1]
+
+
+def _sweep(start, pivots: list, vertices: int) -> BivariatePolynomial:
+    """Deletion-contraction over exact minor keys of a connected graph or
+    map with ``vertices`` vertices: one level per pivot, ``levels`` in all.
 
     Each level maps a state to its weight, with T = sum of weight *
-    T(state) over the level. ``pivot(state)`` removes one edge and lists
-    (minor, dx, dy), the minor gaining the weight times x^dx y^dy: one
-    (minor, 0, 1) for a loop, one (minor, 1, 0) for an isthmus, else the
-    deletion and the contraction with (0, 0). Equal keys merge with no
-    further check. After ``levels`` levels one empty state holds T.
+    T(state) over the level. The level's pivot removes one edge from a
+    state and lists (minor, dx, dy), the minor gaining the weight times
+    x^dx y^dy: one (minor, 0, 1) for a loop, one (minor, 1, 0) for an
+    isthmus, else the deletion and the contraction with (0, 0). Equal keys
+    merge with no further check. After the last level one state holds T.
 
     A weight is one int (Kronecker substitution): the coefficient of
     x^i y^j sits in slot i * (levels - vertices + 2) + j, as y-degrees stay
@@ -171,11 +184,11 @@ def _sweep(start, pivot, levels: int, vertices: int) -> BivariatePolynomial:
     into the next. A factor x^dx y^dy is a left shift, a merge one
     addition, and the int is unpacked into a polynomial once, at the end.
     """
-    width = levels - vertices + 2  # slots per power of x
-    bits = levels + 2
+    width = len(pivots) - vertices + 2  # slots per power of x
+    bits = len(pivots) + 2
     xbits = width * bits
     level = {start: 1}
-    for _ in range(levels):
+    for pivot in pivots:
         nxt: dict = {}
         get = nxt.get
         for state, weight in level.items():
@@ -194,28 +207,12 @@ def _sweep(start, pivot, levels: int, vertices: int) -> BivariatePolynomial:
 
 
 def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
-    """Loop/isthmus deletion-contraction, as one iterative sweep over
-    edge-labelled minors.
-
-    The pivots follow one order chosen from the graph, a greedy
-    min-frontier vertex elimination (``spanning._pivot_order``, which also
-    orders the levels of the tree routes' frontier DAG); T does not depend
-    on the order, only the sweep's cost does. A minor is encoded by its
-    *shape*: the endpoints of its remaining edges, in pivot order, as one
-    flat tuple with vertices renamed by first appearance. Deletion of a
-    non-isthmus and contraction keep the graph connected, so no minor but
-    the last has an isolated vertex, and a shape determines its minor as an
-    edge-labelled multigraph. Equal shapes thus have equal T, and merging
-    them is exact.
-
-    Each level of the sweep pivots every shape once: a loop is deleted with
-    a factor y, an isthmus contracted with a factor x, and any other edge
-    passes the weight to both its deletion and its contraction.
-    """
+    """Loop/isthmus deletion-contraction, one sweep over frontier labels in
+    ``spanning._pivot_order``. A pivot is O(frontier): ends in one class
+    are a loop (deleted, factor y), ends that neither the classes nor the
+    later edges join an isthmus (contracted, factor x), others both."""
     _require_connected(graph)
-    ends = graph._numbered_ends()
-    return _sweep(_shape([w for i in _pivot_order(graph) for w in ends[i]]),
-                  _graph_pivot, graph.edge_count, graph.vertex_count)
+    return _sweep((), _delcon_pivots(graph), graph.vertex_count)
 
 
 def _order_route(graph: Multigraph, order: Sequence) -> tuple:
@@ -315,7 +312,7 @@ def tutte_recursive_map(m: CombinatorialMap) -> BivariatePolynomial:
     start is the map's ``canonical_form``, which needs a root.
     """
     start = m.canonical_form()
-    return _sweep(start, _map_pivot, m.edge_count, _cycle_labels(start)[1])
+    return _sweep(start, [_map_pivot] * m.edge_count, _cycle_labels(start)[1])
 
 
 # -- multigraph certificates and isomorphism --------------------------------

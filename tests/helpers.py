@@ -4,8 +4,9 @@ Oracles here deliberately avoid the package's own code paths: components
 are counted by BFS, spanning trees by raw subset enumeration and by a
 backtracking walk (``tree_flags``, the frontier DAG's oracle), fundamental
 sets by the swap test, isomorphism by relabeling search (maps) or networkx
-(graphs), graph minors on bare edge dicts, determinants by Bareiss
-elimination. Expected values in the tests are frozen from these.
+(graphs), graph minors on bare edge dicts, delcon's minors by their whole
+shapes (``shape_pivot``, the frontier sweep's oracle), determinants by
+Bareiss elimination. Expected values in the tests are frozen from these.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from typing import Iterator, Sequence
 import networkx as nx
 from hypothesis import strategies as st
 
-from tuttemap import CombinatorialMap, GraphError, Multigraph, activity, embed
+from tuttemap import CombinatorialMap, GraphError, Multigraph, activity, embed, engines
 from tuttemap.cmap import _cycle_labels, _graph_incidences
 from tuttemap.mapenum import _census_sigmas
 from tuttemap.poly import BivariatePolynomial
+from tuttemap.spanning import _pivot_order
 
 # -- worked-example fixtures -------------------------------------------------
 
@@ -523,6 +525,74 @@ def nx_isomorphic(a: dict, b: dict) -> bool:
     ga.add_edges_from(a.values())
     gb.add_edges_from(b.values())
     return nx.is_isomorphic(ga, gb)
+
+
+# -- the shape sweep, delcon's oracle ------------------------------------------
+# Each minor is keyed by its whole shape: the endpoints of its remaining
+# edges, in pivot order, as one flat tuple with vertices renamed by first
+# appearance. A pivot costs O(|E|); the package's frontier sweep must reach
+# the same number of states at every level.
+
+
+def shape(ends) -> tuple:
+    """The endpoint sequence with vertices renamed 0, 1, 2, ... in order of
+    first appearance."""
+    names: dict = {}
+    return tuple([names.setdefault(w, len(names)) for w in ends])
+
+
+def shape_is_isthmus(flat: tuple) -> bool:
+    """True iff no path of the other edges joins the ends 0 and 1 of the
+    first edge of the shape ``flat``: union-find with path halving, stopped
+    as soon as the two ends meet."""
+    parent = list(range(len(flat)))
+    r0, r1 = 0, 1  # the current roots of the two ends
+    for a, b in zip(flat[2::2], flat[3::2]):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            if a == r0:
+                r0 = b
+            elif a == r1:
+                r1 = b
+            if r0 == r1:
+                return False
+    return True
+
+
+def shape_pivot(flat: tuple) -> list:
+    """One deletion-contraction step on a shape, as (minor, dx, dy) triples."""
+    rest = flat[2:]
+    if flat[1] == 0:  # a loop (every shape starts at vertex 0)
+        return [(shape(rest), 0, 1)]
+    contracted = shape([0 if w == 1 else w for w in rest])  # 1 merges into 0
+    if shape_is_isthmus(flat):
+        return [(contracted, 1, 0)]
+    return [(shape(rest), 0, 0), (contracted, 0, 0)]
+
+
+def shape_start(g: Multigraph) -> tuple:
+    """The shape of ``g`` itself, its edges in delcon's pivot order."""
+    ends = g._numbered_ends()
+    return shape([w for p in _pivot_order(g) for w in ends[p]])
+
+
+def level_sizes(start, pivots: list, vertices: int) -> tuple[BivariatePolynomial, list]:
+    """T by ``engines._sweep`` over ``pivots``, and the number of states
+    each level pivots."""
+    sizes = [0] * len(pivots)
+
+    def counted(i, pivot):
+        def count(state):
+            sizes[i] += 1
+            return pivot(state)
+        return count
+
+    t = engines._sweep(start, [counted(i, p) for i, p in enumerate(pivots)], vertices)
+    return t, sizes
 
 
 # -- map isomorphism oracles -----------------------------------------------

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -476,6 +480,17 @@ def test_delcon_long_inputs(capsys, tmp_path, closed):
         assert out == f"{method}: {expected}\n"
 
 
+def test_python_dash_m_runs_the_cli(k3_file):
+    # ``python -m tuttemap`` is the console script's twin, exit code included
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "tuttemap", "tutte", "--graph", k3_file,
+                           "--method", "delcon"], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "delcon: x^2 + x + y\n", "")
+    done = subprocess.run([sys.executable, "-m", "tuttemap", "tutte", "--graph", k3_file + "x"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 1 and done.stderr.startswith("error: ")
+
+
 def test_expansion_refused_above_its_bound(capsys, tmp_path):
     # 30 parallel edges would mean 2^30 subsets: refused at once, exit 1
     path = tmp_path / "parallel30.g"
@@ -933,6 +948,35 @@ def test_check_sees_the_per_tree_kernel_drop_an_active_edge(capsys, monkeypatch,
     assert out.splitlines()[-1] == "3 check(s) failed"
     for module in (activity, engines):
         monkeypatch.setattr(module, "_order_kernel", real)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
+    assert code == 0 and out.endswith("all checks passed\n")
+
+
+# a triangle with a pendant edge
+PENDANT_TEXT = "v 1\nv 2\nv 3\nv 4\ne a 1 2\ne b 2 3\ne c 1 3\ne d 3 4\n"
+
+
+@pytest.mark.parametrize("text", [DIAMOND_TEXT, PENDANT_TEXT], ids=["diamond", "pendant"])
+def test_check_sees_delcon_count_the_pivot_among_its_later_edges(capsys, monkeypatch, tmp_path,
+                                                                 text):
+    # delcon's isthmus test joins the pivot's ends through the later edges'
+    # components; here the pivot edge counts among its own later edges, so
+    # no non-loop is an isthmus and every isthmus is also deleted. Only
+    # delcon reads that table, so only the five-way row fails
+    real = engines._frontier_pivot
+
+    def counting_itself(su, sv, keep, fresh, future):
+        return real(su, sv, keep, fresh, [future[su] if f == future[sv] else f for f in future])
+
+    monkeypatch.setattr(engines, "_frontier_pivot", counting_itself)
+    path = tmp_path / "g.g"
+    path.write_text(text)
+    code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
+    assert code == 2
+    assert [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: five evaluator methods agree"]
+    assert out.splitlines()[-1] == "1 check(s) failed"
+    monkeypatch.setattr(engines, "_frontier_pivot", real)
     code, out, _ = run(capsys, "check", "--graph", str(path), "--trials", "2")
     assert code == 0 and out.endswith("all checks passed\n")
 

@@ -43,6 +43,7 @@ from helpers import (
     isthmus_graph,
     k3,
     k4,
+    level_sizes,
     loop_graph,
     make_map,
     map_corpus,
@@ -51,6 +52,8 @@ from helpers import (
     random_connected_multigraphs,
     random_rooted_map,
     relabel_map,
+    shape_pivot,
+    shape_start,
     subgraph_components,
     wheel_edges,
 )
@@ -151,7 +154,7 @@ def test_sweep_packing_holds_at_its_bound(n):
         (_branching((0, 0), (0, 0)), 1, {(0, 0): 2 ** n}),  # one full slot
     ]
     for pivot, vertices, want in cases:
-        t = engines._sweep("s", pivot, n, vertices)
+        t = engines._sweep("s", [pivot] * n, vertices)
         assert t.terms() == want
         assert t.evaluate(1, 1) == 2 ** n
 
@@ -354,7 +357,7 @@ def test_graphs_isomorphic_detects_differences():
 
 
 def test_delcon_builds_no_minor_graphs_and_no_certificates(monkeypatch):
-    # the sweep merges minors on their exact shape: it never builds a
+    # the sweep merges minors on their frontier labels: it never builds a
     # Multigraph minor, a certificate or an isomorphism search
     def refuse(*args, **kwargs):
         raise AssertionError("delcon must not call this")
@@ -367,6 +370,47 @@ def test_delcon_builds_no_minor_graphs_and_no_certificates(monkeypatch):
         "x^3 + 3 x^2 + 2 x + 4 x y + 2 y + 3 y^2 + y^3"
     )
     assert tutte_deletion_contraction(k3()) == P("x^2 + x + y")
+
+
+def _frontier_and_shape(g):
+    """T and the number of states per level, by delcon's frontier sweep and
+    by the shape sweep of the test helpers, on the same pivot order."""
+    return (level_sizes((), engines._delcon_pivots(g), g.vertex_count),
+            level_sizes(shape_start(g), [shape_pivot] * g.edge_count, g.vertex_count))
+
+
+@settings(max_examples=150)
+@given(random_connected_multigraphs(max_edges=10))
+def test_frontier_sweep_keeps_the_shape_sweeps_states(g):
+    # equal frontier labels mean equal shapes and back: every level holds
+    # as many states as the shape sweep's, and both give the same T
+    frontier, shape = _frontier_and_shape(g)
+    assert frontier == shape
+
+
+def _simple_random(seed, nv, ne):
+    """A simple connected graph: a random recursive tree plus random chords,
+    drawn as the ``recursion`` benchmark draws its two random graphs."""
+    rng = random.Random(seed)
+    order = list(range(nv))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, nv)}
+    free = [p for p in itertools.combinations(range(nv), 2) if p not in edges]
+    edges.update(rng.sample(free, ne - len(edges)))
+    return range(nv), sorted(edges)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid_edges(4, 4), lambda: wheel_edges(10), lambda: _simple_random(2011, 13, 24),
+    lambda: _simple_random(2012, 13, 24), lambda: grid_edges(6, 6),
+    lambda: (range(8), list(itertools.combinations(range(8), 2))),
+], ids=["grid4x4", "W10", "random1", "random2", "grid6x6", "K8"])
+def test_frontier_sweep_keeps_the_shape_sweeps_states_at_scale(make):
+    verts, edges = make()
+    g = Multigraph(verts, dict(enumerate(edges)))
+    frontier, shape = _frontier_and_shape(g)
+    assert frontier == shape
+    assert frontier[0].evaluate(1, 1) == kirchhoff_tree_count(g)
 
 
 def test_tree_routes_draw_their_trees_through_the_enumerator(monkeypatch):
