@@ -29,16 +29,19 @@ built once, here, and every batch route of the draw reads them.
 
 Both deletion-contraction routes run as one iterative sweep (``_sweep``),
 one level per edge, over exact minor keys, so equal minors merge with no
-isomorphism search and no recursion. Delcon pivots in a frontier order
-(Sekine, Imai and Tani, ISAAC 1995) and keys a graph minor by the classes
-its contractions put the frontier in (the vertices with an edge decided
-and one still to come), numbered by first appearance. Equal keys mean
-equal remaining graphs: any other vertex is alone or has no edge left, and
-deleting a non-isthmus keeps a minor connected, so every class keeps a
-frontier vertex. A rooted map minor is its rotation in first-visit order
-from the root, made in one walk that skips the pivot edge
-(``cmap._rooted_minor``). A state's weight is one int with a slot per
-x^i y^j, so a factor x or y is a shift and a merge one addition.
+isomorphism search and no recursion; the same sweep, one level per word
+position, is ``zpoly``'s transfer over tour words (``mapenum._word_sum``).
+Delcon pivots in a frontier order (Sekine, Imai and Tani, ISAAC 1995) and
+keys a graph minor by the classes its contractions put the frontier in
+(the vertices with an edge decided and one still to come), numbered by
+first appearance. Equal keys mean equal remaining graphs: any other vertex
+is alone or has no edge left, and deleting a non-isthmus keeps a minor
+connected, so every class keeps a frontier vertex. A rooted map minor is
+its rotation in first-visit order from the root, made in one walk that
+skips the pivot edge (``cmap._rooted_minor``). A state's weight is one int
+with a slot per x^i y^j, so a factor x or y is a shift and a merge one
+addition. A slot holds fan^levels, the most that a sweep's coefficients
+can sum to when each pivot lists at most fan states.
 """
 
 from __future__ import annotations
@@ -165,36 +168,42 @@ def _delcon_pivots(graph: Multigraph) -> list:
     return pivots[::-1]
 
 
-def _sweep(start, pivots: list, vertices: int) -> BivariatePolynomial:
-    """Deletion-contraction over exact minor keys of a connected graph or
-    map with ``vertices`` vertices: one level per pivot, ``levels`` in all.
+def _sweep(start, pivots: list, width: int, fan: int = 2,
+           on_level=None) -> BivariatePolynomial:
+    """The weighted level sweep that delcon, the map recursion and the tour
+    words share: one level per pivot, ``levels`` in all.
 
-    Each level maps a state to its weight, with T = sum of weight *
-    T(state) over the level. The level's pivot removes one edge from a
-    state and lists (minor, dx, dy), the minor gaining the weight times
-    x^dx y^dy: one (minor, 0, 1) for a loop, one (minor, 1, 0) for an
-    isthmus, else the deletion and the contraction with (0, 0). Equal keys
-    merge with no further check. After the last level one state holds T.
+    Each level maps a state to its weight. The level's pivot lists the
+    states that one state leads to, each as (next, dx, dy), the next state
+    gaining the weight times x^dx y^dy; equal states merge with no further
+    check. After the last level one state holds the sum. For delcon and the
+    map recursion a state is a minor and T = sum of weight * T(minor) over
+    any level: a pivot lists one (minor, 0, 1) for a loop, one (minor, 1, 0)
+    for an isthmus, else the deletion and the contraction with (0, 0).
+    ``on_level``, if given, is called with each level's number of states.
 
     A weight is one int (Kronecker substitution): the coefficient of
-    x^i y^j sits in slot i * (levels - vertices + 2) + j, as y-degrees stay
-    within the nullity, and each slot is levels + 2 bits wide. All
-    coefficients are nonnegative and a pivot yields at most two minors, so
-    one level's coefficients sum to at most 2^level and no slot carries
-    into the next. A factor x^dx y^dy is a left shift, a merge one
-    addition, and the int is unpacked into a polynomial once, at the end.
+    x^i y^j sits in slot i * width + j, y-degrees staying below ``width``
+    (delcon and the map recursion pass |E| - |V| + 2, one past the
+    nullity), and each slot is levels * (fan - 1).bit_length() + 2 bits
+    wide. All coefficients are nonnegative and a pivot lists at most
+    ``fan`` states, so one level's coefficients sum to at most fan^level
+    and no slot carries into the next. A factor x^dx y^dy is a left shift,
+    a merge one addition, and the int is unpacked into a polynomial once,
+    at the end.
     """
-    width = len(pivots) - vertices + 2  # slots per power of x
-    bits = len(pivots) + 2
+    bits = len(pivots) * (fan - 1).bit_length() + 2
     xbits = width * bits
     level = {start: 1}
     for pivot in pivots:
         nxt: dict = {}
         get = nxt.get
         for state, weight in level.items():
-            for minor, dx, dy in pivot(state):
-                nxt[minor] = get(minor, 0) + (
+            for key, dx, dy in pivot(state):
+                nxt[key] = get(key, 0) + (
                     weight << dx * xbits + dy * bits if dx or dy else weight)
+        if on_level:
+            on_level(len(nxt))
         level = nxt
     (weight,) = level.values()
     digits = format(weight, "b")  # read in slices, in linear time
@@ -212,7 +221,7 @@ def tutte_deletion_contraction(graph: Multigraph) -> BivariatePolynomial:
     are a loop (deleted, factor y), ends that neither the classes nor the
     later edges join an isthmus (contracted, factor x), others both."""
     _require_connected(graph)
-    return _sweep((), _delcon_pivots(graph), graph.vertex_count)
+    return _sweep((), _delcon_pivots(graph), graph.edge_count - graph.vertex_count + 2)
 
 
 def _order_route(graph: Multigraph, order: Sequence) -> tuple:
@@ -312,7 +321,8 @@ def tutte_recursive_map(m: CombinatorialMap) -> BivariatePolynomial:
     start is the map's ``canonical_form``, which needs a root.
     """
     start = m.canonical_form()
-    return _sweep(start, [_map_pivot] * m.edge_count, _cycle_labels(start)[1])
+    return _sweep(start, [_map_pivot] * m.edge_count,
+                  m.edge_count - _cycle_labels(start)[1] + 2)
 
 
 # -- multigraph certificates and isomorphism --------------------------------

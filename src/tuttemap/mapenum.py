@@ -36,18 +36,18 @@ the faces and leaves one vertex whose rotation is the order of the
 external steps, so the map has the genus of the chord diagram that they
 form. The transfer counts the prefixes of the words by what the two rules
 and, for a genus, that diagram's faces still need, one word position at a
-time. For a genus g >= 1 it drops the prefixes that can no longer reach g
-and merges those that differ only in how their open external steps are
-labelled.
+time, on the level sweep that delcon and the map recursion run
+(``engines._sweep``). For a genus g >= 1 it drops the prefixes that can no
+longer reach g.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from typing import Iterator, Sequence
 
 from .cmap import CombinatorialMap
+from .engines import _sweep
 from .poly import ZERO, BivariatePolynomial
 
 __all__ = ["enumerate_rooted_maps", "census_document", "partition_function",
@@ -59,12 +59,12 @@ __all__ = ["enumerate_rooted_maps", "census_document", "partition_function",
 MAX_CENSUS_EDGES = 5
 
 # The tour-word sum keeps at most this many states per word position. The
-# widest position holds 17,872 states at 9 edges and 53,763 at 10 over all
-# genera, and 19,893 and 61,598 for genus 0. At 8 edges it holds 29,573,
-# 22,041, 4,999 and 19 for genus 1 to 4; at 9 edges genus 4 holds 2,028,
-# while genus 1 needs 35,992 at one position. So it sums all genera and
-# genus 0 up to 9 edges, in well under a second, every genus up to 8
-# edges, in about a second, and genus 4 at 9.
+# widest position holds 6,742 states at 9 edges and 19,989 at 10 over all
+# genera, and 7,768 and 22,521 for genus 0. At 8 edges it holds 15,740,
+# 13,215, 5,754 and 253 for genus 1 to 4; at 9 edges genus 4 holds 7,568,
+# while genera 1 to 3 each need more (genus 1 56,725 at one position). So
+# it sums all genera and genus 0 up to 10 edges and every genus up to 8
+# edges, each in under half a second, genus 4 at 9 and genus 5 at 10.
 MAX_WORD_STATES = 2 ** 15
 
 
@@ -202,60 +202,57 @@ def census_document(n: int, genus: int | None, form: str) -> str:
                       indent=2, sort_keys=True).replace("null", ",\n    ".join(maps))
 
 
-def _canonical(opens: tuple[int, ...],
-               paths: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One labelling of a genus state's open steps for every relabelling
-    of them. As a permutation of 0..len(opens), paths keeps its cycle
-    through 0, read from 0, and its other cycles, each rotated to its least
-    sequence of open values, sorted by that sequence; the open steps are
-    numbered in that order and paths is conjugated to match."""
-    seen = [False] * len(paths)
-    values, h = [], paths[0]
-    while h:
-        seen[h] = True
-        values.append(opens[h - 1])
-        h = paths[h]
-    cycles = []
-    for h in range(1, len(paths)):
-        cycle = []
-        while not seen[h]:
-            seen[h] = True
-            cycle.append(opens[h - 1])
-            h = paths[h]
-        if cycle:
-            cycles.append(min(cycle[r:] + cycle[:r] for r in range(len(cycle))))
-    cycles.sort()
-    ends = list(range(1, len(values) + 1)) + [0]
-    for cycle in cycles:
-        start = len(ends)
-        ends += range(start + 1, start + len(cycle))
-        ends.append(start)
-        values += cycle
-    return tuple(values), tuple(ends)
+def _word_pivot(left: int, genus: int | None):
+    """``_sweep``'s pivot at the word position with ``left`` positions still
+    to fill: the states that one more step takes a state to, each with the
+    factor x or y that the step's activity gives (see ``_word_sum``)."""
+    def pivot(state: tuple) -> list:
+        d, dead, opens, paths, e = state
+        steps = []
+        if d + len(opens) + 2 <= left:  # an open leaves room to close all
+            steps.append(((d + 1, dead, opens, paths, e), 0, 0))
+            # the frontier's path ends at the new step, whose slot ends at
+            # the frontier
+            opened = paths if genus is None else (
+                paths[0] + 1, 0, *(end + 1 for end in paths[1:]))
+            steps.append(((d, dead, (2 * d + 1,) + opens, opened, e), 0, 0))
+        if d:  # the top frame closes, active unless dead; an external step
+            # whose lowest depth was d reaches d - 1, and the frame on top
+            # at its opening has closed by now
+            top, below = divmod(dead, 1 << d)
+            fallen = [o if o >> 1 < d else 2 * d - 2 for o in opens]
+            if genus is None:
+                fallen.sort(reverse=True)
+            steps.append(((d - 1, below, tuple(fallen), paths, e), 1 - top, 0))
+        for k, o in enumerate(opens):
+            ends, t = paths, 0
+            if genus is not None:
+                t = paths[k + 1]  # the end of head k + 1's path
+                if t and e == 2 * genus:  # it would close no face
+                    continue
+                # head k + 1's path joins the frontier's, which now ends at
+                # t, or closes a face when t is the frontier; the path that
+                # reached opens[k] ends at the new frontier
+                ends = tuple([0 if (u := x or t) == k + 1 else u - (u > k + 1)
+                              for x in paths[:k + 1] + paths[k + 2:]])
+            kill = (2 << d) - (2 << (o >> 1))  # the frames deeper than m
+            steps.append(((d, dead | kill, opens[:k] + opens[k + 1:], ends, e + (t > 0)),
+                          0, o & 1))
+        if genus:  # drop the steps to dead states, by _word_sum's bound
+            return [(nxt, dx, dy) for nxt, dx, dy in steps
+                    if nxt[4] + (left - 1 - nxt[0] + len(nxt[2])) // 2 >= 2 * genus]
+        return steps
 
-
-def _narrow(after: dict, rest: int, genus: int, forms: dict) -> dict:
-    """The states of one word position for a genus g >= 1, with ``rest``
-    positions after it, narrowed as ``_word_sum`` says: the states whose e
-    cannot reach 2g are dropped and the others merge under ``_canonical``,
-    cached in ``forms`` by (opens, paths), which many states share."""
-    level: dict = defaultdict(int)
-    for (d, dead, opens, paths, e, i, j), w in after.items():
-        if e + len(opens) + (rest - d - len(opens)) // 2 >= 2 * genus:
-            key = opens, paths
-            if key in forms:
-                opens, paths = forms[key]
-            else:
-                opens, paths = forms[key] = _canonical(opens, paths)
-            level[d, dead, opens, paths, e, i, j] += w
-    return level
+    return pivot
 
 
 def _word_sum(n: int, genus: int | None) -> BivariatePolynomial:
     """The sum of ``partition_function`` over all genera, or over one genus,
     as a transfer over the positions of the tour words (see the module
-    docstring). A state is (depth, dead, opens, paths, e, i, j), counted
-    with the number of word prefixes that reach it:
+    docstring), run on ``engines._sweep`` with one ``_word_pivot`` per
+    position. A state is (depth, dead, opens, paths, e), weighted by the
+    sum of x^i y^j over the word prefixes that reach it, where i and j
+    count their active tree and external steps:
     - depth open tree steps stand as frames above the root's, which never
       closes; bit k of dead is set once an external step that opened
       before the frame at depth k has closed inside it;
@@ -263,7 +260,7 @@ def _word_sum(n: int, genus: int | None) -> BivariatePolynomial:
       lowest depth since it opened and alive says the frame on top at its
       opening is still open. Over all genera it is kept sorted, largest
       first, and states that differ only in its order merge; for a genus
-      its order is the one ``_canonical`` gives;
+      it is kept newest first;
     - for a genus, paths and e follow the faces of the chord diagram that
       the external steps form. Head 0 is the word's start and head k + 1
       the slot after opens[k]; end 0 is the frontier and end k + 1 is
@@ -271,62 +268,26 @@ def _word_sum(n: int, genus: int | None) -> BivariatePolynomial:
       reaches. e counts the external closes less the faces closed, so it
       never falls; m chords of genus g make m + 1 - 2g faces, the last of
       which closes at the word's end, so a word of that genus ends with
-      e = 2g. Over all genera paths stays (0,) and e stays 0;
-    - i and j count the active tree and external steps so far.
-    For a genus g >= 1 each position is narrowed (``_narrow``). e never
+      e = 2g. Over all genera paths stays (0,) and e stays 0.
+    For a genus g >= 1 the pivots drop the steps to dead states. e never
     falls and each external close raises it by at most one, so a state with
     rest positions after it is dead when
-    e + len(opens) + (rest - depth - len(opens)) / 2 < 2g: the rest holds
-    depth tree closes, len(opens) external closes and whole new pairs, one
-    close each. Relabelling the open steps by a permutation, with paths
-    conjugated by it (head and end k + 1 move with opens[k], head and end 0
-    stay), maps every transition to the relabelled one with the same depth,
-    dead, e, i and j, so states that differ only by a relabelling merge.
-    At genus 0 the bound drops nothing, and the merge merged no state at up
-    to 6 edges, so neither runs there."""
-    level = {(0, 0, (), (0,), 0, 0, 0): 1}
-    forms: dict = {}
-    for left in range(2 * n, 0, -1):  # the positions still to fill
-        after = defaultdict(int)
-        for (d, dead, opens, paths, e, i, j), w in level.items():
-            if d + len(opens) + 2 <= left:  # an open leaves room to close all
-                after[d + 1, dead, opens, paths, e, i, j] += w
-                # the frontier's path ends at the new step, whose slot
-                # ends at the frontier
-                opened = paths if genus is None else (
-                    paths[0] + 1, 0, *(end + 1 for end in paths[1:]))
-                after[d, dead, (2 * d + 1,) + opens, opened, e, i, j] += w
-            if d:  # the top frame closes, active unless dead; an external
-                # step whose lowest depth was d reaches d - 1, and the frame
-                # on top at its opening has closed by now
-                top, below = divmod(dead, 1 << d)
-                fallen = [o if o >> 1 < d else 2 * d - 2 for o in opens]
-                if genus is None:
-                    fallen.sort(reverse=True)
-                after[d - 1, below, tuple(fallen), paths, e, i + 1 - top, j] += w
-            for k, o in enumerate(opens):
-                ends, t = paths, 0
-                if genus is not None:
-                    t = paths[k + 1]  # the end of head k + 1's path
-                    if t and e == 2 * genus:  # it would close no face
-                        continue
-                    # head k + 1's path joins the frontier's, which now ends
-                    # at t, or closes a face when t is the frontier; the
-                    # path that reached opens[k] ends at the new frontier
-                    ends = tuple([0 if (u := x or t) == k + 1 else u - (u > k + 1)
-                                  for x in paths[:k + 1] + paths[k + 2:]])
-                kill = (2 << d) - (2 << (o >> 1))  # the frames deeper than m
-                after[d, dead | kill, opens[:k] + opens[k + 1:], ends, e + (t > 0),
-                      i, j + (o & 1)] += w
-        if genus:
-            after = _narrow(after, left - 1, genus, forms)
-        if len(after) > MAX_WORD_STATES:
+    e + len(opens) + (rest - depth - len(opens)) // 2 < 2g, that is
+    e + (rest - depth + len(opens)) // 2 < 2g: the rest holds depth tree
+    closes, len(opens) external closes and whole new pairs, one close
+    each. At genus 0 the bound drops nothing, so it does not run.
+
+    A step lists at most n + 3 states (two opens, one tree close and at
+    most n external closes) and j stays within n, so ``_sweep`` runs with
+    fan n + 3 and width n + 1. Every state left at the end has e = 2g: e
+    never passes 2g, and for g >= 1 the last pivot drops e < 2g."""
+    def budget(size: int) -> None:
+        if size > MAX_WORD_STATES:
             raise ValueError(f"state budget is {MAX_WORD_STATES} per word position;"
-                             f" {n} edges need {len(after)}")
-        level = after
-    # every state left has e = 2g: e never passes 2g, and for g >= 1 the
-    # last narrowing, with no position after it, dropped e < 2g
-    return BivariatePolynomial((key[5:], w) for key, w in level.items())
+                             f" {n} edges need {size}")
+
+    pivots = [_word_pivot(left, genus) for left in range(2 * n, 0, -1)]
+    return _sweep((0, 0, (), (0,), 0), pivots, n + 1, n + 3, budget)
 
 
 def partition_function(n: int, genus: int | None = None) -> BivariatePolynomial:

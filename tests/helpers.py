@@ -580,19 +580,12 @@ def shape_start(g: Multigraph) -> tuple:
     return shape([w for p in _pivot_order(g) for w in ends[p]])
 
 
-def level_sizes(start, pivots: list, vertices: int) -> tuple[BivariatePolynomial, list]:
-    """T by ``engines._sweep`` over ``pivots``, and the number of states
-    each level pivots."""
-    sizes = [0] * len(pivots)
-
-    def counted(i, pivot):
-        def count(state):
-            sizes[i] += 1
-            return pivot(state)
-        return count
-
-    t = engines._sweep(start, [counted(i, p) for i, p in enumerate(pivots)], vertices)
-    return t, sizes
+def level_sizes(start, pivots: list, width: int) -> tuple[BivariatePolynomial, list]:
+    """T by ``engines._sweep`` over ``pivots`` with ``width`` y-slots per
+    power of x, and the number of states each level pivots."""
+    sizes = [1]
+    t = engines._sweep(start, pivots, width, on_level=sizes.append)
+    return t, sizes[:-1]
 
 
 # -- map isomorphism oracles -----------------------------------------------
@@ -857,10 +850,12 @@ def tour_word_sums(n_edges: int) -> dict[int, Counter]:
 
 def word_steps(state: tuple, left: int, genus: int | None) -> Iterator[tuple]:
     """The states that one more step takes a tour-word state to, with
-    ``left`` positions still to fill: ``mapenum._word_sum``'s transitions
-    with no prune and no merge, the open steps listed newest first for a
-    genus and sorted largest first over all genera. A state is
-    (depth, dead, opens, paths, e, i, j), as that docstring defines it."""
+    ``left`` positions still to fill: ``mapenum._word_pivot``'s transitions
+    with no prune, the open steps listed newest first for a genus and
+    sorted largest first over all genera. A state is
+    (depth, dead, opens, paths, e, i, j), as ``mapenum._word_sum`` defines
+    them: i and j, which the transfer packs into its weights, stay in the
+    state here."""
     d, dead, opens, paths, e, i, j = state
     if d + len(opens) + 2 <= left:
         yield d + 1, dead, opens, paths, e, i, j
@@ -900,9 +895,8 @@ def word_levels(n_edges: int, genus: int | None) -> list[dict]:
 
 
 def word_sum(n_edges: int, genus: int | None) -> BivariatePolynomial:
-    """``partition_function``'s tour-word transfer with no prune and no
-    merge: the full words that end with e = 2 * genus (every word when
-    genus is None)."""
+    """``partition_function``'s tour-word transfer with no prune: the full
+    words that end with e = 2 * genus (every word when genus is None)."""
     return BivariatePolynomial((state[5:], w) for state, w in word_levels(n_edges, genus)[-1].items()
                                if genus is None or state[4] == 2 * genus)
 

@@ -225,9 +225,9 @@ def test_zpoly_sums_past_the_census_bound(capsys, genus, z11):
 
 
 def test_zpoly_over_the_state_budget_is_an_input_error(capsys):
-    code, out, err = run(capsys, "zpoly", "--edges", "10")
+    code, out, err = run(capsys, "zpoly", "--edges", "11")
     assert (code, out) == (1, "")
-    budget = f"error: state budget is {MAX_WORD_STATES} per word position; 10 edges need "
+    budget = f"error: state budget is {MAX_WORD_STATES} per word position; 11 edges need "
     assert err.startswith(budget)
     assert int(err[len(budget):]) > MAX_WORD_STATES
     assert "invariant" not in err
@@ -236,13 +236,13 @@ def test_zpoly_over_the_state_budget_is_an_input_error(capsys):
 def test_zpoly_keeps_the_state_budget_for_a_genus(capsys):
     # a genus comes from the tour words too, so it stops at the state
     # budget, not at the census bound: genus 1 runs at 8 edges and is
-    # refused at 9, at a position that holds 35,992 states
+    # refused at 9, at a position that holds 56,725 states
     code, out, err = run(capsys, "zpoly", "--edges", "8", "--genus", "1", "--format", "json")
     assert (code, err) == (0, "")
     assert BivariatePolynomial.from_json_terms(json.loads(out)["z"]).evaluate(1, 1) == 42_942_900
     code, out, err = run(capsys, "zpoly", "--edges", "9", "--genus", "1")
     assert (code, out) == (1, "")
-    assert err == f"error: state budget is {MAX_WORD_STATES} per word position; 9 edges need 35992\n"
+    assert err == f"error: state budget is {MAX_WORD_STATES} per word position; 9 edges need 56725\n"
 
 
 @pytest.mark.parametrize("edges, genus", [(1, 1), (5, 3), (8, 5), (40, 21)])

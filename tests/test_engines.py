@@ -141,22 +141,27 @@ def _branching(*shifts):
 
 @pytest.mark.parametrize("n", [1, 2, 40, 130])
 def test_sweep_packing_holds_at_its_bound(n):
-    # two branches per level over n levels drive the coefficient sum to
-    # 2^n, the bound the slot width rests on: each result must be the exact
-    # binomial expansion, so a carry from one slot into the next fails
-    cases = [  # (pivot, vertices, expected terms)
-        (_branching((0, 0), (0, 1)), 1,
+    # fan branches per level over n levels drive the coefficient sum to
+    # fan^n, the bound the slot width rests on: each result must be the
+    # exact multinomial expansion, so a carry from one slot into the next
+    # fails
+    cases = [  # (pivot, width, fan, expected terms)
+        (_branching((0, 0), (0, 1)), n + 1, 2,
          {(0, j): math.comb(n, j) for j in range(n + 1)}),  # (1 + y)^n
-        (_branching((0, 0), (1, 0)), n + 1,
+        (_branching((0, 0), (1, 0)), 1, 2,
          {(i, 0): math.comb(n, i) for i in range(n + 1)}),  # (1 + x)^n
-        (_branching((1, 0), (0, 1)), 1,
+        (_branching((1, 0), (0, 1)), n + 1, 2,
          {(i, n - i): math.comb(n, i) for i in range(n + 1)}),  # (x + y)^n
-        (_branching((0, 0), (0, 0)), 1, {(0, 0): 2 ** n}),  # one full slot
+        (_branching((0, 0), (0, 0)), 1, 2, {(0, 0): 2 ** n}),  # one full slot
+        (_branching((0, 0), (0, 0), (0, 0)), 1, 3, {(0, 0): 3 ** n}),
+        (_branching((0, 0), (1, 0), (0, 1)), n + 1, 3,  # (1 + x + y)^n
+         {(i, j): math.comb(n, i) * math.comb(n - i, j)
+          for i in range(n + 1) for j in range(n + 1 - i)}),
     ]
-    for pivot, vertices, want in cases:
-        t = engines._sweep("s", [pivot] * n, vertices)
+    for pivot, width, fan, want in cases:
+        t = engines._sweep("s", [pivot] * n, width, fan)
         assert t.terms() == want
-        assert t.evaluate(1, 1) == 2 ** n
+        assert t.evaluate(1, 1) == fan ** n
 
 
 def test_recursive_map_agrees_with_expansion_on_random_maps():
@@ -375,8 +380,9 @@ def test_delcon_builds_no_minor_graphs_and_no_certificates(monkeypatch):
 def _frontier_and_shape(g):
     """T and the number of states per level, by delcon's frontier sweep and
     by the shape sweep of the test helpers, on the same pivot order."""
-    return (level_sizes((), engines._delcon_pivots(g), g.vertex_count),
-            level_sizes(shape_start(g), [shape_pivot] * g.edge_count, g.vertex_count))
+    width = g.edge_count - g.vertex_count + 2
+    return (level_sizes((), engines._delcon_pivots(g), width),
+            level_sizes(shape_start(g), [shape_pivot] * g.edge_count, width))
 
 
 @settings(max_examples=150)
