@@ -7,6 +7,11 @@ isomorphism guard, which recurses once per vertex, runs only within the
 expansion's edge bound, so the depth is only guarded), 2 when an internal
 invariant breaks (a non-cyclic tour, a drawn edge set that is no spanning
 tree, or evaluators that should agree but do not).
+
+Output is text, or with ``--format json`` the bytes that
+``json.dumps(payload, indent=2, sort_keys=True)`` would give. ``_json``
+writes them itself, a polynomial by one template per term, and a command
+builds only the form it prints.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .activity import _activity_sum, _erase_walk, _scan, _tour_args, motion_function
@@ -57,11 +62,36 @@ def _load_map(path: str, root: str | None) -> CombinatorialMap:
     return m
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+def _json(obj, pad: str = "") -> str:
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` for what the
+    commands print: str-keyed dicts, lists, tuples, str, int, bool, None, and
+    polynomials, each laid out as its ``json_terms()`` by one term template."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{\n" + ",\n".join([
+            f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+            for k, v in sorted(obj.items())]) + f"\n{pad}}}"
+    if isinstance(obj, BivariatePolynomial):
+        term = (f'{inner}{{\n{inner}  "c": "%d",\n{inner}  "dx": %d,\n'
+                f'{inner}  "dy": %d\n{inner}}}')
+        items = [term % (c, dx, dy) for dx, dy, c in obj.sorted_terms()]
+    elif isinstance(obj, (list, tuple)):
+        items = [inner + _json(v, inner) for v in obj]
+    elif isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    elif obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    else:  # raises TypeError on anything but an int, as json.dumps does
+        return int.__repr__(obj)
+    return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+
+
+def _emit(args, payload, text) -> None:
+    """Print the form asked for. Both forms are callables, so the one that
+    is not printed is never built."""
+    print(_json(payload()) if args.format == "json" else text())
 
 
 def _cmd_tutte(args) -> int:
@@ -79,17 +109,12 @@ def _cmd_tutte(args) -> int:
         "recursive": lambda: tutte_recursive_map(emb),
     }
     polys = {m: evaluators[m]() for m in methods}
-    lines = [f"{m}: {polys[m]}" for m in methods]
-    payload: dict = {"polynomials": {m: polys[m].json_terms() for m in methods}}
-    status = 0
-    if args.method == "all":
-        agree = len(set(polys.values())) == 1
-        lines.append(f"agreement: {'yes' if agree else 'NO'}")
-        payload["agreement"] = agree
-        if not agree:
-            status = 2
-    _emit(args, payload, "\n".join(lines))
-    return status
+    agree = len(set(polys.values())) == 1  # a single method always agrees
+    shown = {"agreement": agree} if args.method == "all" else {}
+    _emit(args, lambda: {"polynomials": polys, **shown}, lambda: "\n".join(
+        [f"{m}: {polys[m]}" for m in methods]
+        + [f"agreement: {'yes' if ok else 'NO'}" for ok in shown.values()]))
+    return 0 if agree else 2
 
 
 def _resolve_tree(m: CombinatorialMap, tree_arg: str) -> list[str]:
@@ -108,17 +133,15 @@ def _cmd_tour(args) -> int:
     m = _load_map(args.map, args.root)
     tree = _resolve_tree(m, args.tree)
     order = motion_function(m, tree)
-    text = "\n".join([
+    _emit(args, lambda: {
+        "tour": order.cycle,
+        "half_edge_order": order.half_edge_order,
+        "edge_order": order.edge_order,
+    }, lambda: "\n".join([
         "(" + " ".join(order.cycle) + ")",
         "half-edges: " + " < ".join(order.half_edge_order),
         "edges: " + " < ".join(order.edge_order),
-    ])
-    payload = {
-        "tour": list(order.cycle),
-        "half_edge_order": list(order.half_edge_order),
-        "edge_order": list(order.edge_order),
-    }
-    _emit(args, payload, text)
+    ]))
     return 0
 
 
@@ -131,31 +154,18 @@ def _cmd_activities(args) -> int:
     # sorted edge-id sets, whatever order the enumerator yields them in
     trees = sorted(enumerate_spanning_trees(graph), key=lambda st: st.flags, reverse=True)
     pairs = [kernel(st.flags) for st in trees]
-    lines = []
-    rows = []
-    for st, (internal, external) in zip(trees, pairs):
-        tree_ids = sorted(st.internal_edges)
-        internal_active = sorted(ids[p] for p in internal)
-        external_active = sorted(ids[p] for p in external)
-        mono = BivariatePolynomial.monomial(len(internal), len(external))
-        lines.append(
-            "tree {%s}: internal-active {%s} external-active {%s} -> %s"
-            % (
-                ",".join(tree_ids),
-                ",".join(internal_active),
-                ",".join(external_active),
-                mono,
-            )
-        )
-        rows.append({
-            "tree": tree_ids,
-            "internal_active": internal_active,
-            "external_active": external_active,
-            "monomial": mono.json_terms(),
-        })
+    # per tree: its edges, internal-active and external-active edges, monomial
+    rows = [(sorted(st.internal_edges), sorted(ids[p] for p in internal),
+             sorted(ids[p] for p in external),
+             BivariatePolynomial.monomial(len(internal), len(external)))
+            for st, (internal, external) in zip(trees, pairs)]
     total = _activity_sum(pairs)
-    lines.append(f"total: {total}")
-    _emit(args, {"trees": rows, "total": total.json_terms()}, "\n".join(lines))
+    _emit(args, lambda: {"trees": [
+        {"tree": t, "internal_active": ia, "external_active": ea, "monomial": mono}
+        for t, ia, ea, mono in rows], "total": total}, lambda: "\n".join([
+            "tree {%s}: internal-active {%s} external-active {%s} -> %s"
+            % (",".join(t), ",".join(ia), ",".join(ea), mono)
+            for t, ia, ea, mono in rows] + [f"total: {total}"]))
     return 0
 
 
@@ -165,7 +175,7 @@ def _cmd_minor(args) -> int:
         result = m.delete_edge(args.delete)
     else:
         result = m.contract_edge(args.contract)
-    _emit(args, result.to_json_obj(), result.to_text())
+    _emit(args, result.to_json_obj, result.to_text)
     return 0
 
 
@@ -173,9 +183,8 @@ def _cmd_euler(args) -> int:
     m = CombinatorialMap.from_text(_read(args.map))
     if args.root is not None:  # chi and genus do not depend on the root
         m.index(args.root)
-    chi = m.euler_characteristic()
-    _emit(args, {"chi": chi, "genus": m.genus()},
-          f"chi: {chi}\ngenus: {m.genus()}")
+    chi, genus = m.euler_characteristic(), m.genus()
+    _emit(args, lambda: {"chi": chi, "genus": genus}, lambda: f"chi: {chi}\ngenus: {genus}")
     return 0
 
 
@@ -186,7 +195,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_zpoly(args) -> int:
     z = partition_function(args.edges, args.genus)
-    _emit(args, {"z": z.json_terms()}, str(z))
+    _emit(args, lambda: {"z": z}, lambda: str(z))
     return 0
 
 
@@ -202,13 +211,11 @@ def _cmd_check(args) -> int:
         raise ValueError(f"--trials must be at least 0, got {args.trials}")
     graph = _load_graph(args.graph)
     rng = random.Random(args.seed)
-    lines: list[str] = []
-    rows: list[dict] = []
+    rows: list[tuple] = []
 
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        tail = f" ({detail})" if detail and not ok else ""
-        lines.append(f"{'ok' if ok else 'FAIL'}: {name}{tail}")
-        rows.append({"name": name, "ok": ok})
+    def report(name: str, ok: bool, detail=None) -> None:
+        """One row; ``detail`` is a callable, called only for a failed row."""
+        rows.append((name, ok, detail))
 
     _require_connected(graph)
     emb = embed(graph)
@@ -223,7 +230,7 @@ def _cmd_check(args) -> int:
     reference = five["expansion"]
     report("five evaluator methods agree",
            all(v == reference for v in five.values()),
-           " / ".join(f"{k}={v}" for k, v in five.items()))
+           lambda: " / ".join(f"{k}={v}" for k, v in five.items()))
 
     # the walk tours each tree and raises MotionNotCyclicError unless the
     # tour is one cycle; a list, not a short-circuiting all(), so that every
@@ -238,7 +245,7 @@ def _cmd_check(args) -> int:
     t11, kirchhoff = reference.evaluate(1, 1), kirchhoff_tree_count(graph)
     report("T(1,1) equals the spanning tree count",
            t11 == kirchhoff == len(erased),
-           f"T(1,1)={t11}, Kirchhoff={kirchhoff}, trees={len(erased)}")
+           lambda: f"T(1,1)={t11}, Kirchhoff={kirchhoff}, trees={len(erased)}")
     report("T(2,2) equals 2^|E|",
            reference.evaluate(2, 2) == 2 ** graph.edge_count)
     report("every tree tour is a single cycle", True)
@@ -252,13 +259,14 @@ def _cmd_check(args) -> int:
          [f"order[{i}]" for i in trials]),
     ):
         bad = next((polys[k] for k in labels if polys[k] != reference), None)
-        report(name, bad is None, f"{bad} != {reference}")
+        report(name, bad is None, lambda bad=bad: f"{bad} != {reference}")
 
-    failures = sum(not row["ok"] for row in rows)
-    lines.append(
-        f"{failures} check(s) failed" if failures else "all checks passed"
-    )
-    _emit(args, {"checks": rows, "ok": not failures}, "\n".join(lines))
+    failures = sum(not ok for _, ok, _ in rows)
+    _emit(args, lambda: {"checks": [{"name": name, "ok": ok} for name, ok, _ in rows],
+                         "ok": not failures}, lambda: "\n".join(
+        [f"ok: {name}" if ok else f"FAIL: {name}" + (f" ({detail()})" if detail else "")
+         for name, ok, detail in rows]
+        + [f"{failures} check(s) failed" if failures else "all checks passed"]))
     return 2 if failures else 0
 
 

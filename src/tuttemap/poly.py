@@ -171,8 +171,7 @@ class BivariatePolynomial:
         if not self._terms:
             return "0"
         chunks = []
-        for dx, dy in sorted(self._terms, key=lambda t: (-t[0], t[1])):
-            coeff = self._terms[(dx, dy)]
+        for dx, dy, coeff in self.sorted_terms():
             factors = []
             if abs(coeff) != 1 or (dx == 0 and dy == 0):
                 factors.append(str(abs(coeff)))
@@ -220,13 +219,16 @@ class BivariatePolynomial:
             pos = m.end()
         return cls(out)
 
+    def sorted_terms(self) -> list[tuple[int, int, int]]:
+        """The ``(dx, dy, c)`` terms in the canonical order that ``str`` and
+        ``json_terms`` print: x-degree descending, then y-degree ascending."""
+        return [(dx, dy, c) for (dx, dy), c in
+                sorted(self._terms.items(), key=lambda t: (-t[0][0], t[0][1]))]
+
     def json_terms(self) -> list[dict]:
         """Canonically ordered list of {"dx", "dy", "c"} objects; "c" is a
         string so arbitrarily large coefficients survive JSON round-trips."""
-        return [
-            {"dx": dx, "dy": dy, "c": str(self._terms[(dx, dy)])}
-            for dx, dy in sorted(self._terms, key=lambda t: (-t[0], t[1]))
-        ]
+        return [{"dx": dx, "dy": dy, "c": str(c)} for dx, dy, c in self.sorted_terms()]
 
     @classmethod
     def from_json_terms(cls, items: Iterable[Mapping]) -> "BivariatePolynomial":
